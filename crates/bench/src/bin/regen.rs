@@ -14,8 +14,6 @@
 //! cargo run --release -p bench --bin regen -- --list           # artifact inventory
 //! cargo run --release -p bench --bin regen -- fetch http://127.0.0.1:7979 figure2
 //! cargo run --release -p bench --bin regen -- campaign --quick table1  # fault-space sweep
-//! cargo run --release -p bench --bin regen -- bench-uarch --out BENCH_uarch.json
-//! cargo run --release -p bench --bin regen -- bench-uarch --check BENCH_uarch.json
 //! cargo run --release -p bench --bin regen -- loadgen http://127.0.0.1:7979/artifact/table2
 //! ```
 //!
@@ -69,14 +67,6 @@ fn usage(to_stdout: bool) {
          \x20                   all of them) off a running regend and print it;\n\
          \x20                   retries politely on 429 + Retry-After, and with\n\
          \x20                   seeded backoff on refused/timed-out connections\n\
-         \x20 bench-uarch       benchmark the uarch interpreter itself: a pinned\n\
-         \x20                   4-workload mix (branch/loadstore/syscall/transient)\n\
-         \x20                   run through both the decoded dispatch loop and the\n\
-         \x20                   reference stepper. Options: --out <f> (JSON report,\n\
-         \x20                   atomic), --check <f> (re-run at the file's scale and\n\
-         \x20                   fail on any retired-count drift; timings never\n\
-         \x20                   gate), --scale <n>, --quick. Exits 1 on drift or\n\
-         \x20                   if the decoded path is slower than the reference\n\
          \x20 loadgen <url>     open-loop HTTP load generator against a running\n\
          \x20                   regend: arrivals on a fixed-rate clock, latency\n\
          \x20                   measured from each scheduled arrival (no\n\
@@ -366,134 +356,6 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses `regen bench-uarch` arguments.
-struct BenchUarchArgs {
-    opts: bench::uarch_bench::UarchBenchOptions,
-    scale_overridden: bool,
-    out: Option<PathBuf>,
-    check: Option<PathBuf>,
-}
-
-fn parse_bench_uarch_args(args: &[String]) -> Result<BenchUarchArgs, String> {
-    let mut parsed = BenchUarchArgs {
-        opts: bench::uarch_bench::UarchBenchOptions::default(),
-        scale_overridden: false,
-        out: None,
-        check: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |flag: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => {
-                parsed.opts = bench::uarch_bench::UarchBenchOptions::quick();
-                parsed.scale_overridden = true;
-            }
-            "--scale" => {
-                let v = value("--scale")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad --scale value: {v}"))?;
-                if n == 0 {
-                    return Err("--scale must be at least 1".to_string());
-                }
-                parsed.opts.scale = n;
-                parsed.scale_overridden = true;
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
-            "--check" => parsed.check = Some(PathBuf::from(value("--check")?)),
-            other => return Err(format!("unknown bench-uarch flag: {other}")),
-        }
-        i += 1;
-    }
-    Ok(parsed)
-}
-
-/// `regen bench-uarch`: benchmark the interpreter. In `--check` mode the
-/// run is pinned to the committed report's scale and any retired-work
-/// drift fails the command; timings are reported but only gate in the
-/// one way that is always a bug — the decoded path being slower than the
-/// reference interpreter it replaced.
-fn run_bench_uarch_cmd(args: &[String]) -> ExitCode {
-    use bench::uarch_bench;
-    let mut parsed = match parse_bench_uarch_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("regen bench-uarch: {msg}");
-            eprintln!();
-            usage(false);
-            return ExitCode::from(2);
-        }
-    };
-    let pinned = match &parsed.check {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                match uarch_bench::pinned_scale(&text) {
-                    Ok(scale) if !parsed.scale_overridden => parsed.opts.scale = scale,
-                    Ok(_) => {}
-                    Err(msg) => {
-                        eprintln!("regen bench-uarch: {}: {msg}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-                Some(text)
-            }
-            Err(e) => {
-                eprintln!("regen bench-uarch: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let report = match uarch_bench::run_bench_uarch(&parsed.opts) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("regen bench-uarch: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render_text());
-    if let Some(path) = &parsed.out {
-        if let Err(e) = spectrebench::atomic_write(path, report.render_json().as_bytes()) {
-            eprintln!("regen bench-uarch: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("regen bench-uarch: report written to {}", path.display());
-    }
-    let mut failed = false;
-    if let Some(pinned) = pinned {
-        match uarch_bench::check_report(&pinned, &report) {
-            Ok(drifts) if drifts.is_empty() => {
-                eprintln!("regen bench-uarch: retired-work counts match the pinned report");
-            }
-            Ok(drifts) => {
-                for d in &drifts {
-                    eprintln!("regen bench-uarch: DRIFT: {d}");
-                }
-                failed = true;
-            }
-            Err(msg) => {
-                eprintln!("regen bench-uarch: {msg}");
-                failed = true;
-            }
-        }
-        if report.total_speedup() < 1.0 {
-            eprintln!(
-                "regen bench-uarch: decoded dispatch is SLOWER than the reference stepper ({:.2}x)",
-                report.total_speedup()
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// Parses `regen loadgen` arguments (everything after the subcommand
 /// word; the first bare argument is the URL).
 fn parse_loadgen_args(args: &[String]) -> Result<(bench::loadgen::LoadgenOptions, Option<PathBuf>), String> {
@@ -638,9 +500,6 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("campaign") {
         return run_campaign_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench-uarch") {
-        return run_bench_uarch_cmd(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("loadgen") {
         return run_loadgen_cmd(&args[1..]);

@@ -27,7 +27,8 @@ use spectrebench::campaign::{
 use spectrebench::obs::EventKind;
 use spectrebench::plan::CellValue;
 use spectrebench::{
-    atomic_write, default_jobs, EventBus, Executor, Harness, HarnessStats, Journal, RetryPolicy,
+    atomic_write, default_jobs, EventBus, Executor, Harness, HarnessStats, Journal, JournalScan,
+    RetryPolicy,
 };
 
 use crate::{render_artifact_block, Artifact, ArtifactResult};
@@ -168,6 +169,18 @@ fn run_sweep(
     SweepOutput { rendered, failed, degraded, stats: exec.stats(), census }
 }
 
+/// The report detail for an absorbed coordinate whose journal damage
+/// was detected. One count, not the scan's corrupt/torn split: a torn
+/// append scans as a torn tail only while no other cell appends after
+/// it, and with several workers that depends on which cell finishes
+/// last, so the split is not deterministic.
+fn damage_detail(scan: &JournalScan) -> String {
+    format!(
+        "journal damage detected ({} damaged line(s)), cell re-ran",
+        scan.corrupt + scan.truncated
+    )
+}
+
 /// Runs a whole campaign. See the module docs for the three phases.
 pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError> {
     std::fs::create_dir_all(&opts.dir)?;
@@ -268,12 +281,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
             SurvivalClass::Degraded => {
                 format!("degraded: {}", obs.degraded_artifacts.join(", "))
             }
-            SurvivalClass::Absorbed if obs.journal_damage_detected => {
-                format!(
-                    "journal damage detected ({} corrupt, {} torn), cell re-ran",
-                    scan.corrupt, scan.truncated
-                )
-            }
+            SurvivalClass::Absorbed if obs.journal_damage_detected => damage_detail(&scan),
             SurvivalClass::Absorbed => String::new(),
         };
         let outcome = CoordinateOutcome {
@@ -315,4 +323,27 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
     }
     emit("", EventKind::CampaignFinished);
     Ok(CampaignRun { report, stats, replayed, executed })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spectrebench::{cell_value_json, crc32};
+
+    fn journal_line(key: &str) -> String {
+        let payload = cell_value_json(key, 0, &CellValue::Num(1.0));
+        format!("v2 {:08x} {payload}\n", crc32(payload.as_bytes()))
+    }
+
+    #[test]
+    fn torn_line_renders_the_same_detail_mid_file_and_at_the_tail() {
+        let torn = journal_line("a/torn");
+        let torn = &torn[..torn.len() * 2 / 3];
+        let other = journal_line("a/other");
+        let (mid, _) = scan_journal_text(&format!("{torn}\n{other}"));
+        let (tail, _) = scan_journal_text(&format!("{other}{torn}"));
+        assert_eq!((mid.corrupt, mid.truncated), (1, 0), "{mid:?}");
+        assert_eq!((tail.corrupt, tail.truncated), (0, 1), "{tail:?}");
+        assert_eq!(damage_detail(&mid), damage_detail(&tail));
+    }
 }

@@ -1,6 +1,7 @@
 //! A tiny HTTP/1.1 client for `regen fetch` and `regen loadgen`.
 //!
-//! Two wire disciplines, mirroring the two server front ends:
+//! Two wire disciplines, the two framings `regend` must answer with
+//! identical bytes:
 //!
 //! * [`http_get`] — one `GET` per connection, `Connection: close`,
 //!   read-to-EOF framing. This is the PR 5 client, kept verbatim: the

@@ -1,9 +1,7 @@
-//! # bench — regeneration harness and timing benchmarks
+//! # bench — the `regen` regeneration harness
 //!
 //! The `regen` binary reprints every table and figure of the paper from
-//! the simulation (see `cargo run -p bench --bin regen -- --help`); the
-//! plain-`main` benches under `benches/` time the harness itself, one
-//! group per paper artifact.
+//! the simulation (see `cargo run -p bench --bin regen -- --help`).
 //!
 //! The regeneration sweep itself is a library ([`run_regen`]) so the
 //! integration tests can drive `--keep-going`, fault injection, and
@@ -14,7 +12,6 @@
 pub mod campaign;
 pub mod client;
 pub mod loadgen;
-pub mod uarch_bench;
 
 use std::path::PathBuf;
 use std::sync::Arc;

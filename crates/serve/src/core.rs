@@ -1,22 +1,19 @@
-//! The serving core shared by both front ends.
+//! The serving core: what the bytes say.
 //!
-//! PR 8 split `regend` into a *front end* (how bytes move: the
-//! event-driven keep-alive loop in [`crate::server`], or the frozen
-//! thread-per-connection baseline in [`crate::baseline`]) and this
-//! *core* (what the bytes say). The core owns the three deduplication
-//! layers from PR 5 — rendered-artifact cache, single-flight group,
-//! content-addressed executor cell cache — plus routing, validation,
-//! and the run counters, so the two front ends cannot drift: byte-for-
-//! byte, a response depends only on the request, never on which
-//! acceptor model carried it. `tests/serve_determinism.rs` pins that.
+//! `regend` is split into a *front end* (how bytes move: the
+//! event-driven keep-alive loop in [`crate::server`]) and this *core*.
+//! The core owns the three deduplication layers — rendered-artifact
+//! cache, single-flight group, content-addressed executor cell cache —
+//! plus routing, validation, and the run counters, so byte-for-byte a
+//! response depends only on the request, never on how the connection
+//! framed or pipelined it. `tests/serve_determinism.rs` pins that.
 //!
 //! Routing is split by cost. [`Core::route`] answers everything that
 //! is O(1) — health, metrics, index pages, validation errors, *cache
 //! hits* — and classifies the rest as [`SlowWork`]. The event loop
 //! runs `route` inline on the loop thread (a cache hit costs one
 //! `HashMap` probe and then writes pre-rendered bytes zero-copy) and
-//! ships `SlowWork` to the dispatch pool; the baseline runs both on
-//! its per-connection thread.
+//! ships `SlowWork` to the dispatch pool.
 
 // regend serves results; a request must never take down the process.
 #![allow(clippy::result_large_err)]
@@ -41,7 +38,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Configuration for one server (either front end).
+/// Configuration for one server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7979` (port 0 for tests).
@@ -66,8 +63,6 @@ pub struct ServerConfig {
     /// Default per-request deadline; `None` means no deadline unless
     /// the request carries `?deadline_ms=`.
     pub default_deadline: Option<Duration>,
-    /// Socket read/write timeout for the blocking baseline front end.
-    pub io_timeout: Duration,
     /// How long a keep-alive connection may sit without making
     /// progress (no bytes read or written) before the event loop
     /// reaps it.
@@ -102,7 +97,6 @@ impl Default for ServerConfig {
             inject: None,
             journal: None,
             default_deadline: None,
-            io_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             shard_addrs: Vec::new(),
             net_inject: None,
@@ -147,8 +141,7 @@ pub struct RunSummary {
 }
 
 /// Work too slow for the event-loop thread: anything that may execute
-/// experiment plans. Dispatched to the worker pool (event front end)
-/// or run inline (baseline front end).
+/// experiment plans. Dispatched to the worker pool.
 #[derive(Debug, Clone)]
 pub enum SlowWork {
     /// `GET /artifact/<name>` missing the rendered cache.
@@ -307,8 +300,8 @@ impl Core {
     }
 
     /// Routes a parsed request: answer it now, or classify the slow
-    /// work. `queue_depth` is the front end's current dispatch depth
-    /// (the baseline, which runs slow work inline, passes 0).
+    /// work. `queue_depth` is the server's current dispatch depth,
+    /// reported by `/healthz`.
     pub fn route(&self, request: &Request, queue_depth: usize) -> (&'static str, Action) {
         let segments: Vec<&str> =
             request.path.split('/').filter(|s| !s.is_empty()).collect();

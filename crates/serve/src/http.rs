@@ -17,7 +17,6 @@
 //! wire. Limits are enforced *while buffering*, so a malformed or
 //! hostile peer costs a bounded amount of memory, never the process.
 
-use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 /// Upper bound on one header line (request line included).
@@ -32,15 +31,12 @@ const MAX_BODY: u64 = 64 * 1024;
 pub enum HttpError {
     /// Syntactically invalid or over a parser limit (maps to 400).
     Malformed(String),
-    /// The underlying socket failed or timed out.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
@@ -74,51 +70,16 @@ impl Request {
         let name = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
     }
-
-    /// Reads and parses one request from `reader`, blocking. Any
-    /// declared body is read and discarded (bounded) so the connection
-    /// is left positioned at the next request — the same incremental
-    /// parser drives this, one byte at a time, so the blocking and
-    /// nonblocking paths cannot disagree.
-    pub fn parse(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-        let mut parser = RequestParser::new();
-        loop {
-            if let Some(r) = parser.next_request()? {
-                return Ok(r);
-            }
-            let mut byte = [0u8; 1];
-            match std::io::Read::read(reader, &mut byte) {
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(HttpError::Io(e)),
-                Ok(0) => {
-                    if parser.is_empty() {
-                        return Err(HttpError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed before a full request line",
-                        )));
-                    }
-                    return match parser.finish_eof()? {
-                        Some(r) => Ok(r),
-                        None => Err(HttpError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed before a full request line",
-                        ))),
-                    };
-                }
-                Ok(_) => parser.push(&byte),
-            }
-        }
-    }
 }
 
 /// Incremental HTTP/1.1 request parser: feed bytes with
 /// [`RequestParser::push`], harvest complete requests with
 /// [`RequestParser::next_request`]. Tolerates arbitrary fragmentation
 /// (including CRLF split across reads) and pipelined back-to-back
-/// requests; enforces the same limits as the original blocking parser
-/// *while buffering*, so memory stays bounded even when no request ever
-/// completes. A malformed head is a sticky error: every later call
-/// reports it again, and the connection should answer 400 and close.
+/// requests; enforces its limits *while buffering*, so memory stays
+/// bounded even when no request ever completes. A malformed head is a
+/// sticky error: every later call reports it again, and the connection
+/// should answer 400 and close.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -145,11 +106,6 @@ impl RequestParser {
     /// Appends raw bytes from the socket.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// True when the parser holds no partial request at all.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.buf.len() && self.pending_body.is_none()
     }
 
     /// Bytes buffered but not yet consumed (partial request data).
@@ -212,7 +168,7 @@ impl RequestParser {
                 self.lines += 1;
                 // An empty line terminates the head. (An empty *first*
                 // line parses as an empty request line and is rejected
-                // below, matching the blocking parser of PR 5.)
+                // below.)
                 if empty {
                     let head_end = self.scanned + 1;
                     let head = self.buf[self.start..head_end].to_vec();
@@ -248,27 +204,11 @@ impl RequestParser {
         }
         Ok(None)
     }
-
-    /// The peer closed its write side. Mirrors the blocking parser's
-    /// EOF behaviour: a truncated body yields the request anyway (the
-    /// body is discarded either way); a head whose final newline never
-    /// arrived is given one implied newline, which completes requests
-    /// like `...\r\n\r` + EOF and otherwise reports the truncation.
-    pub fn finish_eof(&mut self) -> Result<Option<Request>, HttpError> {
-        if let Some((request, _)) = self.pending_body.take() {
-            return Ok(Some(request));
-        }
-        self.push(b"\n");
-        match self.next_request()? {
-            Some(r) => Ok(Some(r)),
-            None => Ok(self.pending_body.take().map(|(r, _)| r)),
-        }
-    }
 }
 
 /// Parses one complete head (`request line .. blank line`, newline
 /// included). Returns the request plus its declared body length. Error
-/// strings match the PR 5 blocking parser exactly, so rejection is
+/// strings depend only on the head's bytes, so rejection is
 /// byte-identical no matter how the head was fragmented.
 fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
     let text =
@@ -519,14 +459,6 @@ impl Response {
         head.push_str("\r\n");
         head.into_bytes()
     }
-
-    /// Serializes status line, headers, and body to `w` with
-    /// `Connection: close` framing (the blocking, one-request path).
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        w.write_all(&self.render_head(false))?;
-        w.write_all(self.body.as_bytes())?;
-        w.flush()
-    }
 }
 
 /// Reason phrase for the status codes regend uses.
@@ -547,10 +479,12 @@ pub fn status_reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Feeds `s` in one piece; it must complete a request or fail.
     fn parse_str(s: &str) -> Result<Request, HttpError> {
-        Request::parse(&mut BufReader::new(s.as_bytes()))
+        let mut p = RequestParser::new();
+        p.push(s.as_bytes());
+        Ok(p.next_request()?.expect("a complete request"))
     }
 
     #[test]
@@ -589,7 +523,10 @@ mod tests {
     #[test]
     fn rejects_garbage_and_oversized_lines() {
         assert!(matches!(parse_str("NONSENSE\r\n\r\n"), Err(HttpError::Malformed(_))));
-        assert!(matches!(parse_str(""), Err(HttpError::Io(_))));
+        assert!(
+            RequestParser::new().next_request().unwrap().is_none(),
+            "no bytes, no request"
+        );
         let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(9000));
         assert!(matches!(parse_str(&long), Err(HttpError::Malformed(_))));
     }
@@ -617,7 +554,7 @@ mod tests {
             }
         }
         assert_eq!(got, ["/healthz", "/metrics"]);
-        assert!(p.is_empty());
+        assert_eq!(p.buffered(), 0);
         // ...and the whole burst at once parse identically.
         let mut p = RequestParser::new();
         p.push(wire);
@@ -650,11 +587,9 @@ mod tests {
 
     #[test]
     fn response_serializes_with_content_length_and_extra_headers() {
-        let mut out = Vec::new();
-        Response::text(429, "queue full\n")
-            .with_header("Retry-After", "1")
-            .write_to(&mut out)
-            .unwrap();
+        let resp = Response::text(429, "queue full\n").with_header("Retry-After", "1");
+        let mut out = resp.render_head(false);
+        out.extend_from_slice(resp.body.as_bytes());
         let s = String::from_utf8(out).unwrap();
         assert!(s.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(s.contains("Content-Length: 11\r\n"));
@@ -674,18 +609,6 @@ mod tests {
             ka.replace("Connection: keep-alive", "Connection: close"),
             cl
         );
-    }
-
-    #[test]
-    fn discards_declared_bodies() {
-        let mut reader =
-            BufReader::new(&b"POST /shutdown HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGARBAGE"[..]);
-        let r = Request::parse(&mut reader).unwrap();
-        assert_eq!(r.method, "POST");
-        // The body was consumed; what remains is the next request's bytes.
-        let mut rest = String::new();
-        std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
-        assert_eq!(rest, "GARBAGE");
     }
 
     #[test]

@@ -15,18 +15,12 @@
 //! * [`sys`] — raw `epoll(7)`/`eventfd(2)` shims, no libc crate.
 //! * [`core`] — routing, validation, the three deduplication layers
 //!   (rendered cache, single-flight, executor cell cache), and run
-//!   counters, shared by both front ends below.
+//!   counters.
 //! * [`server`] — the event-driven front end: one epoll readiness
 //!   loop, HTTP/1.1 keep-alive with pipelining, zero-copy cache hits,
 //!   bounded dispatch to a worker pool (429 + `Retry-After` when
 //!   full), per-request deadlines, idle/stall reaping, the `/metrics`
 //!   exposition, graceful drain on SIGTERM.
-//! * [`baseline`] — the frozen PR 5 thread-per-connection,
-//!   `Connection: close` acceptor, kept as the in-tree reference that
-//!   `bench-serve` measures the event loop against.
-//! * [`bench_serve`] — the `bench-serve` binary's engine: pushes an
-//!   identical workload through both front ends and pins the
-//!   deterministic wire counters in `BENCH_serve.json`.
 //! * [`shard`] — the cluster building blocks: the consistent-hash
 //!   routing ring, the per-shard health state machine
 //!   (healthy → suspect → down), and the pooled fetch path with
@@ -45,8 +39,6 @@
 //!
 //! [`Executor`]: spectrebench::Executor
 
-pub mod baseline;
-pub mod bench_serve;
 pub mod cluster;
 pub mod cluster_campaign;
 pub mod core;
@@ -56,7 +48,6 @@ pub mod server;
 pub mod shard;
 pub mod sys;
 
-pub use baseline::{BaselineHandle, BaselineServer};
 pub use cluster::{boot_shards, proxy_config, shard_config, ShardInstance};
 pub use cluster_campaign::{run_cluster_campaign, ClusterCampaignConfig};
 pub use core::{

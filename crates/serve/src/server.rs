@@ -706,7 +706,6 @@ fn read_ready(
                             reject_malformed(core, dispatch, conn, &m);
                             return;
                         }
-                        Err(HttpError::Io(_)) => break,
                     }
                 }
                 if conn.stop_reading || conn.close_after_flush {

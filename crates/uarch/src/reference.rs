@@ -3,21 +3,18 @@
 //!
 //! [`Machine::step`] now dispatches over the pre-decoded stream
 //! ([`crate::decode`]). This module preserves the original semantics as
-//! an executable oracle with two jobs:
-//!
-//! 1. **Equivalence pinning** — the decode round-trip property tests run
-//!    random programs through both steppers and require identical
-//!    architectural state, cycle counts, and PMCs.
-//! 2. **Baseline measurement** — `regen bench-uarch` reports the decoded
-//!    dispatch loop's speedup over this interpreter, so the number in
-//!    `BENCH_uarch.json` is a real before/after on the same build.
+//! an executable oracle: the decode round-trip property tests run random
+//! programs through both steppers and require identical architectural
+//! state, cycle counts, and PMCs, and `tests/properties.rs` requires
+//! identical retired work on four pinned loops (branch, load/store,
+//! syscall, transient window).
 //!
 //! The snapshot is *whole-interpreter*: besides the `Inst`-match dispatch
 //! loop, it pins the seed's subsystem implementations (linear-scan TLB
 //! walk, unfiltered store-buffer scans, bytewise physical memory access,
 //! `Inst`-fetching transient windows) via the `*_reference` entry points,
-//! so later fast paths in the shared subsystems cannot leak into the
-//! baseline measurement.
+//! so later fast paths in the shared subsystems are checked against code
+//! they did not change.
 //!
 //! Nothing here is called on any hot path; do not optimize this file.
 

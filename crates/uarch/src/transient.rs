@@ -568,8 +568,7 @@ fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()
 /// interpreter: per-instruction `Inst` fetch (binary search, no segment
 /// hint) and a pattern-match executor, with the seed's bytewise memory
 /// and uncached page walks underneath. Observable-identical to
-/// [`run_window`]; `regen bench-uarch` times the two against each other
-/// and the decode property tests pin the equivalence.
+/// [`run_window`]; the decode property tests pin the equivalence.
 pub(crate) fn run_window_reference(m: &mut Machine, start: TransientStart) {
     m.transient_windows += 1;
     let mut sh = Shadow {

@@ -6,6 +6,9 @@
 //! * the JIT agrees with the reference interpreter on randomly generated
 //!   bytecode programs, under random mitigation sets;
 //! * the in-kernel BPF JIT agrees with the BPF reference interpreter;
+//! * the decoded dispatch loop and the reference stepper retire
+//!   identical, pinned work on four loops (branch, load/store, syscall,
+//!   transient window);
 //! * statistics invariants: geomean bounds, accumulator mean, noise
 //!   reproducibility, no panic/NaN on empty/single/zero/infinite input,
 //!   and a 95% CI that shrinks monotonically with sample count.
@@ -651,4 +654,213 @@ fn prop_journal_v2_single_byte_corruption_never_replays() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned interpreter loops: decoded dispatch vs the reference stepper.
+// ---------------------------------------------------------------------
+
+/// A loop that stresses one part of the interpreter.
+#[derive(Debug, Clone, Copy)]
+enum PinnedLoop {
+    /// Branches on an xorshift bit: sustained predictor misses.
+    BranchHeavy,
+    /// Store/reload of a marching pointer: MMU, store buffer, caches.
+    LoadStoreHeavy,
+    /// User-mode syscalls through a kernel stub: mode switches.
+    SyscallHeavy,
+    /// An unpredictable branch whose arms load different lines: a
+    /// wrong-path window on roughly every other iteration.
+    TransientWindow,
+}
+
+/// Builds `kind` on Skylake Client (vulnerable to the full attack menu,
+/// so mispredicts really open transient windows), `scale` iterations
+/// (a quarter of that for the syscall loop).
+fn pinned_loop(kind: PinnedLoop, scale: u64) -> Machine {
+    const CODE: u64 = 0x40_0000;
+    const KERNEL: u64 = 0x80_0000;
+    const DATA: u64 = 0x1_0000;
+    const PAGES: u64 = 16;
+    let mut m = Machine::new(cpu_models::skylake_client());
+    let mut pt = PageTable::new();
+    pt.map_range(DATA, 0x100, PAGES, Pte::user(0));
+    let id = m.mmu.register_table(pt);
+    assert!(m.mmu.load_cr3(make_cr3(id, 0, false)));
+    m.set_reg(Reg::SP, DATA + PAGES * 4096 - 0x100);
+
+    let mut b = ProgramBuilder::new();
+    // r1 ^= r1 << 13; r1 ^= r1 >> 7, via r2.
+    let xorshift = |b: &mut ProgramBuilder| {
+        b.push(Inst::Mov(Reg::R2, Reg::R1));
+        b.push(Inst::Shl(Reg::R2, 13));
+        b.push(Inst::Xor(Reg::R1, Reg::R2));
+        b.push(Inst::Mov(Reg::R2, Reg::R1));
+        b.push(Inst::Shr(Reg::R2, 7));
+        b.push(Inst::Xor(Reg::R1, Reg::R2));
+    };
+    let count_down = |b: &mut ProgramBuilder, top| {
+        b.sub_imm(Reg::R0, 1);
+        b.cmp_imm(Reg::R0, 0);
+        b.jcc(Cond::Ne, top);
+        b.push(Inst::Halt);
+    };
+    match kind {
+        PinnedLoop::BranchHeavy => {
+            b.mov_imm(Reg::R0, scale);
+            b.mov_imm(Reg::R1, 0x9e37_79b9_7f4a_7c15);
+            b.mov_imm(Reg::R3, 1);
+            let top = b.here();
+            let skip = b.new_label();
+            xorshift(&mut b);
+            b.push(Inst::Test(Reg::R1, Reg::R3));
+            b.jcc(Cond::Ne, skip);
+            b.add_imm(Reg::R4, 1);
+            b.bind(skip);
+            count_down(&mut b, top);
+        }
+        PinnedLoop::LoadStoreHeavy => {
+            b.mov_imm(Reg::R0, scale);
+            b.mov_imm(Reg::R8, DATA);
+            b.mov_imm(Reg::R9, 0);
+            b.mov_imm(Reg::R1, 0xdead_beef);
+            let top = b.here();
+            b.push(Inst::Mov(Reg::R7, Reg::R8));
+            b.push(Inst::Add(Reg::R7, Reg::R9));
+            b.push(Inst::Store {
+                src: Reg::R1,
+                base: Reg::R7,
+                offset: 0,
+                width: Width::B8,
+            });
+            b.push(Inst::Load {
+                dst: Reg::R2,
+                base: Reg::R7,
+                offset: 0,
+                width: Width::B8,
+            });
+            b.push(Inst::Load {
+                dst: Reg::R3,
+                base: Reg::R7,
+                offset: 8,
+                width: Width::B4,
+            });
+            b.push(Inst::Add(Reg::R1, Reg::R2));
+            b.add_imm(Reg::R9, 64);
+            b.push(Inst::AndImm(Reg::R9, (PAGES * 4096 - 64) & !63));
+            count_down(&mut b, top);
+        }
+        PinnedLoop::SyscallHeavy => {
+            b.mov_imm(Reg::R0, scale / 4);
+            let top = b.here();
+            b.push(Inst::Syscall);
+            count_down(&mut b, top);
+
+            let mut k = ProgramBuilder::new();
+            k.push(Inst::Swapgs);
+            k.push(Inst::Swapgs);
+            k.push(Inst::Sysret);
+            m.load_program(k.link(KERNEL));
+            m.syscall_entry = Some(KERNEL);
+            m.mode = PrivMode::User;
+        }
+        PinnedLoop::TransientWindow => {
+            b.mov_imm(Reg::R0, scale);
+            b.mov_imm(Reg::R8, DATA);
+            b.mov_imm(Reg::R1, 0x2545_f491_4f6c_dd1d);
+            let top = b.here();
+            let even = b.new_label();
+            let join = b.new_label();
+            xorshift(&mut b);
+            b.push(Inst::Mov(Reg::R2, Reg::R1));
+            b.push(Inst::AndImm(Reg::R2, 1));
+            b.cmp_imm(Reg::R2, 0);
+            b.jcc(Cond::Eq, even);
+            b.push(Inst::Load {
+                dst: Reg::R2,
+                base: Reg::R8,
+                offset: 0,
+                width: Width::B8,
+            });
+            b.push(Inst::Add(Reg::R3, Reg::R2));
+            b.jmp(join);
+            b.bind(even);
+            b.push(Inst::Load {
+                dst: Reg::R2,
+                base: Reg::R8,
+                offset: 64,
+                width: Width::B8,
+            });
+            b.push(Inst::Add(Reg::R3, Reg::R2));
+            b.bind(join);
+            count_down(&mut b, top);
+        }
+    }
+    m.load_program(b.link(CODE));
+    m.pc = CODE;
+    m
+}
+
+/// Both steppers retire identical instruction and cycle counts on the
+/// four pinned loops; the decoded path's retired work (instructions,
+/// cycles, transient windows, transient instructions) matches the
+/// pinned counts; and the process-wide `pmc::global` counters see at
+/// least the retired total.
+#[test]
+fn pinned_loops_retire_identical_work_on_both_steppers() {
+    const SCALE: u64 = 300_000;
+    // (loop, retired, cycles, transient windows, transient instructions)
+    let pinned = [
+        (
+            PinnedLoop::BranchHeavy,
+            3_449_506,
+            6_142_846,
+            149_630,
+            7_181_679,
+        ),
+        (PinnedLoop::LoadStoreHeavy, 3_300_005, 6_000_713, 134, 6_197),
+        (PinnedLoop::SyscallHeavy, 525_002, 6_975_110, 6, 6),
+        (
+            PinnedLoop::TransientWindow,
+            4_649_937,
+            8_264_231,
+            150_781,
+            7_237_206,
+        ),
+    ];
+    let (before, _, _) = uarch::pmc::global::snapshot();
+    let mut retired_total = 0;
+    for (kind, retired, cycles, windows, transient) in pinned {
+        let mut decoded = pinned_loop(kind, SCALE);
+        decoded
+            .run(&mut NoEnv, u64::MAX)
+            .expect("decoded run halts");
+        let mut reference = pinned_loop(kind, SCALE);
+        reference
+            .run_reference(&mut NoEnv, u64::MAX)
+            .expect("reference run halts");
+        assert_eq!(
+            (reference.inst_count(), reference.cycles()),
+            (decoded.inst_count(), decoded.cycles()),
+            "{kind:?}: reference vs decoded (retired, cycles)"
+        );
+        assert_eq!(
+            (
+                decoded.inst_count(),
+                decoded.cycles(),
+                decoded.transient_window_count(),
+                decoded.transient_inst_count()
+            ),
+            (retired, cycles, windows, transient),
+            "{kind:?}: retired work drifted from the pinned counts"
+        );
+        retired_total += retired;
+    }
+    assert_eq!(retired_total, 11_924_450);
+    let (after, _, _) = uarch::pmc::global::snapshot();
+    assert!(
+        after - before >= retired_total,
+        "pmc::global saw {} instructions, {retired_total} retired",
+        after - before
+    );
 }
