@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use bench::campaign::{run_campaign, CampaignError, CampaignOptions};
 use bench::{Artifact, RegenOptions, run_regen};
-use spectrebench::campaign::SurvivalClass;
+use spectrebench::campaign::FaultPoint;
 use spectrebench::{fsck_journal, jobs_from_env, FaultKind, FaultPlan};
 
 fn usage(to_stdout: bool) {
@@ -332,8 +332,8 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
         run.executed,
         run.replayed,
         opts.dir.join("campaign.jsonl").display(),
-        run.report.space,
-        run.report.cells
+        run.space,
+        run.cells
     );
     let s = &run.stats;
     eprintln!(
@@ -351,7 +351,6 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
             eprintln!("regen campaign: SILENT CORRUPTION at {} ({})", o.coord.id(), o.detail);
         }
         // Reserve exit 2 for the one verdict that is always a bug.
-        debug_assert!(silent.iter().all(|o| o.class == SurvivalClass::SilentCorruption));
         ExitCode::from(2)
     }
 }

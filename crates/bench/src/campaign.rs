@@ -21,14 +21,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use spectrebench::campaign::{
-    classify, enumerate_coordinates, scan_journal_text, stratified_sample, CampaignJournal,
-    CampaignReport, CoordinateOutcome, SurvivalClass, SweepObservation,
+    classify, enumerate_coordinates, stratified_sample, CampaignJournal, Coordinate, FaultPoint,
+    Observation, Outcome, Report, SurvivalClass,
 };
 use spectrebench::obs::EventKind;
 use spectrebench::plan::CellValue;
 use spectrebench::{
-    atomic_write, default_jobs, EventBus, Executor, Harness, HarnessStats, Journal, JournalScan,
-    RetryPolicy,
+    atomic_write, default_jobs, escape_json, scan_journal_text, EventBus, Executor, Harness,
+    HarnessStats, Journal, JournalScan, RetryPolicy,
 };
 
 use crate::{render_artifact_block, Artifact, ArtifactResult};
@@ -84,7 +84,11 @@ impl Default for CampaignOptions {
 #[derive(Debug)]
 pub struct CampaignRun {
     /// The survivability report (deterministic for fixed inputs).
-    pub report: CampaignReport,
+    pub report: Report<Coordinate>,
+    /// Distinct cells the reference sweep recorded.
+    pub cells: usize,
+    /// Size of the full coordinate space (before sampling).
+    pub space: usize,
     /// Harness counters aggregated across the reference sweep and
     /// every perturbed sweep.
     pub stats: HarnessStats,
@@ -124,6 +128,7 @@ impl std::fmt::Display for CampaignError {
 }
 
 /// What one (reference or perturbed) sweep produced.
+#[derive(Default)]
 struct SweepOutput {
     rendered: String,
     failed: Vec<String>,
@@ -167,6 +172,17 @@ fn run_sweep(
     }
     let census = exec.journal().map(Journal::entries).unwrap_or_default();
     SweepOutput { rendered, failed, degraded, stats: exec.stats(), census }
+}
+
+/// Reduces one perturbed sweep to what classification needs. Bytes that
+/// differ from the reference with no failed or degraded artifact to
+/// account for them are silent corruption, and so is a resume journal
+/// that would replay a wrong value, however clean the bytes.
+fn observe(reference: &str, sweep: &SweepOutput, replay_mismatch: bool) -> Observation {
+    let failed = !sweep.failed.is_empty();
+    let degraded = !sweep.degraded.is_empty();
+    let unaccounted = sweep.rendered != reference && !failed && !degraded;
+    Observation { silent: replay_mismatch || unaccounted, failed, degraded }
 }
 
 /// The report detail for an absorbed coordinate whose journal damage
@@ -226,8 +242,8 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
             Err(e) => return Err(e.into()),
         }
     }
-    let (campaign_journal, replayed_rows, _skipped) = CampaignJournal::open(&journal_path)?;
-    let mut done: HashMap<String, CoordinateOutcome> =
+    let (campaign_journal, replayed_rows) = CampaignJournal::open(&journal_path)?;
+    let mut done: HashMap<String, Outcome<Coordinate>> =
         replayed_rows.into_iter().map(|o| (o.coord.id(), o)).collect();
     let replayed = selected.iter().filter(|c| done.contains_key(&c.id())).count();
     let todo = selected.len() - replayed;
@@ -255,40 +271,27 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
         // replay, and was any injected I/O damage actually detected?
         let journal_text = std::fs::read_to_string(&scratch)?;
         let (scan, survivors) = scan_journal_text(&journal_text);
-        let journal_replay_mismatch = survivors.iter().any(|(key, value)| {
+        // Would a resume replay a value other than the reference's?
+        let replay_mismatch = survivors.iter().any(|(key, value)| {
             reference_values.get(key).is_some_and(|reference| reference != value)
         });
-        let obs = SweepObservation {
-            rendered: sweep.rendered,
-            failed_artifacts: sweep.failed,
-            degraded_artifacts: sweep.degraded,
-            retries: sweep.stats.retries,
-            faults_injected: sweep.stats.faults_injected,
-            journal_damage_detected: scan.corrupt + scan.truncated > 0,
-            journal_replay_mismatch,
-        };
-        let class = classify(&reference.rendered, &obs);
+        let class = classify(&observe(&reference.rendered, &sweep, replay_mismatch));
         let detail = match class {
-            SurvivalClass::SilentCorruption if obs.journal_replay_mismatch => {
+            SurvivalClass::SilentCorruption if replay_mismatch => {
                 "resume journal would replay a wrong value".to_string()
             }
             SurvivalClass::SilentCorruption => {
                 "output diverged from reference with clean accounting".to_string()
             }
-            SurvivalClass::FailedLoud => {
-                format!("failed: {}", obs.failed_artifacts.join(", "))
-            }
-            SurvivalClass::Degraded => {
-                format!("degraded: {}", obs.degraded_artifacts.join(", "))
-            }
-            SurvivalClass::Absorbed if obs.journal_damage_detected => damage_detail(&scan),
+            SurvivalClass::FailedLoud => format!("failed: {}", sweep.failed.join(", ")),
+            SurvivalClass::Degraded => format!("degraded: {}", sweep.degraded.join(", ")),
+            SurvivalClass::Absorbed if scan.corrupt + scan.truncated > 0 => damage_detail(&scan),
             SurvivalClass::Absorbed => String::new(),
         };
-        let outcome = CoordinateOutcome {
+        let outcome = Outcome {
             coord: coord.clone(),
             class,
-            retries: obs.retries,
-            faults_injected: obs.faults_injected,
+            counts: Some((sweep.stats.retries, sweep.stats.faults_injected)),
             detail,
         };
         campaign_journal.record(&outcome)?;
@@ -300,39 +303,70 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
     campaign_journal.sync()?;
 
     // Phase 3: reduce, in enumeration order.
-    let outcomes: Vec<CoordinateOutcome> = selected
+    let outcomes: Vec<Outcome<Coordinate>> = selected
         .iter()
         .filter_map(|c| done.remove(&c.id()))
         .collect();
-    let report = CampaignReport {
-        artifacts: if opts.artifacts.is_empty() {
-            Artifact::ALL.iter().map(|a| a.name().to_string()).collect()
-        } else {
-            opts.artifacts.iter().map(|a| a.name().to_string()).collect()
-        },
-        quick: opts.quick,
-        retries: opts.retries.max(1),
-        seed: opts.seed,
-        sample: opts.sample,
-        cells: cells.len(),
-        space: space_size,
+    let artifacts: &[Artifact] =
+        if opts.artifacts.is_empty() { &Artifact::ALL } else { &opts.artifacts };
+    let artifacts: Vec<String> =
+        artifacts.iter().map(|a| format!("\"{}\"", escape_json(a.name()))).collect();
+    let retries = opts.retries.max(1);
+    let report = Report {
+        inputs: vec![
+            ("artifacts", format!("[{}]", artifacts.join(","))),
+            ("quick", opts.quick.to_string()),
+            ("retries", retries.to_string()),
+            ("seed", opts.seed.to_string()),
+            ("sample", opts.sample.map_or_else(|| "null".to_string(), |n| n.to_string())),
+            ("cells", cells.len().to_string()),
+            ("space", space_size.to_string()),
+        ],
+        title: format!(
+            "survivability matrix ({} coordinate(s) over {} cell(s), retry budget {retries})",
+            outcomes.len(),
+            cells.len()
+        ),
         outcomes,
     };
     if let Some(path) = &opts.report_out {
         atomic_write(path, report.to_json().as_bytes())?;
     }
     emit("", EventKind::CampaignFinished);
-    Ok(CampaignRun { report, stats, replayed, executed })
+    Ok(CampaignRun { report, cells: cells.len(), space: space_size, stats, replayed, executed })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spectrebench::{cell_value_json, crc32};
+    use spectrebench::cell_value_json;
+    use spectrebench::persist::frame_line;
 
     fn journal_line(key: &str) -> String {
-        let payload = cell_value_json(key, 0, &CellValue::Num(1.0));
-        format!("v2 {:08x} {payload}\n", crc32(payload.as_bytes()))
+        frame_line("v2", &cell_value_json(key, 0, &CellValue::Num(1.0)))
+    }
+
+    #[test]
+    fn sweeps_reduce_to_their_class() {
+        let reference = "== T ==\nvalue 1\n";
+        let class = |rendered: &str, failed: &[&str], degraded: &[&str], replay_mismatch| {
+            let names = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect();
+            let sweep = SweepOutput {
+                rendered: rendered.to_string(),
+                failed: names(failed),
+                degraded: names(degraded),
+                ..SweepOutput::default()
+            };
+            classify(&observe(reference, &sweep, replay_mismatch))
+        };
+        assert_eq!(class(reference, &[], &[], false), SurvivalClass::Absorbed);
+        let marked = "== T ==\nvalue 1 \u{2020}\n";
+        assert_eq!(class(marked, &[], &["t"], false), SurvivalClass::Degraded);
+        assert_eq!(class("== T == FAILED\n", &["t"], &[], false), SurvivalClass::FailedLoud);
+        // Diverged bytes that no failed or degraded artifact accounts for.
+        assert_eq!(class("== T ==\nvalue 2\n", &[], &[], false), SurvivalClass::SilentCorruption);
+        // A replay mismatch is silent corruption even with identical bytes.
+        assert_eq!(class(reference, &[], &[], true), SurvivalClass::SilentCorruption);
     }
 
     #[test]

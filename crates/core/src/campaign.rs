@@ -21,23 +21,27 @@
 //!   reference while the sweep claims to be clean, **or** a damaged
 //!   journal line would replay a wrong value on resume. Always a bug.
 //!
+//! The serving tier runs the same kind of campaign over a second fault
+//! space: every `(shard, net-fault-kind, timing)` point of a cluster
+//! ([`ClusterCoordinate`]). Both spaces share one model: a point
+//! implements [`FaultPoint`], a driver reduces each perturbed run to an
+//! [`Observation`], [`classify`] places it on the lattice, and the
+//! classified [`Outcome`]s reduce into one [`Report`].
+//!
 //! This module is the pure half of the feature: coordinate enumeration,
 //! deterministic stratified sampling, outcome classification, the
 //! crash-safe campaign journal (so an interrupted campaign resumes),
-//! and the byte-deterministic report. The sweep-running half lives in
-//! the `bench` crate, which owns the artifact drivers.
+//! and the byte-deterministic report. The running halves live with
+//! their drivers: `bench::campaign` sweeps artifacts, and
+//! `serve::cluster_campaign` bursts requests through a faulted proxy.
 
-use std::collections::HashMap;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
-use crate::faultplan::{FaultKind, FaultPlan, NetFaultKind, NetFaultPlan};
-use crate::harness::{classify_line, escape_json, lock, JournalScan, LineClass};
-use crate::persist::crc32;
-use crate::plan::CellValue;
-use std::sync::Mutex;
+use crate::faultplan::{mix, FaultKind, FaultPlan, NetFaultKind, NetFaultPlan};
+use crate::harness::escape_json;
+use crate::json;
+use crate::persist::{frame_line, unframe_line, JournalFile, Unframed};
 
 /// What the machinery did with one injected fault coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,10 +86,22 @@ impl SurvivalClass {
     }
 }
 
-impl fmt::Display for SurvivalClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
+/// A point of a fault space: what the report and the matrix need to
+/// know about it.
+pub trait FaultPoint {
+    /// The JSON key a report over this space files its inputs under.
+    const REPORT: &'static str;
+    /// The survivability matrix's first column heading.
+    const AXIS: &'static str;
+    /// Canonical id, unique within the space.
+    fn id(&self) -> String;
+    /// The point's own fields of its JSON report row (the row's
+    /// `"coord"` id comes first, its verdict after).
+    fn json_fields(&self) -> String;
+    /// The survivability-matrix row this point is counted in.
+    fn row(&self) -> String;
+    /// Every matrix row, in display order.
+    fn rows() -> Vec<String>;
 }
 
 /// One point of the fault space: inject `kind` into the cell addressed
@@ -112,13 +128,36 @@ pub struct Coordinate {
     pub kind: FaultKind,
 }
 
-impl Coordinate {
-    /// Canonical id: `kind:attempt:seed:content-key` (the key goes
-    /// last because it may contain any character except a newline).
-    pub fn id(&self) -> String {
+impl FaultPoint for Coordinate {
+    const REPORT: &'static str = "campaign";
+    const AXIS: &'static str = "fault kind";
+
+    /// `kind:attempt:seed:content-key` (the key goes last because it
+    /// may contain any character except a newline).
+    fn id(&self) -> String {
         format!("{}:{}:{}:{}", self.kind.name(), self.attempt, self.seed, self.content_key)
     }
 
+    fn json_fields(&self) -> String {
+        format!(
+            "\"kind\":\"{}\",\"attempt\":{},\"cell\":\"{}\",\"seed\":{}",
+            self.kind.name(),
+            self.attempt,
+            escape_json(&self.content_key),
+            self.seed
+        )
+    }
+
+    fn row(&self) -> String {
+        self.kind.name().to_string()
+    }
+
+    fn rows() -> Vec<String> {
+        FaultKind::ALL.iter().map(|k| k.name().to_string()).collect()
+    }
+}
+
+impl Coordinate {
     /// Parses a canonical id back into a coordinate.
     pub fn parse_id(id: &str) -> Option<Coordinate> {
         let mut parts = id.splitn(4, ':');
@@ -136,12 +175,6 @@ impl Coordinate {
     /// matching the content key, delivered `attempt + 1` times.
     pub fn fault_plan(&self) -> FaultPlan {
         FaultPlan::new().fail_cell(self.content_key.clone(), self.kind, Some(self.attempt + 1))
-    }
-}
-
-impl fmt::Display for Coordinate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.id())
     }
 }
 
@@ -197,37 +230,24 @@ pub fn stratified_sample(space: &[Coordinate], n: usize, seed: u64) -> Vec<Coord
             strata.push((kind, idx));
         }
     }
-    // Largest-remainder quotas.
-    let total = space.len();
+    // Largest-remainder quotas: each stratum gets the floor of its
+    // proportional share, then the slots left over go one each to the
+    // largest remainders (ties broken by stratum order — deterministic).
+    // Fewer slots are left than there are nonzero remainders, and with
+    // `n < space.len()` no floor share fills its stratum, so one pass
+    // hands them all out.
+    let total = space.len() as u128;
     let mut quotas: Vec<usize> = Vec::with_capacity(strata.len());
     let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(strata.len());
-    let mut assigned = 0usize;
     for (s, (_, idx)) in strata.iter().enumerate() {
         let exact_num = (n as u128) * (idx.len() as u128);
-        let q = (exact_num / total as u128) as usize;
-        quotas.push(q.min(idx.len()));
-        assigned += quotas[s];
-        remainders.push((exact_num % total as u128, s));
+        quotas.push((exact_num / total) as usize);
+        remainders.push((exact_num % total, s));
     }
-    // Hand out the remaining slots by remainder size (ties broken by
-    // stratum order — deterministic).
     remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut left = n.saturating_sub(assigned);
-    while left > 0 {
-        let mut gave = false;
-        for &(_, s) in &remainders {
-            if left == 0 {
-                break;
-            }
-            if quotas[s] < strata[s].1.len() {
-                quotas[s] += 1;
-                left -= 1;
-                gave = true;
-            }
-        }
-        if !gave {
-            break;
-        }
+    let left = n - quotas.iter().sum::<usize>();
+    for &(_, s) in remainders.iter().take(left) {
+        quotas[s] += 1;
     }
     // Rank each stratum by seeded hash, take the quota, then restore
     // enumeration order.
@@ -235,7 +255,7 @@ pub fn stratified_sample(space: &[Coordinate], n: usize, seed: u64) -> Vec<Coord
     for (s, (_, idx)) in strata.iter().enumerate() {
         let mut ranked: Vec<(u64, usize)> = idx
             .iter()
-            .map(|&i| (sample_hash(seed, &space[i].id()), i))
+            .map(|&i| (mix(seed, &space[i].id(), 0), i))
             .collect();
         ranked.sort();
         picked.extend(ranked.into_iter().take(quotas[s]).map(|(_, i)| i));
@@ -244,311 +264,93 @@ pub fn stratified_sample(space: &[Coordinate], n: usize, seed: u64) -> Vec<Coord
     picked.into_iter().map(|i| space[i].clone()).collect()
 }
 
-/// FNV-1a + xorshift* hash of (seed, id) — the sampling rank.
-fn sample_hash(seed: u64, id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut x = h ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+/// What a driver saw of one perturbed run, reduced to the three facts
+/// classification needs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Observation {
+    /// The output diverged from the reference with nothing accounting
+    /// for it, or resume state would replay a wrong value.
+    pub silent: bool,
+    /// Something failed with a typed error: an artifact, or requests a
+    /// client saw fail.
+    pub failed: bool,
+    /// The output is marked partial: `†`-bridged slices, shed load, or
+    /// a degraded-mode response.
+    pub degraded: bool,
 }
 
-/// What the campaign driver observed from one perturbed sweep, reduced
-/// to the facts classification needs.
-#[derive(Debug, Clone, Default)]
-pub struct SweepObservation {
-    /// The concatenated artifact renderings (the sweep's stdout).
-    pub rendered: String,
-    /// Artifacts that failed with a typed error.
-    pub failed_artifacts: Vec<String>,
-    /// Artifacts that rendered but carry degraded (`†`-bridged) slices.
-    pub degraded_artifacts: Vec<String>,
-    /// Extra attempts the harness spent across the sweep.
-    pub retries: u64,
-    /// Faults the plan actually delivered (0 means the coordinate never
-    /// fired — e.g. a cell served from cache before its fault could).
-    pub faults_injected: u64,
-    /// Whether the perturbed sweep's journal, re-scanned after the
-    /// sweep, shows the injected damage as detected (corrupt or torn
-    /// lines counted) — the I/O-kind absorption proof.
-    pub journal_damage_detected: bool,
-    /// Whether any journal entry that would replay on resume differs
-    /// from the reference value for the same (cell, seed) — the resume
-    /// path's silent-corruption detector.
-    pub journal_replay_mismatch: bool,
-}
-
-/// Classifies one coordinate's observation against the reference
-/// rendering. The lattice is checked worst-first: a replay mismatch is
-/// silent corruption even if the rendered bytes matched.
-pub fn classify(reference: &str, obs: &SweepObservation) -> SurvivalClass {
-    if obs.journal_replay_mismatch {
-        return SurvivalClass::SilentCorruption;
+/// Classifies one observation, worst-first on the lattice: silent
+/// corruption outranks a loud failure, which outranks degradation;
+/// a run with none of the three absorbed its fault.
+pub fn classify(obs: &Observation) -> SurvivalClass {
+    if obs.silent {
+        SurvivalClass::SilentCorruption
+    } else if obs.failed {
+        SurvivalClass::FailedLoud
+    } else if obs.degraded {
+        SurvivalClass::Degraded
+    } else {
+        SurvivalClass::Absorbed
     }
-    if obs.rendered == reference
-        && obs.failed_artifacts.is_empty()
-        && obs.degraded_artifacts.is_empty()
-    {
-        return SurvivalClass::Absorbed;
-    }
-    if !obs.degraded_artifacts.is_empty() {
-        return SurvivalClass::Degraded;
-    }
-    if !obs.failed_artifacts.is_empty() {
-        return SurvivalClass::FailedLoud;
-    }
-    if obs.rendered == reference {
-        // Bytes match and nothing failed or degraded — but the guard
-        // above already returned Absorbed for that; reaching here means
-        // inconsistent accounting, which is its own (loud) bug class.
-        return SurvivalClass::Absorbed;
-    }
-    SurvivalClass::SilentCorruption
-}
-
-/// Scans a cell journal's text the way `Journal::open` would (without
-/// printing warnings or touching the file), returning the per-class
-/// line counts and the entries a resume would replay.
-pub fn scan_journal_text(text: &str) -> (JournalScan, HashMap<(String, u64), CellValue>) {
-    let mut scan = JournalScan::default();
-    let mut entries = HashMap::new();
-    let complete_tail = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let n = lines.len();
-    for (i, line) in lines.iter().enumerate() {
-        let is_last = i + 1 == n && !complete_tail;
-        match classify_line(line, is_last) {
-            LineClass::Valid(key, seed, v) => {
-                scan.valid += 1;
-                entries.insert((key, seed), v);
-            }
-            LineClass::Stale => scan.stale += 1,
-            LineClass::TruncatedTail => scan.truncated += 1,
-            LineClass::Corrupt => scan.corrupt += 1,
-            LineClass::Header | LineClass::Blank => {}
-        }
-    }
-    (scan, entries)
 }
 
 /// One classified coordinate, as recorded in the campaign journal and
 /// the report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CoordinateOutcome {
+pub struct Outcome<C> {
     /// Which fault-space point.
-    pub coord: Coordinate,
+    pub coord: C,
     /// The survivability verdict.
     pub class: SurvivalClass,
-    /// Retries the perturbed sweep spent (deterministic for a fixed
-    /// plan, so it is safe to include in the byte-pinned report).
-    pub retries: u64,
-    /// Faults the plan actually delivered.
-    pub faults_injected: u64,
+    /// `(retries, faults)`: the retries the perturbed run spent and the
+    /// faults its plan actually delivered. `None` where they depend on
+    /// scheduling (the cluster campaign), since the report is byte-pinned.
+    pub counts: Option<(u64, u64)>,
     /// A short deterministic note: the first failed or degraded
-    /// artifact, or journal-damage accounting for I/O kinds.
+    /// artifact, journal-damage accounting, or what the client saw.
     pub detail: String,
 }
 
-impl CoordinateOutcome {
+impl<C: FaultPoint> Outcome<C> {
     fn to_json(&self) -> String {
-        format!(
-            "{{\"coord\":\"{}\",\"kind\":\"{}\",\"attempt\":{},\"cell\":\"{}\",\"seed\":{},\
-             \"class\":\"{}\",\"retries\":{},\"faults\":{},\"detail\":\"{}\"}}",
+        let mut row = format!(
+            "{{\"coord\":\"{}\",{},\"class\":\"{}\"",
             escape_json(&self.coord.id()),
-            self.coord.kind.name(),
-            self.coord.attempt,
-            escape_json(&self.coord.content_key),
-            self.coord.seed,
-            self.class.name(),
-            self.retries,
-            self.faults_injected,
-            escape_json(&self.detail)
-        )
-    }
-}
-
-/// The header line a campaign journal starts with.
-pub const CAMPAIGN_JOURNAL_HEADER: &str = "#regen-campaign v1";
-
-/// Append-only, CRC-checksummed journal of classified coordinates, so
-/// a campaign killed at coordinate 800 of 1000 resumes with 800 rows
-/// replayed instead of re-running them. Line format mirrors the cell
-/// journal's v2 framing (`c1 <crc32 lowercase-hex> <payload JSON>`);
-/// damaged lines (the torn tail of a killed campaign) are skipped on
-/// load and simply re-run.
-#[derive(Debug)]
-pub struct CampaignJournal {
-    file: Mutex<BufWriter<File>>,
-    path: PathBuf,
-}
-
-impl CampaignJournal {
-    /// Opens (or creates) a campaign journal, returning the outcomes
-    /// already on record. Damaged lines are counted, not fatal: a
-    /// SIGKILLed campaign may leave a torn tail, and the coordinate it
-    /// belonged to just re-runs.
-    pub fn open(path: &Path) -> io::Result<(CampaignJournal, Vec<CoordinateOutcome>, u64)> {
-        let mut replayed = Vec::new();
-        let mut skipped = 0u64;
-        let mut had_content = false;
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                had_content = !text.is_empty();
-                for line in text.lines() {
-                    let trimmed = line.trim_end_matches('\r');
-                    if trimmed.trim().is_empty() || trimmed.starts_with('#') {
-                        continue;
-                    }
-                    match decode_campaign_line(trimmed) {
-                        Some(outcome) => replayed.push(outcome),
-                        None => skipped += 1,
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            self.coord.json_fields(),
+            self.class.name()
+        );
+        if let Some((retries, faults)) = self.counts {
+            row.push_str(&format!(",\"retries\":{retries},\"faults\":{faults}"));
         }
-        let mut file = BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?);
-        if !had_content {
-            file.write_all(CAMPAIGN_JOURNAL_HEADER.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.flush()?;
-        }
-        Ok((
-            CampaignJournal { file: Mutex::new(file), path: path.to_path_buf() },
-            replayed,
-            skipped,
-        ))
+        row.push_str(&format!(",\"detail\":\"{}\"}}", escape_json(&self.detail)));
+        row
     }
-
-    /// Where this journal lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one classified coordinate and flushes, so a kill right
-    /// after costs at most the coordinate in flight.
-    pub fn record(&self, outcome: &CoordinateOutcome) -> io::Result<()> {
-        let payload = outcome.to_json();
-        let line = format!("c1 {:08x} {}\n", crc32(payload.as_bytes()), payload);
-        let mut file = lock(&self.file);
-        file.write_all(line.as_bytes())?;
-        file.flush()
-    }
-
-    /// Fsyncs the backing file (called once per coordinate batch).
-    pub fn sync(&self) -> io::Result<()> {
-        let mut file = lock(&self.file);
-        file.flush()?;
-        file.get_ref().sync_data()
-    }
-}
-
-/// Decodes one `c1 <crc> <payload>` campaign-journal line.
-fn decode_campaign_line(line: &str) -> Option<CoordinateOutcome> {
-    let rest = line.strip_prefix("c1 ")?;
-    let (crc_hex, payload) = rest.split_once(' ')?;
-    if crc_hex.len() != 8
-        || !crc_hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-    {
-        return None;
-    }
-    let declared = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(payload.as_bytes()) != declared {
-        return None;
-    }
-    let coord = Coordinate::parse_id(&extract_str(payload, "coord")?)?;
-    let class = SurvivalClass::parse(&extract_str(payload, "class")?)?;
-    let retries = extract_u64(payload, "retries")?;
-    let faults_injected = extract_u64(payload, "faults")?;
-    let detail = extract_str(payload, "detail")?;
-    Some(CoordinateOutcome { coord, class, retries, faults_injected, detail })
-}
-
-/// Extracts a string field from the flat, trusted-shape JSON the
-/// campaign journal writes (same conventions as the cell journal: the
-/// writer escapes only `"` `\` and control characters).
-fn extract_str(payload: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let start = payload.find(&needle)? + needle.len();
-    let bytes = payload.as_bytes();
-    let mut out = String::new();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some(out),
-            b'\\' => {
-                let next = *bytes.get(i + 1)?;
-                match next {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'u' => {
-                        let hex = payload.get(i + 2..i + 6)?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-                i += 2;
-            }
-            _ => {
-                let c = payload[i..].chars().next()?;
-                out.push(c);
-                i += c.len_utf8();
-            }
-        }
-    }
-    None
-}
-
-/// Extracts an unsigned integer field from a flat JSON payload.
-fn extract_u64(payload: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let start = payload.find(&needle)? + needle.len();
-    let digits: String =
-        payload[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 /// The reduced verdict of a whole campaign: every classified
 /// coordinate plus the inputs that make the report reproducible.
 #[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Artifact names the sweeps regenerated, in paper order.
-    pub artifacts: Vec<String>,
-    /// Whether the quick workload variants were used.
-    pub quick: bool,
-    /// The retry budget (attempts per cell) — the attempt-axis depth.
-    pub retries: u32,
-    /// Sampling seed (meaningful only when `sample` is set).
-    pub seed: u64,
-    /// Stratified-sample size, if the space was sampled.
-    pub sample: Option<usize>,
-    /// Distinct cells the reference sweep recorded.
-    pub cells: usize,
-    /// Size of the full coordinate space (before sampling).
-    pub space: usize,
+pub struct Report<C> {
+    /// The campaign's inputs as `(field, value)` pairs, in report order;
+    /// the explored count follows them. Each value is already rendered
+    /// as JSON text (`"x"`, `[...]`, `null`), which [`Report::to_json`]
+    /// copies verbatim.
+    pub inputs: Vec<(&'static str, String)>,
+    /// The matrix's title line (without the colon).
+    pub title: String,
     /// Classified coordinates, in enumeration order.
-    pub outcomes: Vec<CoordinateOutcome>,
+    pub outcomes: Vec<Outcome<C>>,
 }
 
-impl CampaignReport {
+impl<C: FaultPoint> Report<C> {
     /// Per-class totals, in lattice order.
     pub fn counts(&self) -> [(SurvivalClass, usize); 4] {
-        SurvivalClass::ALL.map(|c| {
-            (c, self.outcomes.iter().filter(|o| o.class == c).count())
-        })
+        SurvivalClass::ALL.map(|c| (c, self.outcomes.iter().filter(|o| o.class == c).count()))
     }
 
     /// The coordinates classified as silent corruption — each one a
     /// bug.
-    pub fn silent_corruptions(&self) -> Vec<&CoordinateOutcome> {
+    pub fn silent_corruptions(&self) -> Vec<&Outcome<C>> {
         self.outcomes
             .iter()
             .filter(|o| o.class == SurvivalClass::SilentCorruption)
@@ -558,32 +360,14 @@ impl CampaignReport {
     /// Byte-deterministic JSON rendering (no timestamps, no timings;
     /// outcomes in enumeration order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"campaign\": {");
-        out.push_str(&format!(
-            "\"artifacts\":[{}],\"quick\":{},\"retries\":{},\"seed\":{},\"sample\":{},\
-             \"cells\":{},\"space\":{},\"explored\":{}}},\n",
-            self.artifacts
-                .iter()
-                .map(|a| format!("\"{}\"", escape_json(a)))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.quick,
-            self.retries,
-            self.seed,
-            self.sample.map(|n| n.to_string()).unwrap_or_else(|| "null".to_string()),
-            self.cells,
-            self.space,
-            self.outcomes.len(),
-        ));
-        out.push_str("  \"summary\": {");
-        let counts = self.counts();
-        out.push_str(
-            &counts
-                .iter()
-                .map(|(c, n)| format!("\"{}\":{n}", c.name()))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
+        let mut out = format!("{{\n  \"{}\": {{", C::REPORT);
+        for (field, value) in &self.inputs {
+            out.push_str(&format!("\"{field}\":{value},"));
+        }
+        out.push_str(&format!("\"explored\":{}}},\n  \"summary\": {{", self.outcomes.len()));
+        let counts: Vec<String> =
+            self.counts().iter().map(|(c, n)| format!("\"{}\":{n}", c.name())).collect();
+        out.push_str(&counts.join(","));
         out.push_str("},\n  \"results\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
             out.push_str("    ");
@@ -597,42 +381,30 @@ impl CampaignReport {
         out
     }
 
-    /// The human-readable survivability matrix: one row per fault
-    /// kind, one column per class, plus the attempt-depth split for
-    /// compute kinds and an explicit list of any silent corruptions.
+    /// The human-readable survivability matrix: one row per
+    /// [`FaultPoint::rows`] entry that has coordinates, one column per
+    /// class, plus an explicit list of any silent corruptions.
     pub fn render_matrix(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "survivability matrix ({} coordinate(s) over {} cell(s), retry budget {}):\n",
-            self.outcomes.len(),
-            self.cells,
-            self.retries
-        ));
-        out.push_str(&format!(
-            "  {:16} {:>9} {:>9} {:>12} {:>18}\n",
-            "fault kind", "absorbed", "degraded", "failed-loud", "silent-corruption"
-        ));
-        for kind in FaultKind::ALL {
-            let row: Vec<usize> = SurvivalClass::ALL
-                .iter()
-                .map(|c| {
-                    self.outcomes
-                        .iter()
-                        .filter(|o| o.coord.kind == kind && o.class == *c)
-                        .count()
-                })
-                .collect();
-            if row.iter().sum::<usize>() == 0 {
-                continue;
+        let rows = C::rows();
+        let labels = rows.iter().map(String::as_str).chain([C::AXIS]);
+        let width = labels.map(|l| l.chars().count()).max().unwrap_or(0) + 1;
+        // Each class column is as wide as its name plus one.
+        let line = |label: &str, cols: [String; 4]| {
+            let mut line = format!("  {label:width$}");
+            for (class, col) in SurvivalClass::ALL.iter().zip(cols) {
+                line.push_str(&format!(" {col:>w$}", w = class.name().len() + 1));
             }
-            out.push_str(&format!(
-                "  {:16} {:>9} {:>9} {:>12} {:>18}\n",
-                kind.name(),
-                row[0],
-                row[1],
-                row[2],
-                row[3]
-            ));
+            line + "\n"
+        };
+        let mut out = format!("{}:\n", self.title);
+        out.push_str(&line(C::AXIS, SurvivalClass::ALL.map(|c| c.name().to_string())));
+        for row in rows {
+            let counts = SurvivalClass::ALL.map(|c| {
+                self.outcomes.iter().filter(|o| o.class == c && o.coord.row() == row).count()
+            });
+            if counts.iter().sum::<usize>() > 0 {
+                out.push_str(&line(&row, counts.map(|n| n.to_string())));
+            }
         }
         let silent = self.silent_corruptions();
         if silent.is_empty() {
@@ -648,6 +420,59 @@ impl CampaignReport {
         }
         out
     }
+}
+
+/// The header line a campaign journal starts with.
+pub const CAMPAIGN_JOURNAL_HEADER: &str = "#regen-campaign v1";
+
+/// The line tag of a campaign-journal row (see [`frame_line`]).
+const CAMPAIGN_TAG: &str = "c1";
+
+/// Append-only, CRC-checksummed journal of classified coordinates, so
+/// a campaign killed at coordinate 800 of 1000 resumes with 800 rows
+/// replayed instead of re-running them. Lines use the cell journal's
+/// framing with tag `c1` (`c1 <crc32 lowercase-hex> <report row JSON>`);
+/// damaged lines (the torn tail of a killed campaign) are skipped on
+/// load and simply re-run.
+#[derive(Debug)]
+pub struct CampaignJournal(JournalFile);
+
+impl CampaignJournal {
+    /// Opens (or creates) a campaign journal, returning the outcomes
+    /// already on record. Damaged lines are skipped, not fatal: a
+    /// SIGKILLed campaign may leave a torn tail, and the coordinate it
+    /// belonged to just re-runs.
+    pub fn open(path: &Path) -> io::Result<(CampaignJournal, Vec<Outcome<Coordinate>>)> {
+        let (file, text) = JournalFile::open(path, CAMPAIGN_JOURNAL_HEADER)?;
+        Ok((CampaignJournal(file), text.lines().filter_map(decode_campaign_line).collect()))
+    }
+
+    /// Appends one classified coordinate, straight to the OS, so a kill
+    /// right after costs at most the coordinate in flight.
+    pub fn record(&self, outcome: &Outcome<Coordinate>) -> io::Result<()> {
+        self.0.append(frame_line(CAMPAIGN_TAG, &outcome.to_json()).as_bytes())
+    }
+
+    /// Fsyncs the backing file (called once per coordinate batch).
+    pub fn sync(&self) -> io::Result<()> {
+        self.0.sync()
+    }
+}
+
+/// Decodes one `c1 <crc> <payload>` campaign-journal line; `None` for
+/// the header and for damaged lines.
+fn decode_campaign_line(line: &str) -> Option<Outcome<Coordinate>> {
+    let Unframed::Payload(payload) = unframe_line(CAMPAIGN_TAG, line, false) else {
+        return None;
+    };
+    let row = json::parse(payload).ok()?;
+    let text = |field| Some(row.get(field)?.as_str()?.to_string());
+    Some(Outcome {
+        coord: Coordinate::parse_id(&text("coord")?)?,
+        class: SurvivalClass::parse(&text("class")?)?,
+        counts: Some((row.get("retries")?.num()?, row.get("faults")?.num()?)),
+        detail: text("detail")?,
+    })
 }
 
 /// When along a hop's lifetime a cluster-campaign fault fires.
@@ -676,17 +501,6 @@ impl FaultTiming {
             FaultTiming::Always => "always",
         }
     }
-
-    /// Parses a stable name.
-    pub fn parse(s: &str) -> Option<FaultTiming> {
-        FaultTiming::ALL.into_iter().find(|t| t.name() == s)
-    }
-}
-
-impl fmt::Display for FaultTiming {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// One point of the serving-tier fault space: inject `kind` into every
@@ -702,21 +516,35 @@ pub struct ClusterCoordinate {
     pub timing: FaultTiming,
 }
 
-impl ClusterCoordinate {
-    /// Canonical id: `kind:timing:shard`.
-    pub fn id(&self) -> String {
+impl FaultPoint for ClusterCoordinate {
+    const REPORT: &'static str = "cluster_campaign";
+    const AXIS: &'static str = "net fault × timing";
+
+    /// `kind:timing:shard`.
+    fn id(&self) -> String {
         format!("{}:{}:{}", self.kind.name(), self.timing.name(), self.shard)
     }
 
-    /// Parses a canonical id back into a coordinate.
-    pub fn parse_id(id: &str) -> Option<ClusterCoordinate> {
-        let mut parts = id.splitn(3, ':');
-        let kind = NetFaultKind::parse(parts.next()?)?;
-        let timing = FaultTiming::parse(parts.next()?)?;
-        let shard = parts.next()?.parse().ok()?;
-        Some(ClusterCoordinate { shard, kind, timing })
+    fn json_fields(&self) -> String {
+        format!(
+            "\"kind\":\"{}\",\"timing\":\"{}\",\"shard\":{}",
+            self.kind.name(),
+            self.timing.name(),
+            self.shard
+        )
     }
 
+    fn row(&self) -> String {
+        format!("{} ({})", self.kind.name(), self.timing.name())
+    }
+
+    fn rows() -> Vec<String> {
+        // One shard's points cover every (kind, timing) row, in order.
+        enumerate_cluster_coordinates(1).iter().map(FaultPoint::row).collect()
+    }
+}
+
+impl ClusterCoordinate {
     /// The network fault plan this coordinate describes: a single
     /// targeted rule on the shard, firing once per hop (`first`) or
     /// forever (`always`).
@@ -726,12 +554,6 @@ impl ClusterCoordinate {
             FaultTiming::Always => None,
         };
         NetFaultPlan::new().fail_hop(Some(self.shard), "", self.kind, times)
-    }
-}
-
-impl fmt::Display for ClusterCoordinate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.id())
     }
 }
 
@@ -747,196 +569,6 @@ pub fn enumerate_cluster_coordinates(shards: usize) -> Vec<ClusterCoordinate> {
         }
     }
     space
-}
-
-/// What the cluster campaign driver observed from one perturbed burst,
-/// reduced to the facts classification needs. Raw counts here are *not*
-/// byte-deterministic across runs (they depend on scheduling), so the
-/// report records only the derived class.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterObservation {
-    /// Requests that completed 200 with bytes identical to the serial
-    /// reference.
-    pub responses_200: u64,
-    /// Requests shed with 503 + `Retry-After` (degraded-mode pushback).
-    pub responses_503: u64,
-    /// Requests that errored at the client after exhausting retries.
-    pub errors: u64,
-    /// 200-responses whose bytes differed from the serial reference —
-    /// each one is silent corruption.
-    pub mismatches: u64,
-    /// Hops the proxy failed over to local recompute.
-    pub failovers: u64,
-    /// Responses carrying a degraded-mode marker
-    /// (`X-Regend-Shard-Degraded`).
-    pub degraded: u64,
-}
-
-/// Classifies one cluster coordinate's observation, worst-first on the
-/// same lattice as the compute tier: any byte mismatch is silent
-/// corruption; client-visible errors or an all-failed burst are loud;
-/// shed load or degraded markers are degraded; clean bytes with the
-/// fault fully hidden are absorbed.
-pub fn classify_cluster(obs: &ClusterObservation) -> SurvivalClass {
-    if obs.mismatches > 0 {
-        return SurvivalClass::SilentCorruption;
-    }
-    if obs.errors > 0 || obs.responses_200 == 0 {
-        return SurvivalClass::FailedLoud;
-    }
-    if obs.responses_503 > 0 || obs.degraded > 0 {
-        return SurvivalClass::Degraded;
-    }
-    SurvivalClass::Absorbed
-}
-
-/// One classified cluster coordinate, as recorded in the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterOutcome {
-    /// Which serving-tier fault-space point.
-    pub coord: ClusterCoordinate,
-    /// The survivability verdict.
-    pub class: SurvivalClass,
-    /// A short deterministic note (e.g. `failover` when the proxy
-    /// recomputed locally); never raw counts.
-    pub detail: String,
-}
-
-impl ClusterOutcome {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"coord\":\"{}\",\"kind\":\"{}\",\"timing\":\"{}\",\"shard\":{},\
-             \"class\":\"{}\",\"detail\":\"{}\"}}",
-            escape_json(&self.coord.id()),
-            self.coord.kind.name(),
-            self.coord.timing.name(),
-            self.coord.shard,
-            self.class.name(),
-            escape_json(&self.detail)
-        )
-    }
-}
-
-/// The reduced verdict of a serving-tier campaign. Deliberately
-/// class-only: request counts, latencies and retry totals vary with
-/// scheduling, so including them would unpin the committed baseline.
-#[derive(Debug, Clone)]
-pub struct ClusterCampaignReport {
-    /// How many shards the cluster ran.
-    pub shards: usize,
-    /// Requests issued per coordinate burst.
-    pub requests_per_coordinate: usize,
-    /// Whether quick workload variants were used.
-    pub quick: bool,
-    /// Classified coordinates, in enumeration order.
-    pub outcomes: Vec<ClusterOutcome>,
-}
-
-impl ClusterCampaignReport {
-    /// Per-class totals, in lattice order.
-    pub fn counts(&self) -> [(SurvivalClass, usize); 4] {
-        SurvivalClass::ALL.map(|c| (c, self.outcomes.iter().filter(|o| o.class == c).count()))
-    }
-
-    /// The coordinates classified as silent corruption — each one a
-    /// bug in the serving tier.
-    pub fn silent_corruptions(&self) -> Vec<&ClusterOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.class == SurvivalClass::SilentCorruption)
-            .collect()
-    }
-
-    /// Byte-deterministic JSON rendering (classes only, enumeration
-    /// order, no counts or timings).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"cluster_campaign\": {");
-        out.push_str(&format!(
-            "\"version\":\"regend-cluster-campaign/v1\",\"shards\":{},\
-             \"requests_per_coordinate\":{},\"quick\":{},\"explored\":{}}},\n",
-            self.shards,
-            self.requests_per_coordinate,
-            self.quick,
-            self.outcomes.len(),
-        ));
-        out.push_str("  \"summary\": {");
-        out.push_str(
-            &self
-                .counts()
-                .iter()
-                .map(|(c, n)| format!("\"{}\":{n}", c.name()))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("},\n  \"results\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&o.to_json());
-            if i + 1 < self.outcomes.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// The human-readable matrix: one row per net-fault kind, split by
-    /// timing, one column per class.
-    pub fn render_matrix(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "cluster survivability matrix ({} coordinate(s), {} shard(s), {} request(s) each):\n",
-            self.outcomes.len(),
-            self.shards,
-            self.requests_per_coordinate
-        ));
-        out.push_str(&format!(
-            "  {:22} {:>9} {:>9} {:>12} {:>18}\n",
-            "net fault × timing", "absorbed", "degraded", "failed-loud", "silent-corruption"
-        ));
-        for kind in NetFaultKind::ALL {
-            for timing in FaultTiming::ALL {
-                let row: Vec<usize> = SurvivalClass::ALL
-                    .iter()
-                    .map(|c| {
-                        self.outcomes
-                            .iter()
-                            .filter(|o| {
-                                o.coord.kind == kind
-                                    && o.coord.timing == timing
-                                    && o.class == *c
-                            })
-                            .count()
-                    })
-                    .collect();
-                if row.iter().sum::<usize>() == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "  {:22} {:>9} {:>9} {:>12} {:>18}\n",
-                    format!("{} ({})", kind.name(), timing.name()),
-                    row[0],
-                    row[1],
-                    row[2],
-                    row[3]
-                ));
-            }
-        }
-        let silent = self.silent_corruptions();
-        if silent.is_empty() {
-            out.push_str("  no silent corruption: every divergence was accounted.\n");
-        } else {
-            out.push_str(&format!(
-                "  {} SILENT CORRUPTION coordinate(s) — each one is a bug:\n",
-                silent.len()
-            ));
-            for o in silent {
-                out.push_str(&format!("    {}  ({})\n", o.coord.id(), o.detail));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -971,7 +603,7 @@ mod tests {
     #[test]
     fn coordinate_ids_round_trip() {
         for coord in enumerate_coordinates(&cells(), 2) {
-            assert_eq!(Coordinate::parse_id(&coord.id()), Some(coord.clone()), "{coord}");
+            assert_eq!(Coordinate::parse_id(&coord.id()), Some(coord.clone()), "{}", coord.id());
         }
         // Keys containing the separator still round-trip (key is last).
         let c = Coordinate {
@@ -1023,38 +655,17 @@ mod tests {
     }
 
     #[test]
-    fn classification_lattice() {
-        let reference = "== T ==\nvalue 1\n";
-        let clean = SweepObservation { rendered: reference.to_string(), ..Default::default() };
-        assert_eq!(classify(reference, &clean), SurvivalClass::Absorbed);
-
-        let degraded = SweepObservation {
-            rendered: "== T ==\nvalue 1 \u{2020}\n".to_string(),
-            degraded_artifacts: vec!["t".to_string()],
-            ..Default::default()
-        };
-        assert_eq!(classify(reference, &degraded), SurvivalClass::Degraded);
-
-        let failed = SweepObservation {
-            rendered: "== T == FAILED\n".to_string(),
-            failed_artifacts: vec!["t".to_string()],
-            ..Default::default()
-        };
-        assert_eq!(classify(reference, &failed), SurvivalClass::FailedLoud);
-
-        let silent = SweepObservation {
-            rendered: "== T ==\nvalue 2\n".to_string(),
-            ..Default::default()
-        };
-        assert_eq!(classify(reference, &silent), SurvivalClass::SilentCorruption);
-
-        // A replay mismatch is silent corruption even with clean bytes.
-        let replay = SweepObservation {
-            rendered: reference.to_string(),
-            journal_replay_mismatch: true,
-            ..Default::default()
-        };
-        assert_eq!(classify(reference, &replay), SurvivalClass::SilentCorruption);
+    fn classification_is_worst_first() {
+        let class = |silent, failed, degraded| classify(&Observation { silent, failed, degraded });
+        assert_eq!(class(false, false, false), SurvivalClass::Absorbed);
+        assert_eq!(class(false, false, true), SurvivalClass::Degraded);
+        assert_eq!(class(false, true, false), SurvivalClass::FailedLoud);
+        // A sweep that fails one artifact and degrades another is as
+        // bad as its worst artifact.
+        assert_eq!(class(false, true, true), SurvivalClass::FailedLoud);
+        // Silent corruption outranks everything.
+        assert_eq!(class(true, false, false), SurvivalClass::SilentCorruption);
+        assert_eq!(class(true, true, true), SurvivalClass::SilentCorruption);
     }
 
     #[test]
@@ -1063,7 +674,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.jsonl");
         let _ = std::fs::remove_file(&path);
-        let outcome = CoordinateOutcome {
+        let outcome = Outcome {
             coord: Coordinate {
                 content_key: "cpu/w/[a \"q\"]".to_string(),
                 seed: 9,
@@ -1071,14 +682,12 @@ mod tests {
                 kind: FaultKind::PanicFault,
             },
             class: SurvivalClass::FailedLoud,
-            retries: 4,
-            faults_injected: 3,
+            counts: Some((4, 3)),
             detail: "table1 failed".to_string(),
         };
         {
-            let (j, replayed, skipped) = CampaignJournal::open(&path).unwrap();
+            let (j, replayed) = CampaignJournal::open(&path).unwrap();
             assert!(replayed.is_empty());
-            assert_eq!(skipped, 0);
             j.record(&outcome).unwrap();
             j.sync().unwrap();
         }
@@ -1086,59 +695,56 @@ mod tests {
         // would.
         {
             use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"c1 deadbeef {\"coord\":\"sim:0:0:x").unwrap();
         }
-        let (_j, replayed, skipped) = CampaignJournal::open(&path).unwrap();
-        assert_eq!(replayed, vec![outcome]);
-        assert_eq!(skipped, 1, "torn tail skipped, not fatal");
+        let (_j, replayed) = CampaignJournal::open(&path).unwrap();
+        assert_eq!(replayed, vec![outcome], "torn tail skipped, not fatal");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn report_json_is_deterministic_and_well_formed() {
         let space = enumerate_coordinates(&[("cpu/w/[c]".to_string(), 1)], 2);
-        let outcomes: Vec<CoordinateOutcome> = space
+        let outcomes: Vec<Outcome<Coordinate>> = space
             .iter()
-            .map(|c| CoordinateOutcome {
+            .map(|c| Outcome {
                 coord: c.clone(),
                 class: SurvivalClass::Absorbed,
-                retries: 1,
-                faults_injected: 1,
+                counts: Some((1, 1)),
                 detail: String::new(),
             })
             .collect();
-        let report = CampaignReport {
-            artifacts: vec!["table1".to_string()],
-            quick: true,
-            retries: 2,
-            seed: 7,
-            sample: None,
-            cells: 1,
-            space: space.len(),
+        let report = Report {
+            inputs: vec![("retries", "2".to_string())],
+            title: "survivability matrix".to_string(),
             outcomes,
         };
         let a = report.to_json();
         assert_eq!(a, report.to_json(), "byte-deterministic");
-        crate::obs::trace::validate_json(&a).expect("report is well-formed JSON");
+        crate::json::parse(&a).expect("report is well-formed JSON");
+        assert!(a.contains("\"retries\":1,\"faults\":1,"), "{a}");
         let matrix = report.render_matrix();
         assert!(matrix.contains("no silent corruption"));
-        assert!(matrix.contains("sim"), "{matrix}");
+        // The first column fits the longest kind, `journal-corrupt`.
+        assert!(
+            matrix.contains("\n  fault kind        absorbed  degraded  failed-loud  silent-corruption\n"),
+            "{matrix}"
+        );
+        assert!(
+            matrix.contains("\n  sim                      2         0            0                  0\n"),
+            "{matrix}"
+        );
     }
 
     #[test]
-    fn cluster_enumeration_covers_the_space_and_ids_round_trip() {
+    fn cluster_enumeration_covers_the_space() {
         let space = enumerate_cluster_coordinates(4);
         assert_eq!(space.len(), 4 * 4 * 2, "shard x kind x timing");
         let ids: std::collections::HashSet<String> =
             space.iter().map(ClusterCoordinate::id).collect();
         assert_eq!(ids.len(), space.len(), "duplicate-free");
         assert_eq!(space, enumerate_cluster_coordinates(4), "deterministic");
-        for coord in &space {
-            assert_eq!(ClusterCoordinate::parse_id(&coord.id()), Some(coord.clone()), "{coord}");
-        }
-        assert_eq!(ClusterCoordinate::parse_id("nope"), None);
-        assert_eq!(ClusterCoordinate::parse_id("drop:never:0"), None);
     }
 
     #[test]
@@ -1165,51 +771,33 @@ mod tests {
     }
 
     #[test]
-    fn cluster_classification_lattice() {
-        let clean = ClusterObservation { responses_200: 64, ..Default::default() };
-        assert_eq!(classify_cluster(&clean), SurvivalClass::Absorbed);
-
-        let shed = ClusterObservation { responses_200: 60, responses_503: 4, ..Default::default() };
-        assert_eq!(classify_cluster(&shed), SurvivalClass::Degraded);
-
-        let marked = ClusterObservation { responses_200: 64, degraded: 3, ..Default::default() };
-        assert_eq!(classify_cluster(&marked), SurvivalClass::Degraded);
-
-        let loud = ClusterObservation { responses_200: 63, errors: 1, ..Default::default() };
-        assert_eq!(classify_cluster(&loud), SurvivalClass::FailedLoud);
-
-        let dead = ClusterObservation::default();
-        assert_eq!(classify_cluster(&dead), SurvivalClass::FailedLoud, "no 200s is loud");
-
-        // A byte mismatch outranks everything, even a clean-looking run.
-        let silent = ClusterObservation { responses_200: 64, mismatches: 1, ..Default::default() };
-        assert_eq!(classify_cluster(&silent), SurvivalClass::SilentCorruption);
-    }
-
-    #[test]
     fn cluster_report_json_is_deterministic_and_well_formed() {
-        let outcomes: Vec<ClusterOutcome> = enumerate_cluster_coordinates(2)
+        let outcomes: Vec<Outcome<ClusterCoordinate>> = enumerate_cluster_coordinates(2)
             .into_iter()
             .map(|coord| {
                 let class = match coord.timing {
                     FaultTiming::First => SurvivalClass::Absorbed,
                     FaultTiming::Always => SurvivalClass::Degraded,
                 };
-                ClusterOutcome { coord, class, detail: "failover".to_string() }
+                Outcome { coord, class, counts: None, detail: "failover".to_string() }
             })
             .collect();
-        let report = ClusterCampaignReport {
-            shards: 2,
-            requests_per_coordinate: 16,
-            quick: true,
+        let report = Report {
+            inputs: vec![("version", "\"regend-cluster-campaign/v1\"".to_string())],
+            title: "cluster survivability matrix".to_string(),
             outcomes,
         };
         let a = report.to_json();
         assert_eq!(a, report.to_json(), "byte-deterministic");
-        crate::obs::trace::validate_json(&a).expect("report is well-formed JSON");
+        crate::json::parse(&a).expect("report is well-formed JSON");
         assert!(a.contains("regend-cluster-campaign/v1"));
+        assert!(!a.contains("\"retries\""), "scheduling-dependent counts stay out");
         let matrix = report.render_matrix();
         assert!(matrix.contains("no silent corruption"));
-        assert!(matrix.contains("corrupt-byte (always)"), "{matrix}");
+        // The first column fits the longest row, `corrupt-byte (always)`.
+        assert!(
+            matrix.contains("\n  corrupt-byte (always)          0         2            0                  0\n"),
+            "{matrix}"
+        );
     }
 }

@@ -549,7 +549,7 @@ impl NetFaultPlan {
 }
 
 /// Deterministic hash of (seed, key, attempt) into a u64.
-fn mix(seed: u64, key: &str, attempt: u32) -> u64 {
+pub(crate) fn mix(seed: u64, key: &str, attempt: u32) -> u64 {
     // FNV-1a over the key, then an xorshift* finalizer with the seed and
     // attempt folded in.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -26,8 +26,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write as _};
+use std::fs::OpenOptions;
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -37,7 +37,8 @@ use uarch::SimError;
 
 use crate::faultplan::{FaultKind, FaultPlan};
 use crate::obs::{EventBus, EventKind};
-use crate::persist::{atomic_write, crc32, WriteDamage};
+use crate::json::{self, Value};
+use crate::persist::{atomic_write, frame_line, unframe_line, JournalFile, Unframed, WriteDamage};
 use crate::plan::CellValue;
 use crate::stats::Measurement;
 
@@ -707,6 +708,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The header line a freshly created v2 journal starts with.
 pub const JOURNAL_HEADER_V2: &str = "#regen-journal v2";
 
+/// The line tag of a v2 journal entry (see [`frame_line`]).
+const JOURNAL_TAG: &str = "v2";
+
 /// How `Journal::open` / `fsck` classified one journal line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LineClass {
@@ -767,8 +771,7 @@ pub fn cell_value_json(key: &str, seed: u64, v: &CellValue) -> String {
 /// Encodes one cell entry as a v2 journal line (with trailing newline):
 /// `v2 <crc32-of-payload, 8 hex digits> <payload JSON>`.
 fn encode_v2_line(key: &str, seed: u64, v: &CellValue) -> String {
-    let payload = cell_value_json(key, seed, v);
-    format!("v2 {:08x} {}\n", crc32(payload.as_bytes()), payload)
+    frame_line(JOURNAL_TAG, &cell_value_json(key, seed, v))
 }
 
 /// Classifies one journal line. `is_last` enables the torn-tail
@@ -785,44 +788,14 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
         }
         return LineClass::Corrupt;
     }
-    if let Some(rest) = trimmed.strip_prefix("v2 ") {
-        // `<crc8hex> <payload>`; anything structurally short on the
-        // final line is a torn write.
-        let (crc_hex, payload) = match rest.split_once(' ') {
-            Some(pair) => pair,
-            None => {
-                return if is_last { LineClass::TruncatedTail } else { LineClass::Corrupt }
-            }
-        };
-        // The writer emits exactly 8 lowercase hex digits; accepting
-        // case-insensitive hex would let a one-bit flip ('a' -> 'A')
-        // produce a different byte that still parses to the same
-        // checksum, breaking the every-single-byte-corruption-detected
-        // property.
-        if crc_hex.len() != 8
-            || !crc_hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-        {
-            return if is_last { LineClass::TruncatedTail } else { LineClass::Corrupt };
+    match unframe_line(JOURNAL_TAG, trimmed, is_last) {
+        Unframed::Payload(payload) => {
+            return parse_journal_line(payload)
+                .map_or(LineClass::Corrupt, |(key, seed, v)| LineClass::Valid(key, seed, v));
         }
-        let declared = match u32::from_str_radix(crc_hex, 16) {
-            Ok(c) => c,
-            Err(_) => {
-                return if is_last { LineClass::TruncatedTail } else { LineClass::Corrupt }
-            }
-        };
-        if crc32(payload.as_bytes()) != declared {
-            // A torn tail is a *prefix* of a valid line, so it cannot
-            // end in the closing brace; a bit-flip keeps the brace.
-            return if is_last && !payload.ends_with('}') {
-                LineClass::TruncatedTail
-            } else {
-                LineClass::Corrupt
-            };
-        }
-        return match parse_journal_line(payload) {
-            Some((key, seed, v)) => LineClass::Valid(key, seed, v),
-            None => LineClass::Corrupt,
-        };
+        Unframed::Torn => return LineClass::TruncatedTail,
+        Unframed::Corrupt => return LineClass::Corrupt,
+        Unframed::Foreign => {}
     }
     if trimmed.starts_with("{\"cell\":\"") {
         // Legacy v1 line (no checksum). Replay it if it carries seed
@@ -830,16 +803,51 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
         if let Some((key, seed, v)) = parse_journal_line(trimmed) {
             return LineClass::Valid(key, seed, v);
         }
-        if trimmed.ends_with('}') && extract_string_field(trimmed, "cell").is_some() {
+        if json::parse(trimmed).is_ok() {
             return LineClass::Stale;
         }
-        return if is_last { LineClass::TruncatedTail } else { LineClass::Corrupt };
     }
     if is_last {
         LineClass::TruncatedTail
     } else {
         LineClass::Corrupt
     }
+}
+
+/// Classifies every line of a journal's text in file order — the one
+/// loop behind [`Journal::open`], [`fsck_journal`] and
+/// [`scan_journal_text`] — counting the classes and handing each line
+/// and its class to `visit`.
+fn scan_lines(text: &str, mut visit: impl FnMut(&str, LineClass)) -> JournalScan {
+    let mut scan = JournalScan::default();
+    // A file ending exactly at a newline has no torn tail.
+    let complete_tail = text.ends_with('\n');
+    let mut lines = text.lines().peekable();
+    while let Some(line) = lines.next() {
+        let class = classify_line(line, lines.peek().is_none() && !complete_tail);
+        match class {
+            LineClass::Valid(..) => scan.valid += 1,
+            LineClass::Stale => scan.stale += 1,
+            LineClass::TruncatedTail => scan.truncated += 1,
+            LineClass::Corrupt => scan.corrupt += 1,
+            LineClass::Header | LineClass::Blank => {}
+        }
+        visit(line, class);
+    }
+    scan
+}
+
+/// Scans a cell journal's text the way [`Journal::open`] does (without
+/// printing warnings or touching the file), returning the per-class
+/// line counts and the entries a resume would replay.
+pub fn scan_journal_text(text: &str) -> (JournalScan, HashMap<(String, u64), CellValue>) {
+    let mut entries = HashMap::new();
+    let scan = scan_lines(text, |_, class| {
+        if let LineClass::Valid(key, seed, v) = class {
+            entries.insert((key, seed), v);
+        }
+    });
+    (scan, entries)
 }
 
 /// JSON-lines journal of completed cells, keyed by **content key and
@@ -855,24 +863,22 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
 ///
 /// Raw-value payloads use `kind` `num`, `nums`, `optnums`, `ints`, or
 /// `flags` with a `"v":[...]` array (`null` marks a not-applicable
-/// entry). Hand-rolled (the workspace carries no serde); the writer
-/// escapes and the reader accepts exactly this shape, tolerating
-/// unknown trailing fields. Legacy v1 lines (bare JSON, no checksum)
-/// still replay; pre-seed-format lines are counted stale and skipped —
-/// a resumed sweep must never reuse a value recorded under different
-/// seeding. Every line is classified on open ([`classify_line`]) and
-/// the per-class counts are kept in [`JournalScan`].
+/// entry). Lines are framed by [`frame_line`] and payloads read back
+/// with [`crate::json`], which ignores unknown fields and keeps integers
+/// exact. Legacy v1 lines (bare JSON, no checksum) still replay;
+/// pre-seed-format lines are counted stale and skipped — a resumed
+/// sweep must never reuse a value recorded under different seeding.
+/// Every line is classified on open ([`classify_line`]) and the
+/// per-class counts are kept in [`JournalScan`].
 ///
-/// Durability: appends go through a buffered writer that is flushed
-/// after every cell ([`Journal::record`]) and fsynced at plan
-/// boundaries ([`Journal::sync`]), bounding loss after SIGKILL to the
-/// cells of the current plan and after power loss to the current plan's
-/// flush window.
+/// Durability: every cell's line reaches the OS as it is recorded
+/// ([`Journal::record`]) and the file is fsynced at plan boundaries
+/// ([`Journal::sync`]), bounding loss after SIGKILL to the line in
+/// flight and after power loss to the current plan's appends.
 #[derive(Debug, Default)]
 pub struct Journal {
-    path: Option<PathBuf>,
     entries: Mutex<HashMap<(String, u64), CellValue>>,
-    file: Mutex<Option<BufWriter<File>>>,
+    file: Option<JournalFile>,
     scan: JournalScan,
 }
 
@@ -888,33 +894,8 @@ impl Journal {
     /// lines is found, a one-line warning naming the path and counts is
     /// printed — a resumed sweep must never silently drop work.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
-        let mut entries = HashMap::new();
-        let mut scan = JournalScan::default();
-        let mut had_content = false;
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                had_content = !text.is_empty();
-                // A file ending exactly at a newline has no torn tail.
-                let complete_tail = text.ends_with('\n');
-                let lines: Vec<&str> = text.lines().collect();
-                let n = lines.len();
-                for (i, line) in lines.iter().enumerate() {
-                    let is_last = i + 1 == n && !complete_tail;
-                    match classify_line(line, is_last) {
-                        LineClass::Valid(key, seed, v) => {
-                            scan.valid += 1;
-                            entries.insert((key, seed), v);
-                        }
-                        LineClass::Stale => scan.stale += 1,
-                        LineClass::TruncatedTail => scan.truncated += 1,
-                        LineClass::Corrupt => scan.corrupt += 1,
-                        LineClass::Header | LineClass::Blank => {}
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        let (file, text) = JournalFile::open(path, JOURNAL_HEADER_V2)?;
+        let (scan, entries) = scan_journal_text(&text);
         if !scan.is_clean() {
             eprintln!(
                 "warning: journal {}: skipped {} stale, {} corrupt, {} truncated line(s); \
@@ -925,23 +906,7 @@ impl Journal {
                 scan.truncated
             );
         }
-        let mut file = BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?);
-        if !had_content {
-            file.write_all(JOURNAL_HEADER_V2.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.flush()?;
-        }
-        Ok(Journal {
-            path: Some(path.to_path_buf()),
-            entries: Mutex::new(entries),
-            file: Mutex::new(Some(file)),
-            scan,
-        })
-    }
-
-    /// Where this journal persists, if anywhere.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        Ok(Journal { entries: Mutex::new(entries), file: Some(file), scan })
     }
 
     /// The per-class line counts from open time.
@@ -979,9 +944,9 @@ impl Journal {
         out
     }
 
-    /// Records a completed cell: inserts it in memory, appends a v2
-    /// line to the backing file (if any), and flushes so a subsequent
-    /// SIGKILL cannot lose it from the OS's point of view. The caller
+    /// Records a completed cell: inserts it in memory and appends a v2
+    /// line to the backing file (if any), straight to the OS, so a
+    /// subsequent SIGKILL cannot lose it. The caller
     /// (the executor) counts and reports failures; losing a journal
     /// line only costs a re-measurement, never the sweep.
     pub fn record(&self, key: &str, seed: u64, v: &CellValue) -> std::io::Result<()> {
@@ -1000,13 +965,12 @@ impl Journal {
         damage: Option<WriteDamage>,
     ) -> std::io::Result<()> {
         lock(&self.entries).insert((key.to_string(), seed), v.clone());
-        if let Some(file) = lock(&self.file).as_mut() {
+        if let Some(file) = &self.file {
             let line = encode_v2_line(key, seed, v);
             match damage {
-                None => file.write_all(line.as_bytes())?,
-                Some(d) => file.write_all(&d.apply(&line))?,
+                None => file.append(line.as_bytes())?,
+                Some(d) => file.append(&d.apply(&line))?,
             }
-            file.flush()?;
         }
         Ok(())
     }
@@ -1015,11 +979,7 @@ impl Journal {
     /// boundaries so a power loss cannot roll back past the last
     /// completed plan.
     pub fn sync(&self) -> std::io::Result<()> {
-        if let Some(file) = lock(&self.file).as_mut() {
-            file.flush()?;
-            file.get_ref().sync_data()?;
-        }
-        Ok(())
+        self.file.as_ref().map_or(Ok(()), JournalFile::sync)
     }
 }
 
@@ -1062,42 +1022,27 @@ impl FsckReport {
 /// leaves the original journal untouched.
 pub fn fsck_journal(path: &Path) -> std::io::Result<FsckReport> {
     let text = std::fs::read_to_string(path)?;
-    let complete_tail = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let n = lines.len();
-    let mut scan = JournalScan::default();
     let mut entries: Vec<((String, u64), CellValue)> = Vec::new();
     let mut seen: HashMap<(String, u64), usize> = HashMap::new();
     let mut bad_lines = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        let is_last = i + 1 == n && !complete_tail;
-        match classify_line(line, is_last) {
-            LineClass::Valid(key, seed, v) => {
-                scan.valid += 1;
-                let k = (key, seed);
-                match seen.get(&k) {
-                    // A later duplicate wins, matching Journal::open.
-                    Some(&at) => entries[at].1 = v,
-                    None => {
-                        seen.insert(k.clone(), entries.len());
-                        entries.push((k, v));
-                    }
+    let scan = scan_lines(&text, |line, class| match class {
+        LineClass::Valid(key, seed, v) => {
+            let k = (key, seed);
+            match seen.get(&k) {
+                // A later duplicate wins, matching Journal::open.
+                Some(&at) => entries[at].1 = v,
+                None => {
+                    seen.insert(k.clone(), entries.len());
+                    entries.push((k, v));
                 }
             }
-            LineClass::Stale => scan.stale += 1,
-            LineClass::TruncatedTail => {
-                scan.truncated += 1;
-                bad_lines.push_str(line);
-                bad_lines.push('\n');
-            }
-            LineClass::Corrupt => {
-                scan.corrupt += 1;
-                bad_lines.push_str(line);
-                bad_lines.push('\n');
-            }
-            LineClass::Header | LineClass::Blank => {}
         }
-    }
+        LineClass::TruncatedTail | LineClass::Corrupt => {
+            bad_lines.push_str(line);
+            bad_lines.push('\n');
+        }
+        LineClass::Stale | LineClass::Header | LineClass::Blank => {}
+    });
 
     let mut quarantine = None;
     if !bad_lines.is_empty() {
@@ -1161,137 +1106,43 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Parses one journal line; `None` for malformed input (a truncated
+/// Parses one journal payload; `None` for malformed input (a truncated
 /// final line from a killed run, or a stale pre-seed-format line, is
 /// expected, not an error).
 fn parse_journal_line(line: &str) -> Option<(String, u64, CellValue)> {
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
+    // `null` marks a not-applicable entry.
+    fn nullable<T: std::str::FromStr>(x: &Value) -> Option<Option<T>> {
+        if *x == Value::Null { Some(None) } else { x.num().map(Some) }
     }
-    let cell_raw = extract_string_field(line, "cell")?;
-    let seed = extract_number_field(line, "seed")? as u64;
-    let kind = extract_string_field(line, "kind")?;
-    let value = match kind.as_str() {
-        "meas" => {
-            let mean = extract_number_field(line, "mean")?;
-            let ci95 = extract_number_field(line, "ci95")?;
-            let n = extract_number_field(line, "n")? as u64;
-            let retries = extract_number_field(line, "retries").unwrap_or(0.0) as u32;
-            CellValue::Measurement(Measurement { mean, ci95, n, retries })
-        }
-        "num" => {
-            let xs = extract_array_tokens(line, "v")?;
-            if xs.len() != 1 {
-                return None;
-            }
-            CellValue::Num(xs[0].parse().ok()?)
-        }
-        "nums" => CellValue::Nums(
-            extract_array_tokens(line, "v")?
-                .iter()
-                .map(|t| t.parse::<f64>().ok())
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "optnums" => CellValue::OptNums(
-            extract_array_tokens(line, "v")?
-                .iter()
-                .map(|t| {
-                    if t == "null" {
-                        Some(None)
-                    } else {
-                        t.parse::<f64>().ok().map(Some)
-                    }
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "ints" => CellValue::Ints(
-            extract_array_tokens(line, "v")?
-                .iter()
-                .map(|t| t.parse::<u64>().ok())
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "flags" => CellValue::Flags(
-            extract_array_tokens(line, "v")?
-                .iter()
-                .map(|t| match t.as_str() {
-                    "1" => Some(Some(true)),
-                    "0" => Some(Some(false)),
-                    "null" => Some(None),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
+    let entry = json::parse(line).ok()?;
+    let field = |name| entry.get(name);
+    let items = || field("v")?.as_array();
+    let flag = |x| match nullable::<u8>(x)? {
+        None => Some(None),
+        Some(bit @ (0 | 1)) => Some(Some(bit == 1)),
+        Some(_) => None,
+    };
+    let value = match field("kind")?.as_str()? {
+        "meas" => CellValue::Measurement(Measurement {
+            mean: field("mean")?.num()?,
+            ci95: field("ci95")?.num()?,
+            n: field("n")?.num()?,
+            retries: field("retries").map_or(Some(0), Value::num)?,
+        }),
+        "num" => match items()? {
+            [x] => CellValue::Num(x.num()?),
+            _ => return None,
+        },
+        "nums" => CellValue::Nums(items()?.iter().map(Value::num).collect::<Option<_>>()?),
+        "optnums" => CellValue::OptNums(items()?.iter().map(nullable).collect::<Option<_>>()?),
+        "ints" => CellValue::Ints(items()?.iter().map(Value::num).collect::<Option<_>>()?),
+        "flags" => CellValue::Flags(items()?.iter().map(flag).collect::<Option<_>>()?),
         _ => return None,
     };
     if value.is_degenerate() {
         return None;
     }
-    Some((unescape_json(&cell_raw), seed, value))
-}
-
-/// Extracts the raw (still-escaped) value of `"name":"..."`.
-fn extract_string_field(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut end = 0;
-    let bytes = rest.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => return Some(rest[..end].to_string()),
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-fn extract_number_field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the comma-separated raw tokens of `"name":[...]`.
-fn extract_array_tokens(line: &str, name: &str) -> Option<Vec<String>> {
-    let tag = format!("\"{name}\":[");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    Some(body.split(',').map(|t| t.trim().to_string()).collect())
+    Some((field("cell")?.as_str()?.to_string(), field("seed")?.num()?, value))
 }
 
 #[cfg(test)]
@@ -1419,6 +1270,20 @@ mod tests {
             assert_eq!(j.lookup(k, *s).as_ref(), Some(v), "{k}");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_integers_round_trip_exactly_beyond_f64() {
+        // 2^53 + 1 and 2^53 + 3 have no f64 of their own: read through
+        // f64, the entry would replay under a seed it was not recorded
+        // under.
+        let (seed, n) = (9_007_199_254_740_993, 9_007_199_254_740_995);
+        let v = CellValue::Measurement(Measurement { mean: 1.5, ci95: 0.01, n, retries: 2 });
+        let line = encode_v2_line("a/b", seed, &v);
+        assert_eq!(
+            classify_line(line.trim_end(), false),
+            LineClass::Valid("a/b".to_string(), seed, v)
+        );
     }
 
     #[test]

@@ -29,9 +29,12 @@
 //! * [`obs`] — executor observability: a structured event bus with a
 //!   swappable clock, a Chrome trace-event exporter, and a
 //!   Prometheus-style metrics exposition.
-//! * [`persist`] — crash-safe persistence primitives: CRC32, atomic
+//! * [`persist`] — crash-safe persistence primitives: CRC32, the
+//!   journal-line codec and append file both journals share, atomic
 //!   (tmp + fsync + rename) artifact writes, and the torn/bit-flip
 //!   damage shapes the fault plan injects on the journal write path.
+//! * [`json`] — the one JSON reader: journal payloads, campaign rows,
+//!   and well-formedness checks of reports and traces.
 //! * [`singleflight`] — in-flight request coalescing for the serving
 //!   layer: concurrent identical queries share one computation.
 
@@ -46,6 +49,7 @@ pub mod executor;
 pub mod experiments;
 pub mod faultplan;
 pub mod harness;
+pub mod json;
 pub mod micro;
 pub mod obs;
 pub mod persist;
@@ -57,17 +61,16 @@ pub mod stats;
 
 pub use attribution::{attribute, Attribution, Slice, Toggle, OS_TOGGLES};
 pub use campaign::{
-    classify, classify_cluster, enumerate_cluster_coordinates, enumerate_coordinates,
-    scan_journal_text, stratified_sample, CampaignJournal, CampaignReport, ClusterCampaignReport,
-    ClusterCoordinate, ClusterObservation, ClusterOutcome, Coordinate, CoordinateOutcome,
-    FaultTiming, SurvivalClass, SweepObservation, CAMPAIGN_JOURNAL_HEADER,
+    classify, enumerate_cluster_coordinates, enumerate_coordinates, stratified_sample,
+    CampaignJournal, ClusterCoordinate, Coordinate, FaultPoint, FaultTiming, Observation, Outcome,
+    Report, SurvivalClass, CAMPAIGN_JOURNAL_HEADER,
 };
 pub use executor::{default_jobs, jobs_from_env, Executor, DEFAULT_PANIC_BREAKER};
 pub use faultplan::{FaultKind, FaultPlan, FaultRule, NetFaultKind, NetFaultPlan, NetFaultRule};
 pub use harness::{
-    cell_value_json, classify_line, escape_json, fsck_journal, ExperimentError, FsckReport,
-    Harness, HarnessStats, Journal, JournalScan, LineClass, RetryPolicy, RunContext, Watchdog,
-    JOURNAL_HEADER_V2,
+    cell_value_json, classify_line, escape_json, fsck_journal, scan_journal_text, ExperimentError,
+    FsckReport, Harness, HarnessStats, Journal, JournalScan, LineClass, RetryPolicy, RunContext,
+    Watchdog, JOURNAL_HEADER_V2,
 };
 pub use singleflight::{FlightOutcome, SingleFlight};
 pub use obs::{Clock, Event, EventBus, EventKind, ShardState, SystemClock, VirtualClock};

@@ -6,11 +6,8 @@
 //! its worker's lane, plan executions become spans on a dedicated
 //! `plans` lane, and queue/cache/retry/fault/watchdog events become
 //! instant (`"i"`) marks. Timestamps are microseconds from the bus
-//! clock's epoch.
-//!
-//! The module also carries a dependency-free JSON well-formedness
-//! checker ([`validate_json`]) so the trace-invariant tests can prove
-//! the emitted file parses without pulling in a JSON library.
+//! clock's epoch. The trace-invariant tests prove the emitted file
+//! parses with [`crate::json::parse`].
 
 use crate::harness::escape_json;
 
@@ -161,187 +158,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     )
 }
 
-/// Checks that `s` is exactly one well-formed JSON value (plus trailing
-/// whitespace). Hand-rolled — the workspace carries no JSON library —
-/// and strict enough to catch the failure modes a hand-built exporter
-/// can produce: unbalanced brackets, bad escapes, trailing commas,
-/// unquoted keys.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos:?}")),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {}", *pos));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{EventBus, EventKind, VirtualClock};
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        assert!(validate_json("{\"a\":[1,2.5,-3e4,\"x\\n\",true,null]}").is_ok());
-        assert!(validate_json("").is_err());
-        assert!(validate_json("{").is_err());
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("{\"a\":1} extra").is_err());
-        assert!(validate_json("{\"bad\":\"\\x\"}").is_err());
-    }
 
     #[test]
     fn spans_pair_and_json_is_valid() {
@@ -353,7 +174,7 @@ mod tests {
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellFinished { ok: true, retries: 1 });
         bus.emit("exp", "", "", 0, EventKind::PlanFinished);
         let json = chrome_trace_json(&bus.snapshot());
-        validate_json(&json).expect("trace must be well-formed JSON");
+        crate::json::parse(&json).expect("trace must be well-formed JSON");
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2, "one cell span, one plan span");
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 2, "queued + retry instants");
         assert!(json.contains("\"tid\":1000000"), "plan lane present");
@@ -364,7 +185,7 @@ mod tests {
         let bus = EventBus::with_clock(Arc::new(VirtualClock::new()));
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellStarted);
         let json = chrome_trace_json(&bus.snapshot());
-        validate_json(&json).expect("still valid");
+        crate::json::parse(&json).expect("still valid");
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 0);
     }
 }

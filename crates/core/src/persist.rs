@@ -8,10 +8,14 @@
 //!   `results_regenerated.txt`, trace export, metrics exposition, or
 //!   compacted journal. The rename is atomic on POSIX; the directory is
 //!   fsynced afterwards so the new name itself is durable.
-//! * [`crc32`] — the IEEE CRC-32 used by journal format v2 to checksum
-//!   each line's payload. CRC-32 detects *every* single-byte corruption
-//!   (and all burst errors up to 32 bits), which is exactly the property
-//!   the journal property test pins down.
+//! * [`crc32`] — the IEEE CRC-32 that checksums each journal line's
+//!   payload. CRC-32 detects *every* single-byte corruption (and all
+//!   burst errors up to 32 bits), which is exactly the property the
+//!   journal property test pins down.
+//! * [`frame_line`] / [`unframe_line`] and [`JournalFile`] — the one
+//!   journal-line codec (`<tag> <crc32> <payload>`) and the append /
+//!   fsync file both journals write through: the cell journal with tag
+//!   `v2`, the campaign journal with tag `c1`.
 //! * [`WriteDamage`] — the I/O-layer fault model: how an injected
 //!   `torn-write` or `journal-corrupt` fault mangles the bytes the
 //!   journal was about to append, so recovery from real-world disk
@@ -19,8 +23,11 @@
 //!   are.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+use crate::harness::lock;
 
 /// The IEEE CRC-32 lookup table, built at compile time.
 const CRC32_TABLE: [u32; 256] = {
@@ -46,6 +53,87 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC32_TABLE[((c ^ *b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// Frames one journal line: `<tag> <crc32 of payload, 8 lowercase hex
+/// digits> <payload>`, with the trailing newline.
+pub fn frame_line(tag: &str, payload: &str) -> String {
+    format!("{tag} {:08x} {payload}\n", crc32(payload.as_bytes()))
+}
+
+/// What [`unframe_line`] found on one line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unframed<'a> {
+    /// The line does not carry this tag.
+    Foreign,
+    /// The checksum holds over this payload.
+    Payload(&'a str),
+    /// The cut-off final line of a writer killed mid-append.
+    Torn,
+    /// Damaged framing or a checksum mismatch.
+    Corrupt,
+}
+
+/// Checks one line written by [`frame_line`] with `tag`. `is_last`
+/// enables the torn-tail verdict: only the final line of a file can be
+/// an expected crash artifact; the same damage mid-file is corruption.
+pub fn unframe_line<'a>(tag: &str, line: &'a str, is_last: bool) -> Unframed<'a> {
+    let Some(rest) = line.strip_prefix(tag).and_then(|r| r.strip_prefix(' ')) else {
+        return Unframed::Foreign;
+    };
+    let damaged = |torn: bool| if is_last && torn { Unframed::Torn } else { Unframed::Corrupt };
+    // `<crc8hex> <payload>`; anything structurally short on the final
+    // line is a torn write.
+    let Some((crc_hex, payload)) = rest.split_once(' ') else {
+        return damaged(true);
+    };
+    // The writer emits exactly 8 lowercase hex digits; accepting
+    // case-insensitive hex would let a one-bit flip ('a' -> 'A') produce
+    // a different byte that still parses to the same checksum, breaking
+    // the every-single-byte-corruption-detected property.
+    let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+    let declared = match u32::from_str_radix(crc_hex, 16) {
+        Ok(crc) if crc_hex.len() == 8 && crc_hex.bytes().all(lower_hex) => crc,
+        _ => return damaged(true),
+    };
+    if crc32(payload.as_bytes()) != declared {
+        // A torn tail is a *prefix* of a valid line, so it cannot end in
+        // the closing brace; a bit-flip keeps the brace.
+        return damaged(!payload.ends_with('}'));
+    }
+    Unframed::Payload(payload)
+}
+
+/// The write side of a line journal: an append-only file. Every line
+/// goes straight to the OS (no user-space buffer), so a SIGKILL loses
+/// at most the line in flight, and [`JournalFile::sync`] fsyncs so a
+/// power loss cannot roll back past a sync.
+#[derive(Debug)]
+pub struct JournalFile(Mutex<File>);
+
+impl JournalFile {
+    /// Opens (or creates) the journal at `path` for appending and
+    /// returns the text already in it. A file without content gets
+    /// `header` as its first line.
+    pub fn open(path: &Path, header: &str) -> io::Result<(JournalFile, String)> {
+        let mut file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        if text.is_empty() {
+            file.write_all(format!("{header}\n").as_bytes())?;
+        }
+        Ok((JournalFile(Mutex::new(file)), text))
+    }
+
+    /// Appends `bytes`.
+    pub fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        lock(&self.0).write_all(bytes)
+    }
+
+    /// Fsyncs the file.
+    pub fn sync(&self) -> io::Result<()> {
+        lock(&self.0).sync_data()
+    }
 }
 
 /// The temporary sibling `atomic_write` stages into before renaming.

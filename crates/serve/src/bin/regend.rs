@@ -20,7 +20,7 @@ use serve::{
     boot_shards, install_sigterm_hook, proxy_config, run_cluster_campaign, Server, ServerConfig,
     ClusterCampaignConfig,
 };
-use spectrebench::{atomic_write, jobs_from_env, FaultPlan, NetFaultPlan};
+use spectrebench::{atomic_write, jobs_from_env, FaultPlan, FaultPoint, NetFaultPlan};
 
 fn usage(to_stdout: bool) {
     let text = "usage: regend [options]\n\

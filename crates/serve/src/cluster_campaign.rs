@@ -7,10 +7,13 @@
 //! This is the cluster analogue of the executor-level campaign
 //! (`regen campaign`): where that one proves the *compute* tier's
 //! retry/journal envelope, this one proves the *serving* tier's
-//! retry/failover envelope. The report is byte-deterministic (classes
-//! only — see [`ClusterCampaignReport`]) so `CAMPAIGN_CLUSTER_BASELINE
-//! .json` can be committed and CI can hold the line at zero silent
-//! corruption.
+//! retry/failover envelope. Both share the core campaign model
+//! ([`spectrebench::campaign`]): this driver only fills an
+//! [`Observation`] per coordinate and builds the [`Report`]. The report
+//! is byte-deterministic (classes only: request and retry counts depend
+//! on scheduling, so its rows leave them out) so
+//! `CAMPAIGN_CLUSTER_BASELINE.json` can be committed and CI can hold
+//! the line at zero silent corruption.
 //!
 //! Topology per run: one set of shard servers (booted once — shard
 //! caches only make hops faster, never change bytes) and one fresh
@@ -23,8 +26,8 @@
 use bench::client::Connection;
 use bench::Artifact;
 use spectrebench::{
-    classify_cluster, enumerate_cluster_coordinates, ClusterCampaignReport, ClusterObservation,
-    ClusterOutcome, SurvivalClass,
+    classify, enumerate_cluster_coordinates, ClusterCoordinate, Observation, Outcome, Report,
+    SurvivalClass,
 };
 
 use crate::cluster::{boot_shards, proxy_config, shard_config};
@@ -53,7 +56,7 @@ impl Default for ClusterCampaignConfig {
 /// The burst issued per coordinate: the whole-document fan-out plus
 /// every single-artifact path, so at least one hop lands on every
 /// shard that owns anything.
-fn burst_paths(quick: bool) -> Vec<String> {
+pub fn burst_paths(quick: bool) -> Vec<String> {
     let q = u32::from(quick);
     let mut paths = vec![format!("/results?quick={q}")];
     for artifact in Artifact::ALL {
@@ -79,10 +82,34 @@ fn fetch_bodies(addr: &str, paths: &[String]) -> Result<Vec<Vec<u8>>, String> {
         .collect()
 }
 
+/// Reduces one burst to what classification needs. Each response is
+/// `(status, body matches the reference, marked degraded)`, the status
+/// `None` for a transport error. A 200 with other bytes is silent
+/// corruption; a transport error, any status but 200 or 503, or a burst
+/// without one correct 200 is loud; a shed 503 or a degraded marker
+/// (failover) is degraded.
+fn observe_burst(burst: &[(Option<u16>, bool, bool)]) -> Observation {
+    let mut obs = Observation::default();
+    let mut answered = false;
+    for &(status, matches, marked) in burst {
+        match status {
+            Some(200) => {
+                answered |= matches;
+                obs.silent |= !matches;
+                obs.degraded |= marked;
+            }
+            Some(503) => obs.degraded = true,
+            _ => obs.failed = true,
+        }
+    }
+    obs.failed |= !answered;
+    obs
+}
+
 /// Runs the full campaign and returns the deterministic report.
 pub fn run_cluster_campaign(
     cfg: &ClusterCampaignConfig,
-) -> std::io::Result<ClusterCampaignReport> {
+) -> std::io::Result<Report<ClusterCoordinate>> {
     let base = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         quick: cfg.quick,
@@ -121,37 +148,29 @@ pub fn run_cluster_campaign(
         let handle = proxy.handle();
         let join = std::thread::spawn(move || proxy.run());
 
-        let mut obs = ClusterObservation::default();
         let mut conn = Connection::new(&proxy_addr, timeout());
-        for (i, path) in paths.iter().enumerate() {
-            match conn.get_classified(path) {
-                Ok(r) if r.status == 200 => {
-                    if r.body == reference[i] {
-                        obs.responses_200 += 1;
-                    } else {
-                        obs.mismatches += 1;
-                    }
-                    if r.header("x-regend-shard-degraded").is_some() {
-                        obs.failovers += 1;
-                        obs.degraded += 1;
-                    }
+        let burst: Vec<_> = paths
+            .iter()
+            .zip(&reference)
+            .map(|(path, want)| match conn.get_classified(path) {
+                Ok(r) => {
+                    let marked = r.header("x-regend-shard-degraded").is_some();
+                    (Some(r.status), r.body == *want, marked)
                 }
-                Ok(r) if r.status == 503 => obs.responses_503 += 1,
-                Ok(_) => obs.errors += 1,
-                Err(_) => obs.errors += 1,
-            }
-        }
+                Err(_) => (None, false, false),
+            })
+            .collect();
         handle.drain();
         let _ = join.join();
 
-        let class = classify_cluster(&obs);
+        let class = classify(&observe_burst(&burst));
         let detail = match class {
             SurvivalClass::Absorbed => "retry absorbed the fault".to_string(),
             SurvivalClass::Degraded => "failover to local recompute".to_string(),
             SurvivalClass::FailedLoud => "request errors reached the client".to_string(),
             SurvivalClass::SilentCorruption => "byte mismatch reached the client".to_string(),
         };
-        outcomes.push(ClusterOutcome { coord, class, detail });
+        outcomes.push(Outcome { coord, class, counts: None, detail });
     }
 
     for shard in shards {
@@ -159,10 +178,19 @@ pub fn run_cluster_campaign(
         let _ = shard.join.join();
     }
 
-    Ok(ClusterCampaignReport {
-        shards: cfg.shards,
-        requests_per_coordinate: paths.len(),
-        quick: cfg.quick,
+    Ok(Report {
+        inputs: vec![
+            ("version", "\"regend-cluster-campaign/v1\"".to_string()),
+            ("shards", cfg.shards.to_string()),
+            ("requests_per_coordinate", paths.len().to_string()),
+            ("quick", cfg.quick.to_string()),
+        ],
+        title: format!(
+            "cluster survivability matrix ({} coordinate(s), {} shard(s), {} request(s) each)",
+            outcomes.len(),
+            cfg.shards,
+            paths.len()
+        ),
         outcomes,
     })
 }
@@ -170,7 +198,23 @@ pub fn run_cluster_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spectrebench::{FaultTiming, NetFaultKind};
+    use spectrebench::{FaultPoint, FaultTiming, NetFaultKind};
+
+    #[test]
+    fn bursts_reduce_to_their_class() {
+        let class = |burst: &[(Option<u16>, bool, bool)]| classify(&observe_burst(burst));
+        let ok = (Some(200), true, false);
+        let shed = (Some(503), false, false);
+        assert_eq!(class(&[ok, ok]), SurvivalClass::Absorbed);
+        assert_eq!(class(&[ok, shed]), SurvivalClass::Degraded, "shed load");
+        assert_eq!(class(&[ok, (Some(200), true, true)]), SurvivalClass::Degraded, "failover");
+        assert_eq!(class(&[ok, (None, false, false)]), SurvivalClass::FailedLoud, "error");
+        assert_eq!(class(&[ok, (Some(500), false, false)]), SurvivalClass::FailedLoud, "status");
+        assert_eq!(class(&[shed, shed]), SurvivalClass::FailedLoud, "no correct 200 is loud");
+        assert_eq!(class(&[]), SurvivalClass::FailedLoud, "no 200 at all is loud");
+        // A byte mismatch outranks everything, even a clean-looking run.
+        assert_eq!(class(&[ok, (Some(200), false, false)]), SurvivalClass::SilentCorruption);
+    }
 
     /// A one-shard campaign end to end: the whole coordinate space is
     /// classified, nothing silently corrupts, and `always`-timing

@@ -1,9 +1,10 @@
 //! Fault-campaign proofs: the coordinate space is duplicate-free and
 //! deterministic, stratified samples are seed-stable subsets, a full
 //! campaign over a small experiment classifies every coordinate with
-//! zero silent corruption (byte-identical report for a fixed seed),
-//! and a campaign SIGKILLed mid-flight resumes from its journal
-//! instead of starting over.
+//! zero silent corruption (byte-identical report for a fixed seed, and
+//! byte-identical to the committed `CAMPAIGN_BASELINE.json`), and a
+//! campaign SIGKILLed mid-flight resumes from its journal instead of
+//! starting over.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -13,7 +14,9 @@ use std::time::Duration;
 
 use bench::campaign::{run_campaign, CampaignOptions};
 use bench::Artifact;
-use spectrebench::campaign::{enumerate_coordinates, stratified_sample, Coordinate, SurvivalClass};
+use spectrebench::campaign::{
+    enumerate_coordinates, stratified_sample, Coordinate, FaultPoint, SurvivalClass,
+};
 use spectrebench::obs::metrics::prometheus_text;
 use spectrebench::{EventBus, FaultKind};
 
@@ -155,7 +158,7 @@ fn full_campaign_classifies_every_coordinate_with_no_silent_corruption() {
 
     // Every coordinate of the enumerated space is classified, exactly
     // once, in enumeration order.
-    assert_eq!(run.report.outcomes.len(), run.report.space, "full enumeration");
+    assert_eq!(run.report.outcomes.len(), run.space, "full enumeration");
     assert_eq!(run.executed, run.report.outcomes.len());
     assert_eq!(run.replayed, 0);
     let ids: Vec<String> = run.report.outcomes.iter().map(|o| o.coord.id()).collect();
@@ -170,7 +173,7 @@ fn full_campaign_classifies_every_coordinate_with_no_silent_corruption() {
     );
     // Every fault the plan was asked to deliver actually fired.
     assert!(
-        run.report.outcomes.iter().all(|o| o.faults_injected > 0),
+        run.report.outcomes.iter().all(|o| o.counts.is_some_and(|(_, faults)| faults > 0)),
         "every coordinate injected at least one fault"
     );
     // The attempt axis means retry depth is really explored: shallow
@@ -218,6 +221,11 @@ fn full_campaign_classifies_every_coordinate_with_no_silent_corruption() {
     let b = std::fs::read(dir.join("report-b.json")).expect("report b written");
     assert_eq!(a, b, "written reports byte-identical");
     assert_eq!(a, run.report.to_json().into_bytes(), "file matches in-memory render");
+    // These are the committed baseline's inputs: table1, quick, retry
+    // budget 2, full enumeration.
+    let baseline = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/CAMPAIGN_BASELINE.json"))
+        .expect("committed baseline");
+    assert!(a == baseline, "report drifted from CAMPAIGN_BASELINE.json:\n{}", run.report.to_json());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -236,7 +244,7 @@ fn sampled_campaign_is_seed_stable_and_exit_clean() {
     };
     let run = run_campaign(&opts).expect("sampled campaign completes");
     assert_eq!(run.report.outcomes.len(), 18);
-    assert!(run.report.outcomes.len() < run.report.space, "a strict subset");
+    assert!(run.report.outcomes.len() < run.space, "a strict subset");
     assert!(run.report.silent_corruptions().is_empty());
     let rerun = run_campaign(&CampaignOptions { dir: dir.join("b"), ..opts })
         .expect("re-run completes");

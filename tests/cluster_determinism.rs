@@ -19,7 +19,9 @@ use serve::{
     boot_shards, percent_encode_path, proxy_config, HashRing, Server, ServerConfig, ServerHandle,
     ShardInstance,
 };
-use spectrebench::{NetFaultKind, NetFaultPlan};
+use serve::cluster_campaign::burst_paths;
+use spectrebench::json::{self, Value};
+use spectrebench::{enumerate_cluster_coordinates, FaultPoint, NetFaultKind, NetFaultPlan};
 
 /// Scratch directory unique to (test, process).
 fn scratch(tag: &str) -> PathBuf {
@@ -452,4 +454,28 @@ fn net_fault_spec_round_trip_is_deterministic() {
             );
         }
     }
+}
+
+/// The committed cluster baseline has the shape `regend campaign`
+/// produces today: one request per burst path, the enumerated
+/// coordinate space in order, and zero silent corruption. A new
+/// artifact grows the burst and fails here, not only in the cluster
+/// soak's drift check.
+#[test]
+fn committed_cluster_baseline_matches_the_campaign_shape() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/CAMPAIGN_CLUSTER_BASELINE.json");
+    let text = std::fs::read_to_string(path).expect("committed cluster baseline");
+    let report = json::parse(&text).expect("baseline is JSON");
+    let inputs = report.get("cluster_campaign").expect("campaign inputs");
+    let count = |field: &str| inputs.get(field).and_then(Value::num::<usize>).expect(field);
+    let quick = matches!(inputs.get("quick"), Some(Value::Bool(true)));
+    assert_eq!(count("requests_per_coordinate"), burst_paths(quick).len());
+    let rows = report.get("results").and_then(Value::as_array).expect("results");
+    let ids: Vec<&str> =
+        rows.iter().map(|row| row.get("coord").and_then(Value::as_str).expect("id")).collect();
+    let space: Vec<String> =
+        enumerate_cluster_coordinates(count("shards")).iter().map(FaultPoint::id).collect();
+    assert_eq!(ids, space, "every coordinate, in enumeration order");
+    let silent = report.get("summary").and_then(|s| s.get("silent-corruption"));
+    assert_eq!(silent.and_then(Value::num::<u64>), Some(0));
 }

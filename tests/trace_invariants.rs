@@ -188,7 +188,7 @@ fn metrics_cross_check_harness_stats() {
 fn chrome_trace_is_wellformed_json_with_spans() {
     let (events, _) = sweep(Some(2), None);
     let json = trace::chrome_trace_json(&events);
-    trace::validate_json(&json).expect("trace must be parseable JSON");
+    spectrebench::json::parse(&json).expect("trace must be parseable JSON");
     assert!(json.contains("\"ph\":\"X\""), "complete spans present");
     assert!(json.contains("\"ph\":\"M\""), "lane metadata present");
     assert!(json.contains("cache_hit"), "instant events present");
