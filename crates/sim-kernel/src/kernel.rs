@@ -1004,7 +1004,9 @@ impl KernelState {
     }
 
     /// Forks the current process: copies its data, stack, and mapped mmap
-    /// pages into fresh frames.
+    /// pages into fresh frames, whole frames at a time. A page the parent
+    /// never wrote stays unmaterialized in the child, yet every page is
+    /// charged the same copy cost.
     fn fork(&mut self, m: &mut Machine) -> Pid {
         self.stats.forks += 1;
         let cur = self.current;
@@ -1052,8 +1054,7 @@ impl KernelState {
                     f
                 }
             };
-            let data = m.mem.read_bytes(parent_pfn << PAGE_SHIFT, PAGE_SIZE as usize);
-            m.mem.write_bytes(dst_pfn << PAGE_SHIFT, &data);
+            m.mem.copy_frame(parent_pfn, dst_pfn);
             m.charge(400); // per-page copy cost
         }
         pid

@@ -4,6 +4,7 @@
 
 use cpu_models::{broadwell, cascade_lake, zen2};
 use sim_kernel::abi::nr;
+use sim_kernel::layout;
 use sim_kernel::userlib::{self, begin_loop, emit_exit, emit_syscall, end_loop};
 use sim_kernel::{BootParams, Kernel, ProcState, SpectreV2Mode};
 use uarch::isa::{Cond, Inst, Reg, Width};
@@ -441,4 +442,70 @@ fn thread_create_shares_address_space() {
     assert_eq!(k.run(BUDGET).unwrap(), Stop::Halted);
     let out = k.peek_user_data(pid, 0, 8);
     assert_eq!(u64::from_le_bytes(out.try_into().unwrap()), 0x77);
+}
+
+#[test]
+fn fork_copies_what_the_parent_wrote_and_separates_the_copies() {
+    // Each page holds three words: a pre-fork marker, then one written
+    // by the parent and one by the child after the fork.
+    const PARENT_AFTER: u64 = 0xaaaa;
+    const CHILD_AFTER: u64 = 0xcccc;
+    let data = userlib::data_base();
+    let stack_slot = layout::STACK_TOP - 256; // below the initial SP
+    let mut k = Kernel::boot(broadwell(), &BootParams::default());
+    let parent = k.spawn(move |b| {
+        let child = b.new_label();
+        let done = b.new_label();
+        let store = |b: &mut uarch::ProgramBuilder, base: Reg, offset: i64, value: u64| {
+            b.mov_imm(Reg::R5, value);
+            b.push(Inst::Store { src: Reg::R5, base, offset, width: Width::B8 });
+        };
+        b.mov_imm(Reg::R1, 4096);
+        emit_syscall(b, nr::MMAP_POPULATE);
+        b.push(Inst::Mov(Reg::R7, Reg::R0));
+        b.mov_imm(Reg::R6, data);
+        b.mov_imm(Reg::R8, stack_slot);
+        // Pre-fork: a marker in data page 0, the stack and the mmap page,
+        // and the mmap address at data+24. Data page 1 stays unwritten.
+        store(b, Reg::R6, 0, 0xda7a);
+        store(b, Reg::R8, 0, 0x57ac);
+        store(b, Reg::R7, 0, 0x3a9);
+        b.push(Inst::Store { src: Reg::R7, base: Reg::R6, offset: 24, width: Width::B8 });
+        emit_syscall(b, nr::FORK);
+        b.cmp_imm(Reg::R0, 0);
+        b.jcc(Cond::Eq, child);
+        for base in [Reg::R6, Reg::R8, Reg::R7] {
+            store(b, base, 8, PARENT_AFTER);
+        }
+        b.jmp(done);
+        b.bind(child);
+        for base in [Reg::R6, Reg::R8, Reg::R7] {
+            store(b, base, 16, CHILD_AFTER);
+        }
+        b.bind(done);
+        emit_exit(b);
+    });
+    k.start();
+    assert_eq!(k.run(BUDGET).unwrap(), Stop::Halted);
+    assert_eq!(k.state.stats.forks, 1);
+    let child = parent + 1;
+    for pid in [parent, child] {
+        assert_eq!(k.process(pid).unwrap().state, ProcState::Exited, "pid {pid}");
+    }
+
+    // `peek_user_data` takes offsets from the data arena's base.
+    let word = |pid, vaddr: u64| {
+        u64::from_le_bytes(k.peek_user_data(pid, vaddr - data, 8).try_into().unwrap())
+    };
+    let mmap_page = word(parent, data + 24);
+    assert_eq!(word(child, data + 24), mmap_page);
+    for (page, marker) in [(data, 0xda7a), (stack_slot, 0x57ac), (mmap_page, 0x3a9)] {
+        let words = |pid| [word(pid, page), word(pid, page + 8), word(pid, page + 16)];
+        assert_eq!(words(parent), [marker, PARENT_AFTER, 0], "parent's page {page:#x}");
+        assert_eq!(words(child), [marker, 0, CHILD_AFTER], "child's page {page:#x}");
+    }
+    for pid in [parent, child] {
+        let unwritten = k.peek_user_data(pid, 4096, 4096);
+        assert!(unwritten.iter().all(|&b| b == 0), "pid {pid}: data page 1 reads zero");
+    }
 }

@@ -106,6 +106,26 @@ impl PhysMemory {
         &mut self.slabs[slot as usize]
     }
 
+    /// Copies frame `src` over frame `dst` (frame numbers, not addresses).
+    ///
+    /// A resident source is copied as one 4 KiB array. A never-written
+    /// source reads as zeros, so copying it leaves an untouched
+    /// destination untouched (no frame is materialized) and zeroes a
+    /// resident one.
+    pub fn copy_frame(&mut self, src: u64, dst: u64) {
+        match self.index.get(&src) {
+            Some(&s) => {
+                let frame = *self.slabs[s as usize];
+                *self.frame_mut(dst) = frame;
+            }
+            None => {
+                if let Some(&d) = self.index.get(&dst) {
+                    self.slabs[d as usize].fill(0);
+                }
+            }
+        }
+    }
+
     /// Reads one byte at a physical address.
     #[inline]
     pub fn read_u8(&self, paddr: u64) -> u8 {
@@ -286,6 +306,80 @@ mod tests {
         let mut m = PhysMemory::new();
         m.write_bytes(0x55, b"hello world");
         assert_eq!(m.read_bytes(0x55, 11), b"hello world");
+    }
+
+    /// Fills frame `pfn` with a pattern keyed by `seed`.
+    fn fill(m: &mut PhysMemory, pfn: u64, seed: u8) {
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+        m.write_bytes(pfn << PAGE_SHIFT, &bytes);
+    }
+
+    /// Reads frame `pfn` whole.
+    fn frame(m: &PhysMemory, pfn: u64) -> Vec<u8> {
+        m.read_bytes(pfn << PAGE_SHIFT, PAGE_SIZE as usize)
+    }
+
+    #[test]
+    fn copy_frame_copies_a_written_source_whole() {
+        let mut m = PhysMemory::new();
+        fill(&mut m, 3, 0x5a);
+        let src = frame(&m, 3);
+        for dst in [9, 1] {
+            m.copy_frame(3, dst);
+            assert_eq!(frame(&m, dst), src, "dst {dst}");
+            m.write_u8(dst << PAGE_SHIFT, !src[0]);
+        }
+        assert_eq!(frame(&m, 3), src, "source unchanged");
+        // The frames around a destination are not touched.
+        assert_eq!(m.read_u8((9 << PAGE_SHIFT) - 1), 0);
+        assert_eq!(m.read_u8(10 << PAGE_SHIFT), 0);
+        assert_eq!(m.resident_frames(), 3);
+    }
+
+    #[test]
+    fn copy_frame_of_an_untouched_source_materializes_nothing() {
+        let mut m = PhysMemory::new();
+        fill(&mut m, 1, 0);
+        m.copy_frame(4, 5);
+        assert_eq!(m.resident_frames(), 1);
+        assert_eq!(frame(&m, 5), [0; PAGE_SIZE as usize]);
+    }
+
+    #[test]
+    fn copy_frame_of_an_untouched_source_zeroes_a_dirty_destination() {
+        let mut m = PhysMemory::new();
+        fill(&mut m, 7, 0xff);
+        m.copy_frame(4, 7);
+        assert_eq!(frame(&m, 7), [0; PAGE_SIZE as usize]);
+        assert_eq!(m.resident_frames(), 1);
+    }
+
+    #[test]
+    fn copy_frame_keeps_the_frame_cache_coherent() {
+        let mut m = PhysMemory::new();
+        fill(&mut m, 2, 0x11);
+        fill(&mut m, 6, 0x22);
+        // The source is in the one-entry cache when the copy runs: the
+        // destination read right after must resolve to the destination,
+        // and a write there must not reach the source.
+        let src_word = m.read_u64(2 << PAGE_SHIFT);
+        m.copy_frame(2, 6);
+        assert_eq!(m.read_u64(6 << PAGE_SHIFT), src_word);
+        m.write_u64(6 << PAGE_SHIFT, 0xd1ff);
+        assert_eq!(m.read_u64(2 << PAGE_SHIFT), src_word);
+        // The destination is in the cache: the copy lands where the
+        // cached read looks, for a written and an untouched source.
+        assert_eq!(m.read_u64(6 << PAGE_SHIFT), 0xd1ff);
+        m.copy_frame(2, 6);
+        assert_eq!(m.read_u64(6 << PAGE_SHIFT), src_word);
+        m.copy_frame(8, 6);
+        assert_eq!(m.read_u64(6 << PAGE_SHIFT), 0);
+        // A fresh destination, with the source cached.
+        assert_eq!(m.read_u64(2 << PAGE_SHIFT), src_word);
+        m.copy_frame(2, 12);
+        assert_eq!(m.read_u64(12 << PAGE_SHIFT), src_word);
+        m.write_u64(12 << PAGE_SHIFT, 0xd1ff);
+        assert_eq!(m.read_u64(2 << PAGE_SHIFT), src_word);
     }
 
     #[test]

@@ -135,6 +135,9 @@ pub struct OpResult {
     pub op: LeBenchOp,
     /// Simulated cycles per operation.
     pub cycles_per_op: f64,
+    /// Host frames the run left resident in physical memory: the host
+    /// work the run did, which no simulated counter sees.
+    pub resident_frames: usize,
 }
 
 /// Runs one LEBench benchmark on a freshly booted kernel.
@@ -146,7 +149,11 @@ pub fn run_op(model: &CpuModel, params: &BootParams, op: LeBenchOp) -> OpResult 
     let start = k.cycles();
     k.run(BUDGET).expect("benchmark must complete");
     let total = k.cycles() - start;
-    OpResult { op, cycles_per_op: total as f64 / iters as f64 }
+    OpResult {
+        op,
+        cycles_per_op: total as f64 / iters as f64,
+        resident_frames: k.machine.mem.resident_frames(),
+    }
 }
 
 /// Runs the full suite; returns per-op results.

@@ -11,7 +11,8 @@
 //!   transient window);
 //! * statistics invariants: geomean bounds, accumulator mean, noise
 //!   reproducibility, no panic/NaN on empty/single/zero/infinite input,
-//!   and a 95% CI that shrinks monotonically with sample count.
+//!   and a 95% CI that shrinks monotonically with sample count;
+//! * host work: the frames each LEBench op leaves resident are pinned.
 
 use js_engine::{Engine, FunctionBuilder, JsMitigations, Op};
 use sim_kernel::BootParams;
@@ -24,6 +25,7 @@ use uarch::mmu::{make_cr3, PageTable, Pte};
 use uarch::model::CpuModel;
 use uarch::predictor::PrivMode;
 use uarch::ProgramBuilder;
+use workloads::LeBenchOp;
 
 // ---------------------------------------------------------------------
 // A tiny deterministic generator (xorshift64*), replacing proptest.
@@ -863,4 +865,44 @@ fn pinned_loops_retire_identical_work_on_both_steppers() {
         "pmc::global saw {} instructions, {retired_total} retired",
         after - before
     );
+}
+
+// ---------------------------------------------------------------------
+// Host work per LEBench op.
+// ---------------------------------------------------------------------
+
+/// Every LEBench op (Broadwell, default boot) leaves a pinned number of
+/// host frames resident: 64 kernel data pages plus what the op wrote.
+/// No simulated counter sees host work: a `fork` that materialized
+/// every mapped page in the child would leave 338, 3,329 and 2,849
+/// frames after `context-switch`, `fork` and `big-fork`, with every
+/// cycle count unchanged.
+#[test]
+fn lebench_ops_leave_pinned_resident_frames() {
+    let pinned = [
+        (LeBenchOp::GetPid, 65),
+        (LeBenchOp::SmallRead, 66),
+        (LeBenchOp::MedRead, 66),
+        (LeBenchOp::BigRead, 69),
+        (LeBenchOp::HugeRead, 129),
+        (LeBenchOp::SmallWrite, 65),
+        (LeBenchOp::MedWrite, 65),
+        (LeBenchOp::BigWrite, 65),
+        (LeBenchOp::HugeWrite, 65),
+        (LeBenchOp::Mmap, 65),
+        (LeBenchOp::Munmap, 65),
+        (LeBenchOp::BigMunmap, 65),
+        (LeBenchOp::PageFault, 129),
+        (LeBenchOp::ContextSwitch, 68),
+        (LeBenchOp::SendRecv, 66),
+        (LeBenchOp::Select, 65),
+        (LeBenchOp::Fork, 77),
+        (LeBenchOp::BigFork, 71),
+        (LeBenchOp::ThreadCreate, 81),
+    ];
+    assert_eq!(pinned.map(|(op, _)| op), LeBenchOp::ALL, "one pin per op, in suite order");
+    let model = cpu_models::broadwell();
+    let params = BootParams::default();
+    let seen = pinned.map(|(op, _)| (op, workloads::run_op(&model, &params, op).resident_frames));
+    assert_eq!(seen, pinned, "(op, resident frames) drifted from the pins");
 }

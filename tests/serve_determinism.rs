@@ -287,12 +287,17 @@ fn overload_answers_429_with_retry_after() {
         ..ServerConfig::default()
     });
 
-    // Occupy the single worker with a slow cold artifact.
+    // Occupy the single worker with a slow cold artifact, and burst
+    // only once the server has admitted it: waiting on the gauge, not
+    // on a sleep, keeps the check independent of how long it computes.
     let slow = {
         let base = base.clone();
         std::thread::spawn(move || get(&base, "/artifact/discussion"))
     };
-    std::thread::sleep(Duration::from_millis(500));
+    assert!(
+        await_metric(&base, "regend_in_flight", 1.0, Duration::from_secs(60)) >= 1.0,
+        "the slow request was never admitted"
+    );
 
     // Flood: plain GETs with no 429-retry, concurrently.
     let rejected = AtomicUsize::new(0);
