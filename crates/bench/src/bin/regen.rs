@@ -33,7 +33,7 @@ use std::time::Duration;
 use bench::campaign::{run_campaign, CampaignError, CampaignOptions};
 use bench::{Artifact, RegenOptions, run_regen};
 use spectrebench::campaign::FaultPoint;
-use spectrebench::{fsck_journal, jobs_from_env, FaultKind, FaultPlan};
+use spectrebench::{fsck_journal, jobs_from_env, parse_jobs, FaultKind, FaultPlan};
 
 fn usage(to_stdout: bool) {
     // The kind lists come from FaultKind::ALL so --help can never
@@ -160,11 +160,7 @@ fn parse_args(args: &[String]) -> Result<RegenOptions, String> {
             }
             "--jobs" => {
                 let v = value("--jobs")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = Some(n);
+                opts.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
             }
             "--resume" => opts.resume = Some(PathBuf::from(value("--resume")?)),
             "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -182,6 +178,11 @@ fn parse_args(args: &[String]) -> Result<RegenOptions, String> {
             other => return Err(format!("unknown flag: {other}")),
         }
         i += 1;
+    }
+    // A malformed REGEN_JOBS is a usage error like a bad --jobs, not a
+    // silent fallback to machine parallelism.
+    if opts.jobs.is_none() {
+        opts.jobs = jobs_from_env()?;
     }
     Ok(opts)
 }
@@ -211,7 +212,7 @@ fn run_fetch(base: &str, what: &str) -> ExitCode {
     };
     let base = base.strip_suffix('/').unwrap_or(base);
     let url = format!("{base}{path}");
-    match bench::client::http_get_retrying(&url, Duration::from_secs(120), 5) {
+    match serve::client::http_get_retrying(&url, Duration::from_secs(120), 5) {
         Ok(r) if r.status == 200 => {
             if r.header("x-regend-degraded").is_some() {
                 eprintln!("regen: warning: {what} is DEGRADED (bridged over failed cells)");
@@ -259,11 +260,7 @@ fn parse_campaign_args(args: &[String]) -> Result<CampaignOptions, String> {
             }
             "--jobs" => {
                 let v = value("--jobs")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = Some(n);
+                opts.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
             }
             "--sample" => {
                 let v = value("--sample")?;
@@ -288,6 +285,9 @@ fn parse_campaign_args(args: &[String]) -> Result<CampaignOptions, String> {
         }
         i += 1;
     }
+    if opts.jobs.is_none() {
+        opts.jobs = jobs_from_env()?;
+    }
     Ok(opts)
 }
 
@@ -295,7 +295,7 @@ fn parse_campaign_args(args: &[String]) -> Result<CampaignOptions, String> {
 /// the survivability matrix to stdout; exit 2 on any silent-corruption
 /// verdict, exit 1 when the reference sweep could not baseline.
 fn run_campaign_cmd(args: &[String]) -> ExitCode {
-    let mut opts = match parse_campaign_args(args) {
+    let opts = match parse_campaign_args(args) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("regen campaign: {msg}");
@@ -304,15 +304,6 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if opts.jobs.is_none() {
-        match jobs_from_env() {
-            Ok(n) => opts.jobs = n,
-            Err(msg) => {
-                eprintln!("regen: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
     let run = match run_campaign(&opts) {
         Ok(run) => run,
         Err(e @ CampaignError::ReferenceNotClean(_)) => {
@@ -514,7 +505,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let mut opts = match parse_args(&args) {
+    let opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("regen: {msg}");
@@ -523,17 +514,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Validate REGEN_JOBS up front: a malformed value is a usage error
-    // (exit 2), not a silent fallback to machine parallelism.
-    if opts.jobs.is_none() {
-        match jobs_from_env() {
-            Ok(n) => opts.jobs = n,
-            Err(msg) => {
-                eprintln!("regen: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     let report = match run_regen(&opts) {
         Ok(report) => report,

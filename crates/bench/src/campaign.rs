@@ -31,7 +31,7 @@ use spectrebench::{
     HarnessStats, Journal, JournalScan, RetryPolicy,
 };
 
-use crate::{render_artifact_block, Artifact, ArtifactResult};
+use crate::Artifact;
 
 /// Options for one fault campaign.
 #[derive(Debug, Clone)]
@@ -163,12 +163,7 @@ fn run_sweep(
             Ok(_) => {}
             Err(_) => failed.push(a.name().to_string()),
         }
-        let result = ArtifactResult {
-            artifact: *a,
-            outcome,
-            cells: HarnessStats::default(),
-        };
-        rendered.push_str(&render_artifact_block(&result));
+        rendered.push_str(&a.block(outcome.as_ref().ok().map(|out| out.text.as_str())));
     }
     let census = exec.journal().map(Journal::entries).unwrap_or_default();
     SweepOutput { rendered, failed, degraded, stats: exec.stats(), census }

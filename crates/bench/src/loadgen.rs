@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::client::Connection;
+use serve::client::{split_url, Connection};
 
 /// Options for [`run_loadgen`].
 #[derive(Debug, Clone)]
@@ -229,7 +229,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
     let parsed: Vec<(&str, &str)> = opts
         .targets
         .iter()
-        .map(|t| crate::client::split_url(t))
+        .map(|t| split_url(t))
         .collect::<Result<_, _>>()?;
     let interval = Duration::from_secs_f64(1.0 / opts.rate);
 

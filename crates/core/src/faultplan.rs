@@ -175,12 +175,15 @@ impl FaultPlan {
     /// Parses the `regen --inject` specification:
     ///
     /// ```text
-    /// cell=<substr>:kind=<sim|timeout|corrupt>:times=<n|forever>[,<rule>...]
+    /// cell=<substr>:kind=<kind>:times=<n|forever>[,<rule>...]
     /// seed=<n>:prob=<float>
     /// ```
     ///
-    /// Rules are comma-separated; a `seed=`/`prob=` pair may appear as
-    /// one of them to add background flakiness.
+    /// `<kind>` is any of [`FaultKind::ALL`]: the compute kinds `sim`,
+    /// `timeout`, `corrupt` and `panic` fail the attempt; the I/O kinds
+    /// `torn-write` and `journal-corrupt` damage the cell's journal line
+    /// instead. Rules are comma-separated; a `seed=`/`prob=` pair may
+    /// appear as one of them to add background flakiness.
     pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for rule in spec.split(',').filter(|r| !r.is_empty()) {

@@ -24,6 +24,9 @@
 //!   performance counter (Figure 6 → Tables 9 and 10).
 //! * [`experiments`] — one driver per paper table/figure, each returning
 //!   a structured result and a text rendering.
+//! * [`artifact`] — the registry of what the harness regenerates: every
+//!   table and figure by name, its caption, its regeneration through the
+//!   executor, and the `== caption ==` block all surfaces print.
 //! * [`report`] — plain-text table rendering and paper-vs-measured
 //!   comparisons.
 //! * [`obs`] — executor observability: a structured event bus with a
@@ -42,6 +45,7 @@
 // regeneration sweeps have to survive any single cell dying.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod artifact;
 pub mod attribution;
 pub mod campaign;
 pub mod cells;
@@ -59,13 +63,14 @@ pub mod report;
 pub mod singleflight;
 pub mod stats;
 
+pub use artifact::{Artifact, ArtifactOutput};
 pub use attribution::{attribute, Attribution, Slice, Toggle, OS_TOGGLES};
 pub use campaign::{
     classify, enumerate_cluster_coordinates, enumerate_coordinates, stratified_sample,
     CampaignJournal, ClusterCoordinate, Coordinate, FaultPoint, FaultTiming, Observation, Outcome,
     Report, SurvivalClass, CAMPAIGN_JOURNAL_HEADER,
 };
-pub use executor::{default_jobs, jobs_from_env, Executor, DEFAULT_PANIC_BREAKER};
+pub use executor::{default_jobs, jobs_from_env, parse_jobs, Executor, DEFAULT_PANIC_BREAKER};
 pub use faultplan::{FaultKind, FaultPlan, FaultRule, NetFaultKind, NetFaultPlan, NetFaultRule};
 pub use harness::{
     cell_value_json, classify_line, escape_json, fsck_journal, scan_journal_text, ExperimentError,

@@ -20,7 +20,7 @@ use serve::{
     boot_shards, install_sigterm_hook, proxy_config, run_cluster_campaign, Server, ServerConfig,
     ClusterCampaignConfig,
 };
-use spectrebench::{atomic_write, jobs_from_env, FaultPlan, FaultPoint, NetFaultPlan};
+use spectrebench::{atomic_write, jobs_from_env, parse_jobs, FaultPlan, FaultPoint, NetFaultPlan};
 
 fn usage(to_stdout: bool) {
     let text = "usage: regend [options]\n\
@@ -103,11 +103,7 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Option<usize>), String> 
             }
             "--jobs" => {
                 let v = value("--jobs")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                cfg.jobs = Some(n);
+                cfg.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
             }
             "--retries" => {
                 let v = value("--retries")?;
@@ -174,6 +170,11 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Option<usize>), String> 
     if shards.is_some() && !cfg.shard_addrs.is_empty() {
         return Err("--shards and --shard-addrs are mutually exclusive".to_string());
     }
+    // Same strict REGEN_JOBS rule as regen: a bad value is a usage
+    // error up front, not a silent fallback mid-serve.
+    if cfg.jobs.is_none() {
+        cfg.jobs = jobs_from_env()?;
+    }
     Ok((cfg, shards))
 }
 
@@ -203,8 +204,7 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
                 "--full" => cfg.quick = false,
                 "--jobs" => {
                     let v = value("--jobs")?;
-                    cfg.jobs =
-                        Some(v.parse().map_err(|_| format!("bad --jobs value: {v}"))?);
+                    cfg.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
                 }
                 "--report" => report_path = Some(value("--report")?.into()),
                 "--check" => check_path = Some(value("--check")?.into()),
@@ -217,6 +217,15 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
         i += 1;
+    }
+    if cfg.jobs.is_none() {
+        match jobs_from_env() {
+            Ok(n) => cfg.jobs = n,
+            Err(msg) => {
+                eprintln!("regend campaign: {msg}");
+                return ExitCode::from(2);
+            }
+        }
     }
     let report = match run_cluster_campaign(&cfg) {
         Ok(r) => r,
@@ -283,17 +292,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Same strict REGEN_JOBS validation as regen: a bad value is a
-    // usage error up front, not a silent fallback mid-serve.
-    if cfg.jobs.is_none() {
-        match jobs_from_env() {
-            Ok(n) => cfg.jobs = n,
-            Err(msg) => {
-                eprintln!("regend: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     // --shards N: boot the shard tier in-process, then serve as its
     // proxy. Each shard is a full regend server on its own ephemeral

@@ -1,17 +1,22 @@
-//! A tiny HTTP/1.1 client for `regen fetch` and `regen loadgen`.
+//! A tiny HTTP/1.1 client: how `regen fetch`, `regen loadgen`, the
+//! cluster proxy's shard hop and the determinism suites talk to
+//! `regend`.
 //!
 //! Two wire disciplines, the two framings `regend` must answer with
 //! identical bytes:
 //!
 //! * [`http_get`] — one `GET` per connection, `Connection: close`,
-//!   read-to-EOF framing. This is the PR 5 client, kept verbatim: the
-//!   determinism suite uses it as the close-per-request wire pin.
+//!   read-to-EOF framing. The determinism suite uses it as the
+//!   close-per-request wire pin, and it is the only client that checks
+//!   `regend` closes a `Connection: close` socket: a server that kept
+//!   it open would stall the read until the timeout.
 //! * [`Connection`] — a persistent HTTP/1.1 keep-alive connection:
 //!   many `GET`s per socket, `Content-Length` framing, optional
-//!   pipelining. `regen loadgen` and the keep-alive determinism tests
-//!   ride on this.
+//!   pipelining. `regen loadgen`, the proxy↔shard hop and the
+//!   keep-alive determinism tests ride on this.
 //!
-//! Mirrors the server's hand-rolled wire layer (the dependency policy
+//! Both parse the response head with one `parse_head`. The client
+//! mirrors the server's hand-rolled wire layer (the dependency policy
 //! cuts both ways).
 
 use std::io::{Read, Write};
@@ -40,10 +45,15 @@ impl HttpResponse {
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
+
+    /// The declared `Content-Length`, if present and numeric.
+    fn content_length(&self) -> Option<usize> {
+        self.header("content-length").and_then(|v| v.parse().ok())
+    }
 }
 
 /// Splits `http://host:port/path` into authority and path.
-pub(crate) fn split_url(url: &str) -> Result<(&str, &str), String> {
+pub fn split_url(url: &str) -> Result<(&str, &str), String> {
     let rest = url
         .strip_prefix("http://")
         .ok_or_else(|| format!("unsupported URL {url:?}: only http:// is spoken"))?;
@@ -73,35 +83,37 @@ fn is_transient(e: &std::io::Error) -> bool {
     )
 }
 
-/// A `GET` attempt that remembers whether its failure was transient.
-fn http_get_classified(url: &str, timeout: Duration) -> Result<HttpResponse, (bool, String)> {
-    let (authority, path) = split_url(url).map_err(|e| (false, e))?;
-    let addr = first_addr(authority)
+/// Opens a socket to `authority` with `timeout` on connect, each read
+/// and each write. On error the bool reports whether the failure is
+/// transient (worth retrying).
+fn connect(authority: &str, timeout: Duration) -> Result<TcpStream, (bool, String)> {
+    use std::io::{Error, ErrorKind};
+    use std::net::ToSocketAddrs;
+    let addr = authority
+        .to_socket_addrs()
+        .and_then(|mut addrs| {
+            addrs.next().ok_or_else(|| Error::new(ErrorKind::NotFound, "no address for host"))
+        })
         .map_err(|e| (false, format!("cannot resolve {authority:?}: {e}")))?;
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)
+    let stream = TcpStream::connect_timeout(&addr, timeout)
         .map_err(|e| (is_transient(&e), format!("cannot connect to {authority}: {e}")))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| (false, e.to_string()))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| (false, e.to_string()))?;
-    let request =
-        format!("GET {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| (is_transient(&e), format!("write failed: {e}")))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| (is_transient(&e), format!("read failed: {e}")))?;
-    parse_response(&raw).map_err(|e| (false, e))
+    stream.set_read_timeout(Some(timeout)).map_err(|e| (false, e.to_string()))?;
+    stream.set_write_timeout(Some(timeout)).map_err(|e| (false, e.to_string()))?;
+    Ok(stream)
 }
 
-/// Performs one `GET` and reads the whole response. `timeout` bounds
-/// connect, each read, and each write independently.
+/// Performs one `GET` on a fresh `Connection: close` socket and reads
+/// the whole response, to EOF. `timeout` bounds connect, each read,
+/// and each write independently.
 pub fn http_get(url: &str, timeout: Duration) -> Result<HttpResponse, String> {
-    http_get_classified(url, timeout).map_err(|(_, e)| e)
+    let (authority, path) = split_url(url)?;
+    let mut stream = connect(authority, timeout).map_err(|(_, e)| e)?;
+    let request =
+        format!("GET {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).map_err(|e| format!("write failed: {e}"))?;
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).map_err(|e| format!("read failed: {e}"))?;
+    parse_response(&raw)
 }
 
 /// Bounded exponential backoff with deterministic jitter for transient
@@ -121,14 +133,15 @@ pub fn backoff_delay(url: &str, attempt: u32) -> Duration {
     Duration::from_millis(base_ms + h % (base_ms / 2).max(1))
 }
 
-/// Parses a full wire response (head + body).
-pub fn parse_response(raw: &[u8]) -> Result<HttpResponse, String> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| "truncated response: no header terminator".to_string())?;
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| "non-UTF-8 response head".to_string())?;
+/// Where the response head ends: the offset of its `\r\n\r\n`.
+fn head_end(raw: &[u8]) -> Option<usize> {
+    raw.windows(4).position(|w| w == b"\r\n\r\n")
+}
+
+/// Parses a response head (status line and headers, without the
+/// terminating blank line) into a response with an empty body.
+fn parse_head(head: &[u8]) -> Result<HttpResponse, String> {
+    let head = std::str::from_utf8(head).map_err(|_| "non-UTF-8 response head".to_string())?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or_default();
     let status = status_line
@@ -136,23 +149,26 @@ pub fn parse_response(raw: &[u8]) -> Result<HttpResponse, String> {
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| format!("bad status line: {status_line:?}"))?;
-    let headers: Vec<(String, String)> = lines
+    let headers = lines
         .filter_map(|l| l.split_once(':'))
         .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
         .collect();
-    let rest = &raw[head_end + 4..];
-    let body = match headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
+    Ok(HttpResponse { status, headers, body: Vec::new() })
+}
+
+/// Parses a full wire response (head + body).
+pub fn parse_response(raw: &[u8]) -> Result<HttpResponse, String> {
+    let end = head_end(raw).ok_or_else(|| "truncated response: no header terminator".to_string())?;
+    let mut resp = parse_head(&raw[..end])?;
+    let rest = &raw[end + 4..];
+    resp.body = match resp.content_length() {
         Some(len) if len <= rest.len() => rest[..len].to_vec(),
         Some(len) => {
             return Err(format!("truncated body: {} of {len} byte(s)", rest.len()));
         }
         None => rest.to_vec(),
     };
-    Ok(HttpResponse { status, headers, body })
+    Ok(resp)
 }
 
 /// A persistent HTTP/1.1 keep-alive connection to one authority.
@@ -227,33 +243,32 @@ impl Connection {
         self.on_socket = 0;
     }
 
-    fn ensure_connected(&mut self) -> Result<(), (bool, String)> {
-        if self.stream.is_some() {
-            return Ok(());
+    /// Writes one `GET` per path back-to-back, connecting first if no
+    /// socket is held. A failed write poisons the socket.
+    fn send(&mut self, paths: &[&str]) -> Result<(), (bool, String)> {
+        if self.stream.is_none() {
+            let stream = connect(&self.authority, self.timeout)?;
+            let _ = stream.set_nodelay(true);
+            self.stream = Some(stream);
+            self.opened += 1;
+            self.on_socket = 0;
         }
-        let addr = first_addr(&self.authority)
-            .map_err(|e| (false, format!("cannot resolve {:?}: {e}", self.authority)))?;
-        let stream = TcpStream::connect_timeout(&addr, self.timeout)
-            .map_err(|e| (is_transient(&e), format!("cannot connect to {}: {e}", self.authority)))?;
-        stream.set_read_timeout(Some(self.timeout)).map_err(|e| (false, e.to_string()))?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(|e| (false, e.to_string()))?;
-        let _ = stream.set_nodelay(true);
-        self.stream = Some(stream);
-        self.opened += 1;
-        self.on_socket = 0;
+        let burst: String = paths
+            .iter()
+            .map(|path| format!("GET {path} HTTP/1.1\r\nHost: {}\r\n\r\n", self.authority))
+            .collect();
+        if let Err(e) = self.stream.as_mut().expect("connected").write_all(burst.as_bytes()) {
+            let transient = is_transient(&e);
+            self.poison();
+            return Err((transient, format!("write failed: {e}")));
+        }
         Ok(())
     }
 
     /// One keep-alive `GET`. On error the bool reports whether the
     /// failure is transient (worth retrying).
     pub fn get_classified(&mut self, path: &str) -> Result<HttpResponse, (bool, String)> {
-        self.ensure_connected()?;
-        let request = format!("GET {path} HTTP/1.1\r\nHost: {}\r\n\r\n", self.authority);
-        if let Err(e) = self.stream.as_mut().expect("connected").write_all(request.as_bytes()) {
-            let transient = is_transient(&e);
-            self.poison();
-            return Err((transient, format!("write failed: {e}")));
-        }
+        self.send(&[path])?;
         self.read_response()
     }
 
@@ -265,140 +280,96 @@ impl Connection {
     /// Writes every request back-to-back, then reads the responses in
     /// order — a fully pipelined burst on one socket.
     pub fn pipeline(&mut self, paths: &[&str]) -> Result<Vec<HttpResponse>, String> {
-        self.ensure_connected().map_err(|(_, e)| e)?;
-        let mut burst = String::new();
-        for path in paths {
-            burst.push_str(&format!("GET {path} HTTP/1.1\r\nHost: {}\r\n\r\n", self.authority));
-        }
-        if let Err(e) = self.stream.as_mut().expect("connected").write_all(burst.as_bytes()) {
-            self.poison();
-            return Err(format!("write failed: {e}"));
-        }
-        let mut responses = Vec::with_capacity(paths.len());
-        for path in paths {
-            let r = self.read_response().map_err(|(_, e)| format!("GET {path}: {e}"))?;
-            responses.push(r);
-        }
-        Ok(responses)
+        self.send(paths).map_err(|(_, e)| e)?;
+        paths
+            .iter()
+            .map(|path| self.read_response().map_err(|(_, e)| format!("GET {path}: {e}")))
+            .collect()
     }
 
     /// Reads one `Content-Length`-framed response off the socket,
     /// leaving any bytes past it (pipelined follow-ups) buffered.
     fn read_response(&mut self) -> Result<HttpResponse, (bool, String)> {
         // 1. Buffer until the head terminator is in `carry`.
-        let head_end = loop {
-            if let Some(i) = self.carry.windows(4).position(|w| w == b"\r\n\r\n") {
+        let end = loop {
+            if let Some(i) = head_end(&self.carry) {
                 break i;
             }
-            match self.read_more() {
-                Ok(0) => {
-                    // Clean EOF. On a reused socket with no response
-                    // bytes this is the classic stale keep-alive race
-                    // (the server idle-closed between requests):
-                    // transient, retry on a fresh socket. Anything else
-                    // is a truncated response.
-                    let stale = self.on_socket > 0 && self.carry.is_empty();
-                    self.poison();
-                    return Err((
-                        stale,
-                        if stale {
-                            "stale keep-alive connection: closed between requests".to_string()
-                        } else {
-                            "truncated response: no header terminator".to_string()
-                        },
-                    ));
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    let transient = is_transient(&e);
-                    self.poison();
-                    return Err((transient, format!("read failed: {e}")));
-                }
-            }
-        };
-        let head = match std::str::from_utf8(&self.carry[..head_end]) {
-            Ok(h) => h.to_string(),
-            Err(_) => {
+            if self.read_more()? == 0 {
+                // Clean EOF. On a reused socket with no response bytes
+                // this is the classic stale keep-alive race (the server
+                // idle-closed between requests): transient, retry on a
+                // fresh socket. Anything else is a truncated response.
+                let stale = self.on_socket > 0 && self.carry.is_empty();
                 self.poison();
-                return Err((false, "non-UTF-8 response head".to_string()));
+                return Err((
+                    stale,
+                    if stale {
+                        "stale keep-alive connection: closed between requests".to_string()
+                    } else {
+                        "truncated response: no header terminator".to_string()
+                    },
+                ));
             }
         };
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or_default();
-        let status = match status_line.split(' ').nth(1).and_then(|s| s.parse::<u16>().ok()) {
-            Some(s) => s,
-            None => {
+        let mut resp = match parse_head(&self.carry[..end]) {
+            Ok(resp) => resp,
+            Err(e) => {
                 self.poison();
-                return Err((false, format!("bad status line: {status_line:?}")));
+                return Err((false, e));
             }
         };
-        let headers: Vec<(String, String)> = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-            .collect();
-        let content_length = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok());
 
         // 2. Buffer until the declared body is complete.
-        let body = match content_length {
+        let start = end + 4;
+        match resp.content_length() {
             Some(len) => {
-                while self.carry.len() < head_end + 4 + len {
-                    match self.read_more() {
-                        Ok(0) => {
-                            let got = self.carry.len() - head_end - 4;
-                            self.poison();
-                            return Err((false, format!("truncated body: {got} of {len} byte(s)")));
-                        }
-                        Ok(_) => {}
-                        Err(e) => {
-                            let transient = is_transient(&e);
-                            self.poison();
-                            return Err((transient, format!("read failed: {e}")));
-                        }
+                while self.carry.len() < start + len {
+                    if self.read_more()? == 0 {
+                        let got = self.carry.len() - start;
+                        self.poison();
+                        return Err((false, format!("truncated body: {got} of {len} byte(s)")));
                     }
                 }
-                let body = self.carry[head_end + 4..head_end + 4 + len].to_vec();
-                self.carry.drain(..head_end + 4 + len);
-                body
+                resp.body = self.carry[start..start + len].to_vec();
+                self.carry.drain(..start + len);
             }
             None => {
                 // No length: the server is using close framing. Read to
                 // EOF; this socket cannot carry another request.
-                loop {
-                    match self.read_more() {
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        Err(e) => {
-                            let transient = is_transient(&e);
-                            self.poison();
-                            return Err((transient, format!("read failed: {e}")));
-                        }
-                    }
-                }
-                let body = self.carry[head_end + 4..].to_vec();
+                while self.read_more()? > 0 {}
+                resp.body = self.carry[start..].to_vec();
                 self.poison();
-                body
             }
-        };
+        }
         if self.stream.is_some() {
             self.on_socket += 1;
-            let close = headers
+            let close = resp
+                .headers
                 .iter()
                 .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
             if close {
                 self.poison();
             }
         }
-        Ok(HttpResponse { status, headers, body })
+        Ok(resp)
     }
 
-    fn read_more(&mut self) -> std::io::Result<usize> {
+    /// Appends one read's worth of bytes to `carry`; `Ok(0)` is EOF. A
+    /// read error poisons the socket and reports its transience.
+    fn read_more(&mut self) -> Result<usize, (bool, String)> {
         let mut buf = [0u8; 16 * 1024];
-        let n = self.stream.as_mut().expect("connected").read(&mut buf)?;
-        self.carry.extend_from_slice(&buf[..n]);
-        Ok(n)
+        match self.stream.as_mut().expect("connected").read(&mut buf) {
+            Ok(n) => {
+                self.carry.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            Err(e) => {
+                let transient = is_transient(&e);
+                self.poison();
+                Err((transient, format!("read failed: {e}")))
+            }
+        }
     }
 }
 
@@ -427,85 +398,30 @@ pub fn http_get_retrying(
     timeout: Duration,
     max_attempts: u32,
 ) -> Result<HttpResponse, String> {
-    http_get_failover(std::slice::from_ref(&url.to_string()), timeout, max_attempts)
-}
-
-/// [`http_get_retrying`] across a list of candidate base URLs: every
-/// retryable failure (429/503 pushback, transient connection error)
-/// rotates to the next candidate, so a client pointed at a cluster
-/// keeps working while any member is up. Each candidate keeps its own
-/// keep-alive [`Connection`]; the backoff between attempts uses the
-/// same seeded jitter schedule as the single-URL path, keyed by the
-/// URL being abandoned so clients de-synchronize. All URLs must share
-/// one path (candidates are replicas, not alternatives).
-pub fn http_get_failover(
-    urls: &[String],
-    timeout: Duration,
-    max_attempts: u32,
-) -> Result<HttpResponse, String> {
-    if urls.is_empty() {
-        return Err("no candidate URLs".to_string());
-    }
-    let mut conns = Vec::with_capacity(urls.len());
-    let mut path0: Option<String> = None;
-    for url in urls {
-        let (authority, path) = split_url(url)?;
-        match &path0 {
-            None => path0 = Some(path.to_string()),
-            Some(p) if p != path => {
-                return Err(format!(
-                    "candidate URLs disagree on the path: {p:?} vs {path:?}"
-                ));
-            }
-            Some(_) => {}
-        }
-        conns.push(Connection::new(authority, timeout));
-    }
-    let path = path0.unwrap_or_else(|| "/".to_string());
+    let (authority, path) = split_url(url)?;
+    let mut conn = Connection::new(authority, timeout);
     let max_attempts = max_attempts.max(1);
     let mut last = String::new();
     for attempt in 0..max_attempts {
-        let which = attempt as usize % conns.len();
-        let url = &urls[which];
-        match conns[which].get_classified(&path) {
+        let delay = match conn.get_classified(path) {
             Ok(r) if r.status == 429 || r.status == 503 => {
                 let secs =
                     r.header("retry-after").and_then(|v| v.parse::<u64>().ok()).unwrap_or(1);
                 last = format!("server busy ({}, Retry-After: {secs})", r.status);
-                if attempt + 1 < max_attempts {
-                    // With several candidates the rotation is the
-                    // backoff: trying the next replica immediately
-                    // beats sleeping on a busy one.
-                    if conns.len() == 1 {
-                        std::thread::sleep(Duration::from_secs(secs));
-                    } else {
-                        std::thread::sleep(backoff_delay(url, attempt / conns.len() as u32));
-                    }
-                }
+                Duration::from_secs(secs)
             }
             Err((true, e)) => {
                 last = e;
-                if attempt + 1 < max_attempts {
-                    let delay = if conns.len() == 1 {
-                        backoff_delay(url, attempt)
-                    } else {
-                        backoff_delay(url, attempt / conns.len() as u32)
-                    };
-                    std::thread::sleep(delay);
-                }
+                backoff_delay(url, attempt)
             }
             Err((false, e)) => return Err(e),
             Ok(r) => return Ok(r),
+        };
+        if attempt + 1 < max_attempts {
+            std::thread::sleep(delay);
         }
     }
     Err(format!("gave up after {max_attempts} attempt(s): {last}"))
-}
-
-fn first_addr(authority: &str) -> std::io::Result<std::net::SocketAddr> {
-    use std::net::ToSocketAddrs;
-    authority.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::NotFound, "no address for host")
-    })
 }
 
 #[cfg(test)]
@@ -733,66 +649,31 @@ mod tests {
         assert_eq!(server.join().unwrap(), 2, "503 retried on the same socket");
     }
 
-    /// Failover rotates to the next candidate on pushback instead of
-    /// sleeping on the busy one: the second server answers while the
-    /// first keeps shedding.
+    /// A keep-alive response shorter than its `Content-Length` (the
+    /// server closed mid-body) is a permanent error, not a stale-socket
+    /// retry: the bytes it did send prove the request arrived. The
+    /// socket is poisoned, so the next request reconnects.
     #[test]
-    fn failover_rotates_across_candidates_on_pushback() {
-        let busy = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let ready = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let urls = vec![
-            format!("http://{}/results", busy.local_addr().unwrap()),
-            format!("http://{}/results", ready.local_addr().unwrap()),
-        ];
-        let busy_server = std::thread::spawn(move || {
-            let (mut stream, _) = busy.accept().unwrap();
-            assert!(read_request(&mut stream));
-            keepalive_reply(&mut stream, "503 Service Unavailable", "Retry-After: 30\r\n", "");
-        });
-        let ready_server = std::thread::spawn(move || {
-            let (mut stream, _) = ready.accept().unwrap();
-            assert!(read_request(&mut stream));
-            keepalive_reply(&mut stream, "200 OK", "", "ok\n");
-        });
-        let start = std::time::Instant::now();
-        let r = http_get_failover(&urls, Duration::from_secs(5), 4).unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(r.text(), "ok\n");
-        // The 30-second Retry-After was NOT slept: rotation beat it.
-        assert!(start.elapsed() < Duration::from_secs(10), "{:?}", start.elapsed());
-        busy_server.join().unwrap();
-        ready_server.join().unwrap();
-    }
-
-    /// A dead candidate (nobody listening) is skipped by the rotation.
-    #[test]
-    fn failover_skips_a_dead_candidate() {
-        let dead_port = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
-        let ready = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let urls = vec![
-            format!("http://127.0.0.1:{dead_port}/a"),
-            format!("http://{}/a", ready.local_addr().unwrap()),
-        ];
+    fn truncated_keepalive_body_is_permanent_and_poisons_the_socket() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let authority = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = ready.accept().unwrap();
+            let (mut stream, _) = listener.accept().unwrap();
             assert!(read_request(&mut stream));
-            keepalive_reply(&mut stream, "200 OK", "", "ok\n");
+            stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nhi").unwrap();
+            drop(stream);
+            let (mut stream, _) = listener.accept().unwrap();
+            assert!(read_request(&mut stream));
+            keepalive_reply(&mut stream, "200 OK", "", "whole\n");
         });
-        let r = http_get_failover(&urls, Duration::from_secs(5), 4).unwrap();
-        assert_eq!(r.status, 200);
+        let mut conn = Connection::new(&authority, Duration::from_secs(5));
+        let (transient, msg) = conn.get_classified("/x").unwrap_err();
+        assert!(!transient, "a truncated body is not retried: {msg}");
+        assert_eq!(msg, "truncated body: 2 of 9 byte(s)");
+        assert!(!conn.is_connected(), "the truncated socket is poisoned");
+        assert_eq!(conn.get("/x").unwrap().text(), "whole\n");
+        assert_eq!(conn.sockets_opened(), 2);
         server.join().unwrap();
-        // Mismatched candidate paths are rejected up front.
-        let err = http_get_failover(
-            &["http://h:1/a".to_string(), "http://h:2/b".to_string()],
-            Duration::from_secs(1),
-            1,
-        )
-        .unwrap_err();
-        assert!(err.contains("disagree on the path"), "{err}");
-        assert!(http_get_failover(&[], Duration::from_secs(1), 1).is_err());
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //!
 //! [`NetFaultPlan`]: spectrebench::NetFaultPlan
 
-use bench::client::Connection;
-use bench::Artifact;
 use spectrebench::{
-    classify, enumerate_cluster_coordinates, ClusterCoordinate, Observation, Outcome, Report,
-    SurvivalClass,
+    classify, enumerate_cluster_coordinates, Artifact, ClusterCoordinate, Observation, Outcome,
+    Report, SurvivalClass,
 };
 
+use crate::client::Connection;
 use crate::cluster::{boot_shards, proxy_config, shard_config};
 use crate::core::ServerConfig;
 use crate::server::Server;

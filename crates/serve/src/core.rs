@@ -23,12 +23,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use bench::{render_artifact_block, Artifact, ArtifactResult};
 use spectrebench::obs::metrics::prometheus_text;
 use spectrebench::obs::EventKind;
 use spectrebench::{
-    cell_value_json, crc32, default_jobs, EventBus, Executor, FaultPlan, FlightOutcome, Harness,
-    HarnessStats, Journal, NetFaultPlan, RetryPolicy, SingleFlight,
+    cell_value_json, crc32, default_jobs, Artifact, EventBus, Executor, FaultPlan, FlightOutcome,
+    Harness, HarnessStats, Journal, NetFaultPlan, RetryPolicy, SingleFlight,
 };
 
 use crate::http::{percent_encode_path, Request, Response};
@@ -119,7 +118,7 @@ pub struct Rendered {
 }
 
 /// Outcome of obtaining an artifact: the rendering or the error text.
-type ArtifactEntry = Result<Rendered, String>;
+pub(crate) type ArtifactEntry = Result<Rendered, String>;
 
 /// End-of-run counters, reported by `regend` at exit.
 #[derive(Debug, Clone, Copy, Default)]
@@ -203,7 +202,7 @@ pub struct Core {
     /// and `/results` but carry no cell values — `/cell` failover must
     /// consult this, not the rendered cache.
     swept: Mutex<HashSet<(&'static str, bool)>>,
-    pub(crate) results: Mutex<HashMap<bool, Arc<[u8]>>>,
+    results: Mutex<HashMap<bool, Arc<[u8]>>>,
     /// Drain flag (SIGTERM, `POST /shutdown`, or a handle).
     pub draining: AtomicBool,
     /// Requests admitted.
@@ -345,7 +344,9 @@ impl Core {
                     Response::text(500, format!("regend: {} failed: {e}\n", artifact.name()))
                 }
             },
-            SlowWork::Results { quick } => self.results_document(*quick, path),
+            SlowWork::Results { quick } => {
+                self.results_document(*quick, |artifact| self.obtain(artifact, *quick, path))
+            }
             SlowWork::Cell { artifact, experiment, content_key, seed, quick } => {
                 self.cell_response(*artifact, experiment, content_key, *seed, *quick, path)
             }
@@ -433,17 +434,24 @@ impl Core {
         Action::Slow(SlowWork::Results { quick })
     }
 
-    fn results_document(&self, quick: bool, path: &str) -> Response {
+    /// Assembles the `/results` document: every artifact's block in
+    /// paper order, each obtained through `fill` (this core's cache and
+    /// executor, or a proxy's shard-first fill). An artifact that fails
+    /// renders as its `FAILED` block and is counted in
+    /// `X-Regend-Failures`; only a document without failures is cached.
+    pub(crate) fn results_document(
+        &self,
+        quick: bool,
+        mut fill: impl FnMut(Artifact) -> ArtifactEntry,
+    ) -> Response {
         let mut body = Vec::new();
         let mut failures = 0u32;
         for artifact in Artifact::ALL {
-            match self.obtain(artifact, quick, path) {
+            match fill(artifact) {
                 Ok(r) => body.extend_from_slice(&r.body),
                 Err(_) => {
                     failures += 1;
-                    body.extend_from_slice(
-                        format!("== {} == FAILED\n\n", artifact.caption()).as_bytes(),
-                    );
+                    body.extend_from_slice(artifact.block(None).as_bytes());
                 }
             }
         }
@@ -461,7 +469,7 @@ impl Core {
     /// `GET /cell/<experiment>/<content-key>[?seed=N]`: one lattice
     /// cell as journal-shaped JSON.
     fn route_cell(&self, request: &Request, experiment: &str, content_key: &str) -> Action {
-        let artifact = match experiment_artifact(experiment) {
+        let artifact = match Artifact::for_experiment(experiment) {
             Some(a) => a,
             None => return Action::Done(unknown_artifact(experiment)),
         };
@@ -579,11 +587,7 @@ impl Core {
         let (entry, outcome) = self.flights.run(&flight_key, || {
             match artifact.regenerate(quick, &self.exec) {
                 Ok(out) => {
-                    let block = render_artifact_block(&ArtifactResult {
-                        artifact,
-                        outcome: Ok(out.clone()),
-                        cells: HarnessStats::default(),
-                    });
+                    let block = artifact.block(Some(&out.text));
                     let rendered =
                         Rendered { body: block.into_bytes().into(), degraded: out.degraded };
                     lock(&self.rendered).insert((artifact.name(), quick), rendered.clone());
@@ -627,16 +631,6 @@ pub fn deadline_expired(deadline: Option<Duration>, arrived: Instant) -> bool {
     deadline.is_some_and(|d| arrived.elapsed() > d)
 }
 
-/// Maps an experiment driver name onto the artifact whose sweep
-/// computes its cells. Identical for every driver except the two that
-/// feed the discussion artifact.
-pub fn experiment_artifact(experiment: &str) -> Option<Artifact> {
-    match experiment {
-        "ablations" | "smt" => Some(Artifact::Discussion),
-        other => Artifact::parse(other),
-    }
-}
-
 fn artifact_index() -> Response {
     let mut body = String::new();
     for a in Artifact::ALL {
@@ -669,16 +663,6 @@ fn endpoint_index() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn experiment_names_map_onto_artifacts() {
-        assert_eq!(experiment_artifact("figure2"), Some(Artifact::Figure2));
-        assert_eq!(experiment_artifact("table3"), Some(Artifact::Table3));
-        assert_eq!(experiment_artifact("ablations"), Some(Artifact::Discussion));
-        assert_eq!(experiment_artifact("smt"), Some(Artifact::Discussion));
-        assert_eq!(experiment_artifact("eibrs-bimodal"), Some(Artifact::EibrsBimodal));
-        assert_eq!(experiment_artifact("nope"), None);
-    }
 
     #[test]
     fn unknown_artifact_suggests_the_closest_name() {

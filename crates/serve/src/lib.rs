@@ -12,6 +12,10 @@
 //! * [`http`] — a minimal hand-rolled HTTP/1.1 layer with an
 //!   incremental, fragmentation-tolerant parser (the repo's
 //!   no-external-crates policy extends to the wire).
+//! * [`client`] — the matching HTTP/1.1 client: close-per-request and
+//!   keep-alive (pipelined) `GET`s, polite retry, and the seeded
+//!   backoff schedule. The proxy's shard hop, `regen fetch` and
+//!   `regen loadgen` all ride on it.
 //! * [`sys`] — raw `epoll(7)`/`eventfd(2)` shims, no libc crate.
 //! * [`core`] — routing, validation, the three deduplication layers
 //!   (rendered cache, single-flight, executor cell cache), and run
@@ -39,6 +43,7 @@
 //!
 //! [`Executor`]: spectrebench::Executor
 
+pub mod client;
 pub mod cluster;
 pub mod cluster_campaign;
 pub mod core;
@@ -50,9 +55,7 @@ pub mod sys;
 
 pub use cluster::{boot_shards, proxy_config, shard_config, ShardInstance};
 pub use cluster_campaign::{run_cluster_campaign, ClusterCampaignConfig};
-pub use core::{
-    experiment_artifact, Rendered, RunSummary, ServerConfig, SlowWork,
-};
+pub use core::{Rendered, RunSummary, ServerConfig, SlowWork};
 pub use http::{percent_decode, percent_encode_path, Body, Request, RequestParser, Response};
 pub use server::{install_sigterm_hook, Server, ServerHandle};
 pub use shard::{Cluster, HashRing, ShardHealth, ShardStatus};

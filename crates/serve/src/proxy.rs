@@ -27,10 +27,12 @@
 //! `X-Regend-Crc32`, verified on receipt — a damaged hop is a
 //! *detected* transient failure that re-enters layer 1.
 
-use bench::Artifact;
 use spectrebench::obs::{EventKind, ShardState};
+use spectrebench::Artifact;
 
-use crate::core::{artifact_response, cell_json_response, lock, Core, Rendered, SlowWork};
+use crate::core::{
+    artifact_response, cell_json_response, lock, ArtifactEntry, Core, Rendered, SlowWork,
+};
 use crate::http::{percent_encode_path, Response};
 use crate::shard::Cluster;
 
@@ -45,9 +47,21 @@ pub(crate) fn execute(core: &Core, cluster: &Cluster, work: &SlowWork, path: &st
                     Response::text(500, format!("regend: {} failed: {e}\n", artifact.name()))
                 }
             };
-            degrade(resp, cluster, &failover.into_iter().collect::<Vec<_>>())
+            degrade(resp, cluster, failover.as_slice())
         }
-        SlowWork::Results { quick } => results_document(core, cluster, *quick, path),
+        // `/results` fans out one owner fetch per artifact, reassembled
+        // in paper order: byte-identical to a single server's document.
+        SlowWork::Results { quick } => {
+            let mut failovers: Vec<usize> = Vec::new();
+            let resp = core.results_document(*quick, |artifact| {
+                let (entry, failover) = fill_artifact(core, cluster, artifact, *quick, path);
+                if let Some(shard) = failover.filter(|s| !failovers.contains(s)) {
+                    failovers.push(shard);
+                }
+                entry
+            });
+            degrade(resp, cluster, &failovers)
+        }
         SlowWork::Cell { artifact: _, experiment, content_key, seed, quick } => {
             cell(core, cluster, work, experiment, content_key, *seed, *quick, path)
         }
@@ -63,7 +77,7 @@ fn fill_artifact(
     artifact: Artifact,
     quick: bool,
     path: &str,
-) -> (Result<Rendered, String>, Option<usize>) {
+) -> (ArtifactEntry, Option<usize>) {
     if let Some(r) = lock(&core.rendered).get(&(artifact.name(), quick)).cloned() {
         core.bus.emit(artifact.name(), path, "", 0, EventKind::ArtifactCacheHit);
         return (Ok(r), None);
@@ -87,40 +101,6 @@ fn fill_artifact(
             (core.obtain(artifact, quick, path), Some(shard))
         }
     }
-}
-
-/// `/results` on the proxy: one owner fetch per artifact, reassembled
-/// in paper order — byte-identical to a single server's document.
-fn results_document(core: &Core, cluster: &Cluster, quick: bool, path: &str) -> Response {
-    let mut body = Vec::new();
-    let mut failures = 0u32;
-    let mut failovers: Vec<usize> = Vec::new();
-    for artifact in Artifact::ALL {
-        let (entry, failover) = fill_artifact(core, cluster, artifact, quick, path);
-        if let Some(shard) = failover {
-            if !failovers.contains(&shard) {
-                failovers.push(shard);
-            }
-        }
-        match entry {
-            Ok(r) => body.extend_from_slice(&r.body),
-            Err(_) => {
-                failures += 1;
-                body.extend_from_slice(
-                    format!("== {} == FAILED\n\n", artifact.caption()).as_bytes(),
-                );
-            }
-        }
-    }
-    let body: std::sync::Arc<[u8]> = body.into();
-    if failures == 0 {
-        lock(&core.results).insert(quick, std::sync::Arc::clone(&body));
-    }
-    let mut resp = Response::shared(200, body);
-    if failures > 0 {
-        resp = resp.with_header("X-Regend-Failures", failures.to_string());
-    }
-    degrade(resp, cluster, &failovers)
 }
 
 /// `/cell/...` on the proxy: fetch from the content key's owner, pass

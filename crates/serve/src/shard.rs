@@ -23,10 +23,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use bench::client::{backoff_delay, Connection, HttpResponse};
 use spectrebench::obs::ShardState;
 use spectrebench::{crc32, EventBus, EventKind, NetFaultKind, NetFaultPlan};
 
+use crate::client::{backoff_delay, Connection, HttpResponse};
 use crate::core::lock;
 
 /// Virtual nodes per shard on the ring. 64 points per shard keeps the

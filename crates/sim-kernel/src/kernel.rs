@@ -1030,7 +1030,7 @@ impl KernelState {
         let parent_table = self.procs[cur].full_table;
         let child_table = self.procs[child_idx].full_table;
         let child_user = self.procs[child_idx].user_table;
-        let pairs: Vec<(u64, u64, Option<u64>)> = {
+        let mut pairs: Vec<(u64, u64, Option<u64>)> = {
             let pt = m.mmu.table(parent_table).expect("parent table");
             let ct = m.mmu.table(child_table).expect("child table");
             pt.iter()
@@ -1041,6 +1041,9 @@ impl KernelState {
                 })
                 .collect()
         };
+        // The page table is a HashMap whose order changes from boot to
+        // boot; copy in page order so the child's fresh frames do not.
+        pairs.sort_unstable_by_key(|&(vpn, _, _)| vpn);
         for (vpn, parent_pfn, child_pfn) in pairs {
             let dst_pfn = match child_pfn {
                 Some(p) => p,

@@ -509,3 +509,32 @@ fn fork_copies_what_the_parent_wrote_and_separates_the_copies() {
         assert!(unwritten.iter().all(|&b| b == 0), "pid {pid}: data page 1 reads zero");
     }
 }
+
+#[test]
+fn fork_gives_the_child_frames_in_page_order() {
+    // Populated mmap pages are the parent's pages the child lacks, so
+    // fork allocates a fresh frame for each. The page table is a
+    // HashMap, so a copy in its order would hand the child a different
+    // permutation of the same frames on every boot.
+    const PAGES: u64 = 8;
+    let child_pfns = || {
+        let mut k = Kernel::boot(broadwell(), &BootParams::default());
+        let parent = k.spawn(|b| {
+            b.mov_imm(Reg::R1, PAGES * 4096);
+            emit_syscall(b, nr::MMAP_POPULATE);
+            emit_syscall(b, nr::FORK);
+            emit_exit(b);
+        });
+        k.start();
+        assert_eq!(k.run(BUDGET).unwrap(), Stop::Halted);
+        assert_eq!(k.state.stats.forks, 1);
+        let region = k.process(parent).unwrap().mmap_regions[0];
+        let table = k.machine.mmu.table(k.process(parent + 1).unwrap().full_table).unwrap();
+        (0..PAGES)
+            .map(|i| table.lookup(region.start + i * 4096).expect("the child maps the page").pfn)
+            .collect::<Vec<u64>>()
+    };
+    let first = child_pfns();
+    assert!(first.windows(2).all(|w| w[0] < w[1]), "pfns ascend with the page: {first:?}");
+    assert_eq!(child_pfns(), first, "a second boot gives the child the same frames");
+}

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::client::{http_get_retrying, HttpResponse};
 use bench::{render_artifact_block, run_regen, Artifact, RegenOptions};
+use serve::client::{http_get_retrying, HttpResponse};
 use serve::{
     boot_shards, percent_encode_path, proxy_config, HashRing, Server, ServerConfig, ServerHandle,
     ShardInstance,

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::client::{http_get, http_get_retrying, Connection, HttpResponse};
 use bench::{render_artifact_block, run_regen, Artifact, RegenOptions};
+use serve::client::{http_get, http_get_retrying, Connection, HttpResponse};
 use serve::{Server, ServerConfig, ServerHandle};
 use spectrebench::{FaultKind, FaultPlan};
 
