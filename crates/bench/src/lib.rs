@@ -15,10 +15,10 @@ pub mod loadgen;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use spectrebench::obs::{metrics, trace};
+use spectrebench::obs::trace;
 use spectrebench::{
     atomic_write, default_jobs, EventBus, Executor, ExperimentError, FaultPlan, Harness,
-    HarnessStats, Journal, RetryPolicy,
+    HarnessStats, Journal, RetryPolicy, SystemClock,
 };
 
 pub use spectrebench::artifact::{Artifact, ArtifactOutput};
@@ -56,9 +56,11 @@ pub struct RegenOptions {
     /// file — a killed run must leave either the old artifact or the
     /// complete new one, never a torn hybrid.
     pub out: Option<PathBuf>,
-    /// Record events on this bus instead of a fresh one. Tests pass a
-    /// bus over a virtual clock; when `None`, a bus is created only if
-    /// `trace_out` or `metrics_out` asks for one.
+    /// Emit events on this bus instead of a fresh one. Tests pass a
+    /// recording bus over a virtual clock; when `None`, a bus is created
+    /// only if `trace_out` (a recording one) or `metrics_out` asks for
+    /// one. `trace_out` on a bus that does not record writes an empty
+    /// trace.
     pub obs: Option<Arc<EventBus>>,
 }
 
@@ -144,10 +146,12 @@ pub fn run_regen(opts: &RegenOptions) -> std::io::Result<RegenReport> {
         retry.max_attempts = n.max(1);
         harness = harness.with_retry(retry);
     }
-    let obs = if opts.obs.is_some() || opts.trace_out.is_some() || opts.metrics_out.is_some() {
-        Some(opts.obs.clone().unwrap_or_else(|| Arc::new(EventBus::new())))
-    } else {
-        None
+    // Only a trace needs the event stream; metrics alone fold at emit.
+    let obs = match (&opts.obs, &opts.trace_out, &opts.metrics_out) {
+        (Some(bus), _, _) => Some(Arc::clone(bus)),
+        (None, Some(_), _) => Some(Arc::new(EventBus::recording(Arc::new(SystemClock::new())))),
+        (None, None, Some(_)) => Some(Arc::new(EventBus::new())),
+        (None, None, None) => None,
     };
     let mut exec = Executor::new(harness).with_jobs(opts.jobs.unwrap_or_else(default_jobs));
     if let Some(bus) = &obs {
@@ -175,12 +179,11 @@ pub fn run_regen(opts: &RegenOptions) -> std::io::Result<RegenReport> {
     }
     let stats = exec.stats();
     if let Some(bus) = &obs {
-        let events = bus.snapshot();
         if let Some(path) = &opts.trace_out {
-            atomic_write(path, trace::chrome_trace_json(&events).as_bytes())?;
+            atomic_write(path, trace::chrome_trace_json(&bus.snapshot()).as_bytes())?;
         }
         if let Some(path) = &opts.metrics_out {
-            atomic_write(path, metrics::prometheus_text(&events, &stats).as_bytes())?;
+            atomic_write(path, bus.metrics(|m| m.render(&stats)).as_bytes())?;
         }
     }
     let report = RegenReport { results, stats, obs };
@@ -216,5 +219,26 @@ mod tests {
         assert_eq!(report.failures().len(), 1);
         assert!(report.results[1].outcome.is_ok());
         assert!(report.stats.cells_failed >= 1);
+    }
+
+    #[test]
+    fn metrics_alone_fold_events_without_recording_them() {
+        let dir = std::env::temp_dir().join(format!("regen-metrics-only-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prom = dir.join("metrics.prom");
+        let report = run_regen(&RegenOptions {
+            artifacts: vec![Artifact::Table1],
+            quick: true,
+            metrics_out: Some(prom.clone()),
+            ..RegenOptions::default()
+        })
+        .unwrap();
+        let bus = report.obs.expect("--metrics-out attaches a bus");
+        assert!(!bus.is_empty(), "the sweep emitted events");
+        assert!(bus.snapshot().is_empty(), "without --trace-out nothing is recorded");
+        let text = std::fs::read_to_string(&prom).unwrap();
+        let run = report.stats.cells_run;
+        assert!(text.contains(&format!("\nregen_cells_simulated_total {run}\n")), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

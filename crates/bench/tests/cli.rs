@@ -196,3 +196,52 @@ fn injected_permanent_fault_exits_nonzero_with_keep_going() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("DEGRADED"), "{stderr}");
 }
+
+/// The cell counts `regen` prints on stderr: (cells run, from cache).
+fn printed_cell_counts(stderr: &str) -> (u64, u64) {
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("regen: ") && l.contains(" cells run, "))
+        .unwrap_or_else(|| panic!("no cell summary on stderr:\n{stderr}"));
+    let count = |label: &str| -> u64 {
+        let end = line.find(label).unwrap_or_else(|| panic!("{label:?} missing: {line}"));
+        let start = line[..end].rfind(' ').map_or(0, |i| i + 1);
+        line[start..end].parse().unwrap_or_else(|e| panic!("{line}: {e}"))
+    };
+    (count(" cells run"), count(" from cache"))
+}
+
+/// Both trace and metrics exports of a real run: the trace parses and
+/// holds spans, and the exposition's cell counters equal what `regen`
+/// prints. With metrics alone nothing is recorded, and the counters
+/// still come out the same.
+#[test]
+fn trace_and_metrics_exports_agree_with_the_printed_summary() {
+    let dir = scratch("obs");
+    let trace = dir.join("trace.json");
+    let prom = dir.join("metrics.prom");
+    let artifacts = ["--quick", "table9", "table10", "table9"];
+    for with_trace in [true, false] {
+        let _ = std::fs::remove_file(&prom);
+        let mut cmd = regen();
+        cmd.args(artifacts).arg("--metrics-out").arg(&prom);
+        if with_trace {
+            cmd.arg("--trace-out").arg(&trace);
+        }
+        let out = cmd.output().expect("spawn regen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        let (run, cached) = printed_cell_counts(&stderr);
+        assert!(cached > 0, "the repeated table9 is served from cache: {stderr}");
+
+        let text = std::fs::read_to_string(&prom).expect("metrics written");
+        assert!(text.contains(&format!("\nregen_cells_simulated_total {run}\n")), "{text}");
+        assert!(text.contains(&format!("\nregen_cells_cached_total {cached}\n")), "{text}");
+        if with_trace {
+            let json = std::fs::read_to_string(&trace).expect("trace written");
+            spectrebench::json::parse(&json).expect("the trace is well-formed JSON");
+            assert!(json.contains("\"ph\":\"X\""), "cell spans present");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,6 +13,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
+use crate::harness::lock;
+use crate::persist::fnv1a;
+
 /// What kind of failure to inject into a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -93,26 +96,13 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One targeted injection rule: cells whose key contains `cell_substr`
-/// fail with `kind` on their first `times` attempts (`None` = every
-/// attempt, i.e. a permanent failure).
-#[derive(Debug, Clone)]
-pub struct FaultRule {
-    /// Substring matched against the cell key
-    /// (`experiment/cpu/workload/[config]`).
-    pub cell_substr: String,
-    /// Failure to inject.
-    pub kind: FaultKind,
-    /// How many attempts to kill per cell; `None` kills them all.
-    pub times: Option<u32>,
-}
-
 /// A deterministic fault-injection plan.
 ///
 /// Two mechanisms compose:
 ///
-/// * **Targeted rules** ([`FaultPlan::fail_cell`]): kill specific cells
-///   a fixed number of times (or forever). This is what the resume /
+/// * **Targeted rules** ([`FaultPlan::fail_cell`]): kill cells whose key
+///   (`experiment/cpu/workload/[config]`) contains a substring, a fixed
+///   number of times (or forever). This is what the resume /
 ///   keep-going integration tests use.
 /// * **Seeded background noise** ([`FaultPlan::seeded`]): every
 ///   (cell, attempt) pair fails with probability `p`, decided by a hash
@@ -123,26 +113,8 @@ pub struct FaultRule {
 /// through, which is how tests prove retry recovers. The counters are
 /// keyed by cell, not by global call order, so injection is independent
 /// of how the executor interleaves cells across workers.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    rules: Vec<FaultRule>,
-    seed: u64,
-    probability: f64,
-    delivered: Mutex<HashMap<(usize, String), u32>>,
-}
-
-impl Clone for FaultPlan {
-    fn clone(&self) -> FaultPlan {
-        FaultPlan {
-            rules: self.rules.clone(),
-            seed: self.seed,
-            probability: self.probability,
-            delivered: Mutex::new(
-                self.delivered.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-            ),
-        }
-    }
-}
+#[derive(Debug, Default, Clone)]
+pub struct FaultPlan(Rules<String, FaultKind>);
 
 impl FaultPlan {
     /// An empty plan (injects nothing).
@@ -153,23 +125,25 @@ impl FaultPlan {
     /// A background-flakiness plan: each (cell, attempt) fails with
     /// probability `probability`, decided deterministically from `seed`.
     pub fn seeded(seed: u64, probability: f64) -> FaultPlan {
-        FaultPlan { seed, probability: probability.clamp(0.0, 1.0), ..FaultPlan::default() }
+        FaultPlan(Rules::seeded(seed, probability))
     }
 
-    /// Adds a targeted rule (builder style).
+    /// Adds a targeted rule, chainable: cells whose key contains
+    /// `cell_substr` fail with `kind` on their first `times` attempts
+    /// (`None` = every attempt, i.e. a permanent failure).
     pub fn fail_cell(
         mut self,
         cell_substr: impl Into<String>,
         kind: FaultKind,
         times: Option<u32>,
     ) -> FaultPlan {
-        self.rules.push(FaultRule { cell_substr: cell_substr.into(), kind, times });
+        self.0.rules.push(Rule { target: cell_substr.into(), kind, times });
         self
     }
 
     /// Whether the plan can ever inject anything.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.probability == 0.0
+        self.0.is_empty()
     }
 
     /// Parses the `regen --inject` specification:
@@ -179,75 +153,35 @@ impl FaultPlan {
     /// seed=<n>:prob=<float>
     /// ```
     ///
-    /// `<kind>` is any of [`FaultKind::ALL`]: the compute kinds `sim`,
-    /// `timeout`, `corrupt` and `panic` fail the attempt; the I/O kinds
-    /// `torn-write` and `journal-corrupt` damage the cell's journal line
-    /// instead. Rules are comma-separated; a `seed=`/`prob=` pair may
-    /// appear as one of them to add background flakiness.
+    /// `<kind>` is any of [`FaultKind::ALL`] and defaults to `sim`: the
+    /// compute kinds `sim`, `timeout`, `corrupt` and `panic` fail the
+    /// attempt; the I/O kinds `torn-write` and `journal-corrupt` damage
+    /// the cell's journal line instead. Rules are comma-separated; a
+    /// `seed=`/`prob=` pair may appear as one of them to add background
+    /// flakiness.
     pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new();
-        for rule in spec.split(',').filter(|r| !r.is_empty()) {
-            let mut cell = None;
-            let mut kind = FaultKind::SimFault;
-            let mut times = None;
-            let mut seed = None;
-            let mut prob = None;
-            for part in rule.split(':') {
-                let (key, value) = part
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --inject part (want key=value): {part:?}"))?;
+        let rules = Rules::parse(
+            spec,
+            "--inject",
+            "either cell=... or seed=...:prob=...",
+            |(cell, kind): &mut (Option<String>, Option<FaultKind>), key, value| {
                 match key {
-                    "cell" => cell = Some(value.to_string()),
+                    "cell" => *cell = Some(value.to_string()),
                     "kind" => {
-                        kind = FaultKind::parse(value).ok_or_else(|| {
+                        *kind = Some(FaultKind::parse(value).ok_or_else(|| {
                             format!(
                                 "unknown fault kind {value:?} (valid kinds: {})",
                                 FaultKind::all_names()
                             )
-                        })?
+                        })?)
                     }
-                    "times" => {
-                        times = if value == "forever" {
-                            None
-                        } else {
-                            Some(value.parse::<u32>().map_err(|e| {
-                                format!("bad times value {value:?}: {e}")
-                            })?)
-                        }
-                    }
-                    "seed" => {
-                        seed = Some(
-                            value
-                                .parse::<u64>()
-                                .map_err(|e| format!("bad seed value {value:?}: {e}"))?,
-                        )
-                    }
-                    "prob" => {
-                        prob = Some(
-                            value
-                                .parse::<f64>()
-                                .map_err(|e| format!("bad prob value {value:?}: {e}"))?,
-                        )
-                    }
-                    other => return Err(format!("unknown --inject key: {other:?}")),
+                    _ => return Ok(false),
                 }
-            }
-            match (cell, seed, prob) {
-                (Some(c), None, None) => {
-                    plan.rules.push(FaultRule { cell_substr: c, kind, times });
-                }
-                (None, Some(s), Some(p)) => {
-                    plan.seed = s;
-                    plan.probability = p.clamp(0.0, 1.0);
-                }
-                _ => {
-                    return Err(format!(
-                        "--inject rule needs either cell=... or seed=...:prob=...: {rule:?}"
-                    ))
-                }
-            }
-        }
-        Ok(plan)
+                Ok(true)
+            },
+            |(cell, kind)| Ok(cell.map(|c| (c, kind.unwrap_or(FaultKind::SimFault)))),
+        )?;
+        Ok(FaultPlan(rules))
     }
 
     /// Decides whether attempt `attempt` of the cell named `cell_key`
@@ -256,17 +190,15 @@ impl FaultPlan {
     /// rules ([`FaultKind::is_io`]) are never delivered here — they
     /// fire from [`FaultPlan::inject_io`] when the cell is journaled.
     pub fn inject(&self, cell_key: &str, attempt: u32) -> Option<FaultKind> {
-        if let Some(kind) = self.match_rules(cell_key, |k| !k.is_io()) {
-            return Some(kind);
-        }
-        if self.probability > 0.0 && unit_hash(self.seed, cell_key, attempt) < self.probability {
-            // Background faults rotate through the compute kinds
-            // deterministically.
-            let kinds = [FaultKind::SimFault, FaultKind::Timeout, FaultKind::CorruptSample];
-            let pick = (mix(self.seed ^ 0xC0FF_EE00, cell_key, attempt) % 3) as usize;
-            return Some(kinds[pick]);
-        }
-        None
+        // Background faults rotate through the compute kinds
+        // deterministically.
+        let kinds = [FaultKind::SimFault, FaultKind::Timeout, FaultKind::CorruptSample];
+        self.0
+            .deliver(cell_key, |cell, kind| !kind.is_io() && cell_key.contains(cell.as_str()))
+            .or_else(|| {
+                let pick = self.0.background(cell_key, attempt, 0xC0FF_EE00)?;
+                Some(kinds[(pick % kinds.len() as u64) as usize])
+            })
     }
 
     /// Decides whether journaling the completed cell named `cell_key`
@@ -275,30 +207,7 @@ impl FaultPlan {
     /// first `k` appends for each matching cell), but consulted on the
     /// write path, so compute rules never fire here and vice versa.
     pub fn inject_io(&self, cell_key: &str) -> Option<FaultKind> {
-        self.match_rules(cell_key, |k| k.is_io())
-    }
-
-    /// Shared targeted-rule matcher; `eligible` selects which rule
-    /// kinds this call site may deliver.
-    fn match_rules(&self, cell_key: &str, eligible: impl Fn(FaultKind) -> bool) -> Option<FaultKind> {
-        for (i, rule) in self.rules.iter().enumerate() {
-            if !eligible(rule.kind) || !cell_key.contains(rule.cell_substr.as_str()) {
-                continue;
-            }
-            match rule.times {
-                None => return Some(rule.kind),
-                Some(limit) => {
-                    let mut delivered =
-                        self.delivered.lock().unwrap_or_else(|e| e.into_inner());
-                    let count = delivered.entry((i, cell_key.to_string())).or_insert(0);
-                    if *count < limit {
-                        *count += 1;
-                        return Some(rule.kind);
-                    }
-                }
-            }
-        }
-        None
+        self.0.deliver(cell_key, |cell, kind| kind.is_io() && cell_key.contains(cell.as_str()))
     }
 }
 
@@ -364,47 +273,14 @@ impl fmt::Display for NetFaultKind {
     }
 }
 
-/// One targeted network rule: hops to `shard` (or any shard when
-/// `None`) whose request path contains `path_substr` fail with `kind`
-/// on their first `times` attempts per hop (`None` = every attempt).
-#[derive(Debug, Clone)]
-pub struct NetFaultRule {
-    /// Shard index the rule targets; `None` matches every shard.
-    pub shard: Option<usize>,
-    /// Substring matched against the request path (empty matches all).
-    pub path_substr: String,
-    /// Failure to inject on the hop.
-    pub kind: NetFaultKind,
-    /// How many attempts to kill per (rule, hop); `None` kills all.
-    pub times: Option<u32>,
-}
-
 /// A deterministic network-fault plan for the proxy↔shard hop.
 ///
-/// Mirrors [`FaultPlan`]'s two mechanisms — targeted rules plus seeded
-/// background noise — and its delivery accounting: counters are keyed
+/// [`FaultPlan`]'s two mechanisms — targeted rules plus seeded
+/// background noise — and its delivery accounting, with counters keyed
 /// per (rule, hop), where a hop is `shard:path`, so injection is
 /// independent of how proxy workers interleave fetches.
-#[derive(Debug, Default)]
-pub struct NetFaultPlan {
-    rules: Vec<NetFaultRule>,
-    seed: u64,
-    probability: f64,
-    delivered: Mutex<HashMap<(usize, String), u32>>,
-}
-
-impl Clone for NetFaultPlan {
-    fn clone(&self) -> NetFaultPlan {
-        NetFaultPlan {
-            rules: self.rules.clone(),
-            seed: self.seed,
-            probability: self.probability,
-            delivered: Mutex::new(
-                self.delivered.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-            ),
-        }
-    }
-}
+#[derive(Debug, Default, Clone)]
+pub struct NetFaultPlan(Rules<(Option<usize>, String), NetFaultKind>);
 
 impl NetFaultPlan {
     /// An empty plan (injects nothing).
@@ -416,10 +292,13 @@ impl NetFaultPlan {
     /// probability `probability`, decided deterministically from `seed`,
     /// rotating through every [`NetFaultKind`].
     pub fn seeded(seed: u64, probability: f64) -> NetFaultPlan {
-        NetFaultPlan { seed, probability: probability.clamp(0.0, 1.0), ..NetFaultPlan::default() }
+        NetFaultPlan(Rules::seeded(seed, probability))
     }
 
-    /// Adds a targeted rule (builder style).
+    /// Adds a targeted rule, chainable: hops to `shard` (or any
+    /// shard when `None`) whose request path contains `path_substr`
+    /// fail with `kind` on their first `times` attempts per hop (`None`
+    /// = every attempt).
     pub fn fail_hop(
         mut self,
         shard: Option<usize>,
@@ -427,13 +306,13 @@ impl NetFaultPlan {
         kind: NetFaultKind,
         times: Option<u32>,
     ) -> NetFaultPlan {
-        self.rules.push(NetFaultRule { shard, path_substr: path_substr.into(), kind, times });
+        self.0.rules.push(Rule { target: (shard, path_substr.into()), kind, times });
         self
     }
 
     /// Whether the plan can ever inject anything.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.probability == 0.0
+        self.0.is_empty()
     }
 
     /// Parses the `regend --net-inject` specification:
@@ -443,21 +322,15 @@ impl NetFaultPlan {
     /// seed=<n>:prob=<float>
     /// ```
     pub fn parse_spec(spec: &str) -> Result<NetFaultPlan, String> {
-        let mut plan = NetFaultPlan::new();
-        for rule in spec.split(',').filter(|r| !r.is_empty()) {
-            let mut shard: Option<Option<usize>> = None;
-            let mut kind = None;
-            let mut times = None;
-            let mut path = String::new();
-            let mut seed = None;
-            let mut prob = None;
-            for part in rule.split(':') {
-                let (key, value) = part
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --net-inject part (want key=value): {part:?}"))?;
+        type Keys = (Option<Option<usize>>, Option<NetFaultKind>, String);
+        let rules = Rules::parse(
+            spec,
+            "--net-inject",
+            "shard=...:kind=... or seed=...:prob=...",
+            |(shard, kind, path): &mut Keys, key, value| {
                 match key {
                     "shard" => {
-                        shard = Some(if value == "any" {
+                        *shard = Some(if value == "any" {
                             None
                         } else {
                             Some(value.parse::<usize>().map_err(|e| {
@@ -466,13 +339,120 @@ impl NetFaultPlan {
                         })
                     }
                     "kind" => {
-                        kind = Some(NetFaultKind::parse(value).ok_or_else(|| {
+                        *kind = Some(NetFaultKind::parse(value).ok_or_else(|| {
                             format!(
                                 "unknown net fault kind {value:?} (valid kinds: {})",
                                 NetFaultKind::all_names()
                             )
                         })?)
                     }
+                    "path" => *path = value.to_string(),
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            },
+            |(shard, kind, path)| match (shard, kind) {
+                (Some(shard), Some(kind)) => Ok(Some(((shard, path), kind))),
+                (None, None) => Ok(None),
+                _ => Err(()),
+            },
+        )?;
+        Ok(NetFaultPlan(rules))
+    }
+
+    /// Decides whether attempt `attempt` of the hop `(shard, path)`
+    /// suffers an injected network fault, and which. Deterministic
+    /// given the plan's history, independent of fetch interleaving
+    /// across hops.
+    pub fn inject(&self, shard: usize, path: &str, attempt: u32) -> Option<NetFaultKind> {
+        let hop = format!("{shard}:{path}");
+        self.0
+            .deliver(&hop, |(target, substr), _| {
+                target.is_none_or(|s| s == shard) && path.contains(substr.as_str())
+            })
+            .or_else(|| {
+                let pick = self.0.background(&hop, attempt, 0xBAD_CAB1E)?;
+                Some(NetFaultKind::ALL[(pick % NetFaultKind::ALL.len() as u64) as usize])
+            })
+    }
+}
+
+/// One targeted rule: deliveries whose key matches `target` fail with
+/// `kind`, the first `times` of them per (rule, key) (`None` = all).
+#[derive(Debug, Clone)]
+struct Rule<T, K> {
+    target: T,
+    kind: K,
+    times: Option<u32>,
+}
+
+/// The rule engine both plans wrap: targeted rules, seeded background
+/// noise, and delivery counts per (rule, key). A plan supplies only
+/// what its rules match (`T`), its kinds (`K`), and its spec keys.
+#[derive(Debug)]
+struct Rules<T, K> {
+    rules: Vec<Rule<T, K>>,
+    seed: u64,
+    probability: f64,
+    delivered: Mutex<HashMap<(usize, String), u32>>,
+}
+
+impl<T, K: Copy> Default for Rules<T, K> {
+    fn default() -> Rules<T, K> {
+        Rules::seeded(0, 0.0)
+    }
+}
+
+impl<T: Clone, K: Clone> Clone for Rules<T, K> {
+    fn clone(&self) -> Rules<T, K> {
+        Rules {
+            rules: self.rules.clone(),
+            seed: self.seed,
+            probability: self.probability,
+            delivered: Mutex::new(lock(&self.delivered).clone()),
+        }
+    }
+}
+
+impl<T, K: Copy> Rules<T, K> {
+    fn seeded(seed: u64, probability: f64) -> Rules<T, K> {
+        Rules {
+            rules: Vec::new(),
+            seed,
+            probability: probability.clamp(0.0, 1.0),
+            delivered: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rules.is_empty() && self.probability == 0.0
+    }
+
+    /// Parses a spec: comma-separated rules of colon-separated
+    /// `key=value` parts. `times=`, `seed=` and `prob=` are shared;
+    /// `key` parses the plan's own keys into `Keys` (answering
+    /// `Ok(false)` for a key it does not know), and `rule` turns them into a
+    /// targeted rule, `Ok(None)` when they name none (a `seed=`/`prob=`
+    /// rule), or `Err` when they name half of one. `flag` and `needs`
+    /// word the errors.
+    fn parse<Keys: Default>(
+        spec: &str,
+        flag: &str,
+        needs: &str,
+        key: impl Fn(&mut Keys, &str, &str) -> Result<bool, String>,
+        rule: impl Fn(Keys) -> Result<Option<(T, K)>, ()>,
+    ) -> Result<Rules<T, K>, String> {
+        let mut parsed = Rules::default();
+        for text in spec.split(',').filter(|r| !r.is_empty()) {
+            let mut keys = Keys::default();
+            let mut times = None;
+            let mut seed = None;
+            let mut prob = None;
+            for part in text.split(':') {
+                let (k, value) = part
+                    .split_once('=')
+                    .ok_or_else(|| format!("bad {flag} part (want key=value): {part:?}"))?;
+                match k {
                     "times" => {
                         times = if value == "forever" {
                             None
@@ -482,7 +462,6 @@ impl NetFaultPlan {
                             })?)
                         }
                     }
-                    "path" => path = value.to_string(),
                     "seed" => {
                         seed = Some(
                             value
@@ -497,44 +476,39 @@ impl NetFaultPlan {
                                 .map_err(|e| format!("bad prob value {value:?}: {e}"))?,
                         )
                     }
-                    other => return Err(format!("unknown --net-inject key: {other:?}")),
+                    other => {
+                        if !key(&mut keys, other, value)? {
+                            return Err(format!("unknown {flag} key: {other:?}"));
+                        }
+                    }
                 }
             }
-            match (shard, kind, seed, prob) {
-                (Some(s), Some(k), None, None) => {
-                    plan.rules.push(NetFaultRule { shard: s, path_substr: path, kind: k, times });
+            match (rule(keys), seed, prob) {
+                (Ok(Some((target, kind))), None, None) => {
+                    parsed.rules.push(Rule { target, kind, times });
                 }
-                (None, None, Some(s), Some(p)) => {
-                    plan.seed = s;
-                    plan.probability = p.clamp(0.0, 1.0);
+                (Ok(None), Some(s), Some(p)) => {
+                    parsed.seed = s;
+                    parsed.probability = p.clamp(0.0, 1.0);
                 }
-                _ => {
-                    return Err(format!(
-                        "--net-inject rule needs shard=...:kind=... or seed=...:prob=...: {rule:?}"
-                    ))
-                }
+                _ => return Err(format!("{flag} rule needs {needs}: {text:?}")),
             }
         }
-        Ok(plan)
+        Ok(parsed)
     }
 
-    /// Decides whether attempt `attempt` of the hop `(shard, path)`
-    /// suffers an injected network fault, and which. Deterministic
-    /// given the plan's history, independent of fetch interleaving
-    /// across hops.
-    pub fn inject(&self, shard: usize, path: &str, attempt: u32) -> Option<NetFaultKind> {
-        let hop = format!("{shard}:{path}");
+    /// The first rule `matches` accepts whose budget for `key` is not
+    /// spent, counting the delivery.
+    fn deliver(&self, key: &str, matches: impl Fn(&T, K) -> bool) -> Option<K> {
         for (i, rule) in self.rules.iter().enumerate() {
-            if rule.shard.is_some_and(|s| s != shard) || !path.contains(rule.path_substr.as_str())
-            {
+            if !matches(&rule.target, rule.kind) {
                 continue;
             }
             match rule.times {
                 None => return Some(rule.kind),
                 Some(limit) => {
-                    let mut delivered =
-                        self.delivered.lock().unwrap_or_else(|e| e.into_inner());
-                    let count = delivered.entry((i, hop.clone())).or_insert(0);
+                    let mut delivered = lock(&self.delivered);
+                    let count = delivered.entry((i, key.to_string())).or_insert(0);
                     if *count < limit {
                         *count += 1;
                         return Some(rule.kind);
@@ -542,12 +516,15 @@ impl NetFaultPlan {
                 }
             }
         }
-        if self.probability > 0.0 && unit_hash(self.seed, &hop, attempt) < self.probability {
-            let pick = (mix(self.seed ^ 0xBAD_CAB1E, &hop, attempt)
-                % NetFaultKind::ALL.len() as u64) as usize;
-            return Some(NetFaultKind::ALL[pick]);
-        }
         None
+    }
+
+    /// Background noise: when the seeded draw fails attempt `attempt`
+    /// of `key`, a hash salted with `salt` for the plan to pick a kind
+    /// with.
+    fn background(&self, key: &str, attempt: u32, salt: u64) -> Option<u64> {
+        (self.probability > 0.0 && unit_hash(self.seed, key, attempt) < self.probability)
+            .then(|| mix(self.seed ^ salt, key, attempt))
     }
 }
 
@@ -555,11 +532,7 @@ impl NetFaultPlan {
 pub(crate) fn mix(seed: u64, key: &str, attempt: u32) -> u64 {
     // FNV-1a over the key, then an xorshift* finalizer with the seed and
     // attempt folded in.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(key.bytes());
     let mut x = h ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((attempt as u64) << 32);
     x ^= x >> 12;
     x ^= x << 25;

@@ -528,66 +528,6 @@ impl Harness {
         }
     }
 
-    /// Runs one measurement cell with fault injection, watchdog, and
-    /// retry.
-    ///
-    /// The closure receives the attempt index (0-based). On success the
-    /// measurement's `retries` field records how many extra attempts
-    /// were needed. Experiment drivers no longer call this directly —
-    /// they produce [`crate::plan::ExperimentPlan`]s — but it remains
-    /// the primitive for one-off measurements and tests.
-    pub fn run_cell(
-        &self,
-        ctx: &RunContext,
-        mut f: impl FnMut(u32) -> Result<Measurement, ExperimentError>,
-    ) -> Result<Measurement, ExperimentError> {
-        let started = Instant::now();
-        let result = self.attempt_loop(ctx, |attempt| {
-            let mut m = f(attempt)?;
-            m.retries = attempt;
-            if !m.mean.is_finite() || !m.ci95.is_finite() {
-                return Err(ExperimentError::DegenerateStatistics {
-                    ctx: ctx.clone(),
-                    detail: format!("non-finite measurement (mean {}, ci95 {})", m.mean, m.ci95),
-                });
-            }
-            Ok(m)
-        });
-        let elapsed = started.elapsed();
-        match result {
-            Ok((m, _)) => {
-                let mut stats = lock(&self.stats);
-                stats.cells_run += 1;
-                stats.sim_time += elapsed;
-                drop(stats);
-                Ok(m)
-            }
-            Err(e) => {
-                let mut stats = lock(&self.stats);
-                stats.cells_failed += 1;
-                stats.sim_time += elapsed;
-                drop(stats);
-                Err(e)
-            }
-        }
-    }
-
-    /// Runs a non-measurement computation (e.g. a speculation probe or a
-    /// table row) with the same fault injection, watchdog, and retry.
-    pub fn run_attempts<T>(
-        &self,
-        ctx: &RunContext,
-        f: impl FnMut(u32) -> Result<T, ExperimentError>,
-    ) -> Result<T, ExperimentError> {
-        match self.attempt_loop(ctx, f) {
-            Ok((v, _)) => Ok(v),
-            Err(e) => {
-                lock(&self.stats).cells_failed += 1;
-                Err(e)
-            }
-        }
-    }
-
     /// The retry loop. On success returns the value together with the
     /// 0-based attempt index that produced it.
     ///
@@ -1154,8 +1094,8 @@ mod tests {
         RunContext::new("figure2", "Broadwell", "lebench", "nopti")
     }
 
-    fn ok_measurement(_attempt: u32) -> Result<Measurement, ExperimentError> {
-        Ok(Measurement { mean: 1.5, ci95: 0.01, n: 10, retries: 0 })
+    fn ok_measurement(_attempt: u32) -> Result<CellValue, ExperimentError> {
+        Ok(CellValue::Measurement(Measurement { mean: 1.5, ci95: 0.01, n: 10, retries: 0 }))
     }
 
     #[test]
@@ -1175,8 +1115,9 @@ mod tests {
     #[test]
     fn clean_run_is_untouched() {
         let h = Harness::new().with_retry(RetryPolicy::immediate(3));
-        let m = h.run_cell(&ctx(), ok_measurement).unwrap();
-        assert_eq!(m.retries, 0);
+        let (v, retries) = h.run_value(&ctx(), ok_measurement);
+        assert!(v.is_ok());
+        assert_eq!(retries, 0);
         let s = h.stats();
         assert_eq!((s.cells_run, s.retries, s.faults_injected), (1, 0, 0));
     }
@@ -1185,8 +1126,9 @@ mod tests {
     fn transient_fault_is_retried_and_counted() {
         let plan = FaultPlan::new().fail_cell("[nopti]", FaultKind::SimFault, Some(2));
         let h = Harness::new().with_retry(RetryPolicy::immediate(4)).with_plan(plan);
-        let m = h.run_cell(&ctx(), ok_measurement).unwrap();
-        assert_eq!(m.retries, 2, "succeeded on the third attempt");
+        let (v, retries) = h.run_value(&ctx(), ok_measurement);
+        assert!(v.is_ok());
+        assert_eq!(retries, 2, "succeeded on the third attempt");
         let s = h.stats();
         assert_eq!((s.retries, s.faults_injected, s.cells_failed), (2, 2, 0));
     }
@@ -1195,7 +1137,7 @@ mod tests {
     fn permanent_fault_exhausts_retries() {
         let plan = FaultPlan::new().fail_cell("[nopti]", FaultKind::Timeout, None);
         let h = Harness::new().with_retry(RetryPolicy::immediate(3)).with_plan(plan);
-        let err = h.run_cell(&ctx(), ok_measurement).unwrap_err();
+        let err = h.run_value(&ctx(), ok_measurement).0.unwrap_err();
         match &err {
             ExperimentError::CellFailed { attempts, last, .. } => {
                 assert_eq!(*attempts, 3);
@@ -1211,16 +1153,16 @@ mod tests {
     fn corrupt_sample_is_rejected_then_recovered() {
         let plan = FaultPlan::new().fail_cell("[nopti]", FaultKind::CorruptSample, Some(1));
         let h = Harness::new().with_retry(RetryPolicy::immediate(3)).with_plan(plan);
-        let m = h.run_cell(&ctx(), ok_measurement).unwrap();
-        assert_eq!(m.retries, 1);
+        let (v, retries) = h.run_value(&ctx(), ok_measurement);
+        assert!(v.is_ok());
+        assert_eq!(retries, 1);
     }
 
     #[test]
     fn nonfinite_measurement_is_degenerate() {
         let h = Harness::new().with_retry(RetryPolicy::immediate(2));
-        let err = h
-            .run_cell(&ctx(), |_| Ok(Measurement { mean: f64::NAN, ci95: 0.0, n: 5, retries: 0 }))
-            .unwrap_err();
+        let nan = Measurement { mean: f64::NAN, ci95: 0.0, n: 5, retries: 0 };
+        let err = h.run_value(&ctx(), |_| Ok(CellValue::Measurement(nan))).0.unwrap_err();
         match err {
             ExperimentError::CellFailed { last, .. } => {
                 assert!(matches!(*last, ExperimentError::DegenerateStatistics { .. }))

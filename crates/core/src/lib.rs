@@ -71,7 +71,7 @@ pub use campaign::{
     Report, SurvivalClass, CAMPAIGN_JOURNAL_HEADER,
 };
 pub use executor::{default_jobs, jobs_from_env, parse_jobs, Executor, DEFAULT_PANIC_BREAKER};
-pub use faultplan::{FaultKind, FaultPlan, FaultRule, NetFaultKind, NetFaultPlan, NetFaultRule};
+pub use faultplan::{FaultKind, FaultPlan, NetFaultKind, NetFaultPlan};
 pub use harness::{
     cell_value_json, classify_line, escape_json, fsck_journal, scan_journal_text, ExperimentError,
     FsckReport, Harness, HarnessStats, Journal, JournalScan, LineClass, RetryPolicy, RunContext,
@@ -79,7 +79,7 @@ pub use harness::{
 };
 pub use singleflight::{FlightOutcome, SingleFlight};
 pub use obs::{Clock, Event, EventBus, EventKind, ShardState, SystemClock, VirtualClock};
-pub use persist::{atomic_write, crc32, WriteDamage};
+pub use persist::{atomic_write, crc32, fnv1a, WriteDamage};
 pub use plan::{CellOutcome, CellSource, CellSpec, CellValue, ExperimentPlan};
 pub use probe::{ProbeConfig, ProbeResult};
 pub use stats::{geomean, measure_until, Measurement, NoiseModel, StatsError, StopPolicy};

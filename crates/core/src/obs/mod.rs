@@ -4,25 +4,30 @@
 //! executor made measurement fast but opaque. This module makes every
 //! cell's lifecycle observable without touching any measured value:
 //!
-//! * an [`EventBus`] collects structured [`Event`]s — cell queued /
-//!   started / finished / cache-hit / journal-replay / retry /
-//!   fault-injected / watchdog-fired — each carrying the experiment,
-//!   cell key, content key, worker id, attempt, and a monotonic
-//!   timestamp from a swappable [`Clock`];
-//! * [`trace`] renders the bus as Chrome trace-event JSON (one lane per
-//!   worker, loadable in Perfetto / `chrome://tracing`);
-//! * [`metrics`] renders it as a Prometheus-style text exposition whose
-//!   counters cross-check [`crate::harness::HarnessStats`].
+//! * an [`EventBus`] takes structured events — cell queued / started /
+//!   finished / cache-hit / journal-replay / retry / fault-injected /
+//!   watchdog-fired — each carrying the experiment, cell key, content
+//!   key, worker id, attempt, and a monotonic timestamp from a
+//!   swappable [`Clock`], and folds each into its [`metrics::Metrics`]
+//!   as it is emitted;
+//! * [`metrics`] renders those counters as a Prometheus-style text
+//!   exposition that cross-checks [`crate::harness::HarnessStats`];
+//! * [`trace`] renders a recorded [`Event`] stream as Chrome
+//!   trace-event JSON (one lane per worker, loadable in Perfetto /
+//!   `chrome://tracing`). Only a bus built by [`EventBus::recording`]
+//!   keeps the stream, so a long-running process holds counters, not
+//!   history.
 //!
 //! Recording is observational only: the executor emits events *after*
 //! computing values, the bus never feeds back into scheduling, and the
 //! same seed renders byte-identical artifacts with the bus attached or
 //! not (pinned by `tests/trace_invariants.rs`).
 //!
-//! **Lock discipline.** Events are fully built (timestamp taken, keys
-//! cloned) before the bus lock is acquired, so the critical section is
-//! a single `Vec::push`. The bus lock is never held while any other
-//! lock (cache, stats, journal) is taken.
+//! **Lock discipline.** A recorded event is fully built (keys cloned)
+//! before the bus lock is acquired; the critical section folds the
+//! event into the counters and, on a recording bus, pushes it, so the
+//! recorded order is the fold order. The bus lock is never held while
+//! any other lock (cache, stats, journal) is taken.
 
 pub mod clock;
 pub mod metrics;
@@ -36,6 +41,7 @@ use crate::faultplan::FaultKind;
 use crate::harness::lock;
 
 pub use clock::{Clock, SystemClock, VirtualClock};
+use metrics::Metrics;
 
 thread_local! {
     /// The executor worker lane the current thread is running cells
@@ -323,15 +329,29 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Collects [`Event`]s from the executor and harness.
+/// Folds [`Event`]s from the executor, harness and server into one
+/// [`Metrics`] registry, and on a recording bus also keeps them.
 ///
-/// Shared by `Arc` between the executor, its harness, and whoever wants
-/// to export the stream afterwards. `Sync`; see the module docs for the
-/// lock discipline that keeps recording cheap.
+/// Shared by `Arc` between the executor, its harness, and whoever reads
+/// the counters or exports the stream afterwards. `Sync`; see the
+/// module docs for the lock discipline that keeps emitting cheap.
 #[derive(Debug)]
 pub struct EventBus {
     clock: Arc<dyn Clock>,
-    events: Mutex<Vec<Event>>,
+    /// Whether [`EventBus::snapshot`] has a stream to return.
+    recording: bool,
+    state: Mutex<BusState>,
+}
+
+/// What the bus lock guards.
+#[derive(Debug, Default)]
+struct BusState {
+    metrics: Metrics,
+    /// Events emitted so far.
+    emitted: usize,
+    /// The events themselves, in emission order; always empty unless
+    /// the bus is recording.
+    events: Vec<Event>,
 }
 
 impl Default for EventBus {
@@ -341,24 +361,26 @@ impl Default for EventBus {
 }
 
 impl EventBus {
-    /// A bus over the [`SystemClock`].
+    /// A bus over the [`SystemClock`] that folds every event into its
+    /// counters and keeps none: what a long-running server and a
+    /// metrics-only sweep use.
     pub fn new() -> EventBus {
-        EventBus::with_clock(Arc::new(SystemClock::new()))
+        EventBus::build(Arc::new(SystemClock::new()), false)
     }
 
-    /// A bus over an explicit clock (tests pass a [`VirtualClock`]).
-    pub fn with_clock(clock: Arc<dyn Clock>) -> EventBus {
-        EventBus { clock, events: Mutex::new(Vec::new()) }
+    /// A bus that also keeps every event for a trace sink, over an
+    /// explicit clock (tests pass a [`VirtualClock`]).
+    pub fn recording(clock: Arc<dyn Clock>) -> EventBus {
+        EventBus::build(clock, true)
     }
 
-    /// A reading of the bus clock (what event timestamps are relative
-    /// to).
-    pub fn now(&self) -> Duration {
-        self.clock.now()
+    fn build(clock: Arc<dyn Clock>, recording: bool) -> EventBus {
+        EventBus { clock, recording, state: Mutex::new(BusState::default()) }
     }
 
-    /// Records one event. The worker lane is taken from the calling
-    /// thread's tag (see [`set_current_worker`]).
+    /// Folds one event into the counters (and records it on a recording
+    /// bus). The worker lane is taken from the calling thread's tag (see
+    /// [`set_current_worker`]).
     pub fn emit(
         &self,
         experiment: &str,
@@ -367,31 +389,42 @@ impl EventBus {
         attempt: u32,
         kind: EventKind,
     ) {
-        let event = Event {
-            ts: self.clock.now(),
+        let ts = self.clock.now();
+        let event = self.recording.then(|| Event {
+            ts,
             experiment: experiment.to_string(),
             cell: cell.to_string(),
             content_key: content_key.to_string(),
             worker: current_worker(),
             attempt,
             kind,
-        };
-        lock(&self.events).push(event);
+        });
+        let mut state = lock(&self.state);
+        state.metrics.observe(ts, experiment, cell, &kind);
+        state.emitted += 1;
+        state.events.extend(event);
     }
 
-    /// A snapshot of every event recorded so far, in emission order.
+    /// Reads the counters under the bus lock, e.g.
+    /// `bus.metrics(|m| m.render(&stats))` for the exposition.
+    pub fn metrics<R>(&self, read: impl FnOnce(&Metrics) -> R) -> R {
+        read(&lock(&self.state).metrics)
+    }
+
+    /// Every event recorded so far, in emission order; empty unless the
+    /// bus is [`recording`](EventBus::recording).
     pub fn snapshot(&self) -> Vec<Event> {
-        lock(&self.events).clone()
+        lock(&self.state).events.clone()
     }
 
-    /// Number of events recorded so far.
+    /// Number of events emitted so far, recorded or not.
     pub fn len(&self) -> usize {
-        lock(&self.events).len()
+        lock(&self.state).emitted
     }
 
-    /// True if nothing has been recorded.
+    /// True if nothing has been emitted.
     pub fn is_empty(&self) -> bool {
-        lock(&self.events).is_empty()
+        self.len() == 0
     }
 }
 
@@ -401,7 +434,7 @@ mod tests {
 
     #[test]
     fn events_carry_worker_and_virtual_timestamps() {
-        let bus = EventBus::with_clock(Arc::new(VirtualClock::new()));
+        let bus = EventBus::recording(Arc::new(VirtualClock::new()));
         set_current_worker(3);
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellStarted);
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellFinished { ok: true, retries: 0 });
@@ -411,6 +444,17 @@ mod tests {
         assert_eq!(events[0].worker, 3);
         assert_eq!(events[0].kind, EventKind::CellStarted);
         assert!(events[1].ts > events[0].ts, "virtual clock ticks every read");
+    }
+
+    #[test]
+    fn a_plain_bus_folds_every_event_and_keeps_none() {
+        let bus = EventBus::new();
+        bus.emit("regend", "/a", "", 0, EventKind::RequestReceived { queue_depth: 1 });
+        bus.emit("artifact", "/a", "", 0, EventKind::RequestCompleted { status: 200, micros: 5 });
+        bus.emit("regend", "/b", "", 0, EventKind::RequestReceived { queue_depth: 1 });
+        assert_eq!(bus.len(), 3);
+        assert!(bus.snapshot().is_empty(), "only a recording bus keeps the stream");
+        assert_eq!(bus.metrics(|m| (m.requests(), m.completed(), m.in_flight())), (2, 1, 1));
     }
 
     #[test]

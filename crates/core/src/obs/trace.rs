@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn spans_pair_and_json_is_valid() {
-        let bus = EventBus::with_clock(Arc::new(VirtualClock::new()));
+        let bus = EventBus::recording(Arc::new(VirtualClock::new()));
         bus.emit("exp", "", "", 0, EventKind::PlanStarted { cells: 1 });
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellQueued);
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellStarted);
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn unpaired_open_is_dropped() {
-        let bus = EventBus::with_clock(Arc::new(VirtualClock::new()));
+        let bus = EventBus::recording(Arc::new(VirtualClock::new()));
         bus.emit("exp", "exp/c/w", "c/w", 0, EventKind::CellStarted);
         let json = chrome_trace_json(&bus.snapshot());
         crate::json::parse(&json).expect("still valid");

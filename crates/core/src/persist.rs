@@ -12,6 +12,9 @@
 //!   payload. CRC-32 detects *every* single-byte corruption (and all
 //!   burst errors up to 32 bits), which is exactly the property the
 //!   journal property test pins down.
+//! * [`fnv1a`] — the 64-bit FNV-1a hash under every value that must be
+//!   identical across processes and runs: seeded fault draws, client
+//!   backoff jitter, and the shard ring.
 //! * [`frame_line`] / [`unframe_line`] and [`JournalFile`] — the one
 //!   journal-line codec (`<tag> <crc32> <payload>`) and the append /
 //!   fsync file both journals write through: the cell journal with tag
@@ -53,6 +56,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC32_TABLE[((c ^ *b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// 64-bit FNV-1a of `bytes`. Callers add their own finalizer; the bare
+/// hash is pinned by the standard test vectors below.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Frames one journal line: `<tag> <crc32 of payload, 8 lowercase hex
@@ -216,6 +227,14 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn fnv1a_matches_known_vectors() {
+        // Standard 64-bit FNV-1a test vectors.
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::stats::Measurement;
 /// [`ExperimentError`] instead of panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellValue {
-    /// A noise-wrapped measurement (legacy `run_cell`-style cells).
+    /// A noise-wrapped measurement (mean ± 95% CI over its samples).
     Measurement(Measurement),
     /// One deterministic scalar (a geomean, a score, cycles/op).
     Num(f64),

@@ -125,11 +125,7 @@ pub fn http_get(url: &str, timeout: Duration) -> Result<HttpResponse, String> {
 /// shard-fetch retries.
 pub fn backoff_delay(url: &str, attempt: u32) -> Duration {
     let base_ms = 50u64.saturating_mul(1 << attempt.min(5)).min(1_000);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in url.bytes().chain(attempt.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = spectrebench::fnv1a(url.bytes().chain(attempt.to_le_bytes()));
     Duration::from_millis(base_ms + h % (base_ms / 2).max(1))
 }
 

@@ -4,7 +4,7 @@
 //! event-driven keep-alive loop in [`crate::server`]) and this *core*.
 //! The core owns the three deduplication layers — rendered-artifact
 //! cache, single-flight group, content-addressed executor cell cache —
-//! plus routing, validation, and the run counters, so byte-for-byte a
+//! plus routing and validation, so byte-for-byte a
 //! response depends only on the request, never on how the connection
 //! framed or pipelined it. `tests/serve_determinism.rs` pins that.
 //!
@@ -19,11 +19,10 @@
 #![allow(clippy::result_large_err)]
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use spectrebench::obs::metrics::prometheus_text;
 use spectrebench::obs::EventKind;
 use spectrebench::{
     cell_value_json, crc32, default_jobs, Artifact, EventBus, Executor, FaultPlan, FlightOutcome,
@@ -120,7 +119,8 @@ pub struct Rendered {
 /// Outcome of obtaining an artifact: the rendering or the error text.
 pub(crate) type ArtifactEntry = Result<Rendered, String>;
 
-/// End-of-run counters, reported by `regend` at exit.
+/// End-of-run counters, read from the bus and reported by `regend` at
+/// exit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunSummary {
     /// Requests admitted (answered inline or dispatched).
@@ -189,7 +189,8 @@ pub struct Core {
     pub cfg: ServerConfig,
     /// The shared executor (content-addressed cell cache inside).
     pub exec: Executor,
-    /// Event bus feeding `/metrics` and trace exports.
+    /// Event bus: the one set of counters behind `/metrics`, `/healthz`
+    /// and [`RunSummary`].
     pub bus: Arc<EventBus>,
     /// The shard cluster when this instance is the proxy front end
     /// (see [`crate::proxy`]); `None` for plain servers and shards.
@@ -205,20 +206,6 @@ pub struct Core {
     results: Mutex<HashMap<bool, Arc<[u8]>>>,
     /// Drain flag (SIGTERM, `POST /shutdown`, or a handle).
     pub draining: AtomicBool,
-    /// Requests admitted.
-    pub admitted: AtomicU64,
-    /// Requests rejected with 429.
-    pub rejected: AtomicU64,
-    /// Responses written for admitted requests.
-    pub served: AtomicU64,
-    /// Admitted requests not yet answered.
-    pub in_flight: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Mid-request/mid-response disconnects.
-    pub disconnects: AtomicU64,
-    /// Idle/stall reaps.
-    pub idle_timeouts: AtomicU64,
 }
 
 impl Core {
@@ -260,13 +247,6 @@ impl Core {
             swept: Mutex::new(HashSet::new()),
             results: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            disconnects: AtomicU64::new(0),
-            idle_timeouts: AtomicU64::new(0),
         })
     }
 
@@ -275,27 +255,34 @@ impl Core {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// The run counters as of now.
+    /// The run counters as of now, read from the bus.
     pub fn summary(&self) -> RunSummary {
-        RunSummary {
-            admitted: self.admitted.load(Ordering::SeqCst),
-            rejected: self.rejected.load(Ordering::SeqCst),
-            served: self.served.load(Ordering::SeqCst),
-            connections: self.connections.load(Ordering::SeqCst),
-            disconnects: self.disconnects.load(Ordering::SeqCst),
-            idle_timeouts: self.idle_timeouts.load(Ordering::SeqCst),
-            stats: self.exec.stats(),
-        }
+        let stats = self.exec.stats();
+        self.bus.metrics(|m| RunSummary {
+            admitted: m.requests(),
+            rejected: m.rejected(),
+            served: m.completed(),
+            connections: m.connections(),
+            disconnects: m.disconnects(),
+            idle_timeouts: m.idle_timeouts(),
+            stats,
+        })
     }
 
-    /// The effective deadline for one request.
-    pub fn request_deadline(&self, request: &Request) -> Option<Duration> {
-        if let Some(ms) = request.query_param("deadline_ms") {
-            if let Ok(ms) = ms.parse::<u64>() {
-                return Some(Duration::from_millis(ms));
-            }
+    /// The effective deadline for one request: `?deadline_ms=`, else
+    /// the server default. A value that is not a whole number of
+    /// milliseconds is a 400.
+    pub fn request_deadline(&self, request: &Request) -> Result<Option<Duration>, Response> {
+        let Some(value) = request.query_param("deadline_ms") else {
+            return Ok(self.cfg.default_deadline);
+        };
+        match value.parse::<u64>() {
+            Ok(ms) => Ok(Some(Duration::from_millis(ms))),
+            Err(_) => Err(Response::text(
+                400,
+                format!("regend: bad deadline_ms value {value:?} (use whole milliseconds)\n"),
+            )),
         }
-        self.cfg.default_deadline
     }
 
     /// Routes a parsed request: answer it now, or classify the slow
@@ -359,7 +346,7 @@ impl Core {
             "{{\"status\":\"{}\",\"queue_depth\":{},\"in_flight\":{},\"cache_cells\":{},\"artifacts_cached\":{}",
             status,
             queue_depth,
-            self.in_flight.load(Ordering::SeqCst),
+            self.bus.metrics(|m| m.in_flight()),
             self.exec.cache_len(),
             lock(&self.rendered).len()
         );
@@ -387,7 +374,8 @@ impl Core {
     }
 
     fn metrics(&self) -> Response {
-        Response::text(200, prometheus_text(&self.bus.snapshot(), &self.exec.stats()))
+        let stats = self.exec.stats();
+        Response::text(200, self.bus.metrics(|m| m.render(&stats)))
     }
 
     /// `GET /artifact/<name>[?quick=0|1][&seed=0][&deadline_ms=..]`

@@ -513,7 +513,6 @@ impl EventLoop<'_> {
                         continue;
                     }
                     self.conns.insert(id, Conn::new(stream, fd));
-                    self.core.connections.fetch_add(1, Ordering::SeqCst);
                     self.core.bus.emit("regend", "", "", 0, EventKind::ConnectionOpened);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -617,11 +616,9 @@ impl EventLoop<'_> {
         match reason {
             CloseReason::Normal => {}
             CloseReason::Disconnect => {
-                self.core.disconnects.fetch_add(1, Ordering::SeqCst);
                 self.core.bus.emit("regend", "", "", 0, EventKind::ClientDisconnected);
             }
             CloseReason::IdleStall => {
-                self.core.idle_timeouts.fetch_add(1, Ordering::SeqCst);
                 self.core.bus.emit("regend", "", "", 0, EventKind::IdleTimeout);
             }
         }
@@ -662,14 +659,12 @@ fn mark_dead(conn: &mut Conn) {
     conn.registered = u32::MAX;
 }
 
-/// Records a finished admitted request: counters, gauge, and the
-/// completion event carrying the measured end-to-end latency.
+/// Records a finished admitted request: the completion event carrying
+/// the measured end-to-end latency.
 fn finish(core: &Core, meta: &SlotMeta, status: u16) {
     if !meta.counted {
         return;
     }
-    core.served.fetch_add(1, Ordering::SeqCst);
-    core.in_flight.fetch_sub(1, Ordering::SeqCst);
     let micros = meta.arrived.elapsed().as_micros() as u64;
     core.bus.emit(meta.endpoint, &meta.path, "", 0, EventKind::RequestCompleted {
         status,
@@ -737,8 +732,6 @@ fn reject_malformed(core: &Core, dispatch: &Dispatch, conn: &mut Conn, message: 
 }
 
 fn admit(core: &Core, queue_depth: usize) {
-    core.admitted.fetch_add(1, Ordering::SeqCst);
-    core.in_flight.fetch_add(1, Ordering::SeqCst);
     core.bus.emit("regend", "", "", 0, EventKind::RequestReceived { queue_depth });
 }
 
@@ -781,8 +774,13 @@ fn handle_request(
     }
 
     let keep_alive = request.keep_alive;
-    let deadline = core.request_deadline(&request);
-    let (endpoint, action) = core.route(&request, dispatch.depth());
+    let (endpoint, action, deadline) = match core.request_deadline(&request) {
+        Ok(deadline) => {
+            let (endpoint, action) = core.route(&request, dispatch.depth());
+            (endpoint, action, deadline)
+        }
+        Err(response) => ("error", Action::Done(response), None),
+    };
     match action {
         Action::Done(response) => {
             admit(core, dispatch.depth());
@@ -808,7 +806,6 @@ fn handle_request(
         Action::Slow(work) => {
             let queue_depth = dispatch.depth();
             if queue_depth >= core.cfg.queue_capacity.max(1) {
-                core.rejected.fetch_add(1, Ordering::SeqCst);
                 core.bus.emit("regend", "", "", 0, EventKind::RequestRejected);
                 let meta =
                     new_slot_meta(conn, endpoint, request.path.clone(), keep_alive, false);

@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use spectrebench::obs::ShardState;
-use spectrebench::{crc32, EventBus, EventKind, NetFaultKind, NetFaultPlan};
+use spectrebench::{crc32, fnv1a, EventBus, EventKind, NetFaultKind, NetFaultPlan};
 
 use crate::client::{backoff_delay, Connection, HttpResponse};
 use crate::core::lock;
@@ -40,11 +40,7 @@ pub const DOWN_THRESHOLD: u32 = 3;
 /// FNV-1a over `bytes`, finished with an xorshift-multiply scramble so
 /// nearby keys spread over the whole u64 range.
 fn ring_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = fnv1a(bytes.iter().copied());
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -441,17 +437,11 @@ mod tests {
         let bus = EventBus::new();
         let err = cluster.fetch(&bus, 0, "/cell/x").unwrap_err();
         assert!(err.contains("injected drop"), "{err}");
-        let events = bus.snapshot();
-        let drops = events
-            .iter()
-            .filter(|e| {
-                matches!(e.kind, EventKind::NetFaultInjected { fault: NetFaultKind::Drop })
-            })
-            .count();
-        assert_eq!(drops, 2, "both attempts injected");
-        assert!(events.iter().any(|e| matches!(
-            e.kind,
-            EventKind::ShardStateChanged { shard: 0, state: ShardState::Suspect }
-        )));
+        let text = bus.metrics(|m| m.render(&Default::default()));
+        assert!(
+            text.contains("regend_net_faults_injected_total{kind=\"drop\"} 2\n"),
+            "both attempts injected:\n{text}"
+        );
+        assert!(text.contains("regend_shard_state{shard=\"0\"} 1\n"), "suspect:\n{text}");
     }
 }

@@ -17,7 +17,6 @@ use bench::Artifact;
 use spectrebench::campaign::{
     enumerate_coordinates, stratified_sample, Coordinate, FaultPoint, SurvivalClass,
 };
-use spectrebench::obs::metrics::prometheus_text;
 use spectrebench::{EventBus, FaultKind};
 
 /// Locates the `regen` binary next to this test's own executable,
@@ -191,8 +190,8 @@ fn full_campaign_classifies_every_coordinate_with_no_silent_corruption() {
         }
     }
 
-    // The campaign surfaced through the metrics exposition.
-    let text = prometheus_text(&bus.snapshot(), &run.stats);
+    // The campaign surfaced through the bus's metrics exposition.
+    let text = bus.metrics(|m| m.render(&run.stats));
     assert!(text.contains("regen_campaign_runs_total 1"), "{text}");
     let absorbed =
         run.report.outcomes.iter().filter(|o| o.class == SurvivalClass::Absorbed).count();

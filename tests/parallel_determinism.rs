@@ -42,7 +42,7 @@ fn rendered_output_is_identical_with_tracing_attached() {
     // worker count.
     let silent = render_all(&exec_with_jobs(1));
     for jobs in [1, 8] {
-        let bus = Arc::new(EventBus::with_clock(Arc::new(VirtualClock::new())));
+        let bus = Arc::new(EventBus::recording(Arc::new(VirtualClock::new())));
         let exec = Executor::new(Harness::new().with_retry(RetryPolicy::immediate(4)))
             .with_jobs(jobs)
             .with_obs(Arc::clone(&bus));

@@ -275,6 +275,95 @@ fn cell_queries_and_name_suggestions() {
     join.join().expect("server thread");
 }
 
+/// `?deadline_ms=` is validated like `?quick=`, and a deadline that has
+/// already passed answers 504 without computing or caching anything.
+#[test]
+fn deadline_ms_is_validated_and_an_expired_deadline_answers_504() {
+    let (base, handle, join) = boot(ServerConfig {
+        quick: true,
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let r = get(&base, "/artifact/table1?deadline_ms=x");
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.text().contains("deadline_ms"), "the error names the parameter: {}", r.text());
+
+    // A cached artifact is answered inline, but not past its deadline.
+    assert_eq!(get(&base, "/artifact/table1").status, 200);
+    let r = get(&base, "/artifact/table1?deadline_ms=0");
+    assert_eq!(r.status, 504, "{}", r.text());
+
+    // A cold one expires in the dispatch queue, before any compute.
+    let artifacts_cached = || {
+        let health = spectrebench::json::parse(&get(&base, "/healthz").text()).expect("JSON");
+        health.get("artifacts_cached").and_then(|v| v.num::<u64>()).expect("artifacts_cached")
+    };
+    let before = artifacts_cached();
+    let r = get(&base, "/artifact/table2?deadline_ms=0");
+    assert_eq!(r.status, 504);
+    assert_eq!(r.text(), "regend: deadline expired in queue\n");
+    assert_eq!(artifacts_cached(), before, "an expired request renders nothing");
+
+    let metrics = get(&base, "/metrics").text();
+    assert_eq!(metric(&metrics, "regend_deadline_expired_total"), 2.0, "{metrics}");
+
+    handle.drain();
+    join.join().expect("server thread");
+}
+
+/// Serving state does not grow with uptime: a plain `Core` folds each
+/// request into its counters and keeps no event history, so `/metrics`
+/// after 100,000 cached reads is as long as after 1,000 and still
+/// counts every hit.
+#[test]
+fn serving_counters_stay_bounded_over_a_hundred_thousand_cached_reads() {
+    use serve::core::{Action, Core};
+    use serve::Request;
+
+    let core = Core::new(ServerConfig { quick: true, ..ServerConfig::default() }).expect("core");
+    let request = |path: &str| Request {
+        method: "GET".to_string(),
+        path: path.to_string(),
+        query: Vec::new(),
+        headers: Vec::new(),
+        keep_alive: true,
+    };
+    let read = request("/artifact/table1");
+    let Action::Slow(work) = core.route(&read, 0).1 else {
+        panic!("a cold artifact is slow work")
+    };
+    assert_eq!(core.execute(&work, &read.path).status, 200);
+    let scrape = || match core.route(&request("/metrics"), 0).1 {
+        Action::Done(r) => String::from_utf8(r.body.as_bytes().to_vec()).expect("UTF-8"),
+        _ => panic!("/metrics is answered inline"),
+    };
+
+    let hits_before = metric(&scrape(), "regend_artifact_cache_hits_total");
+    let events_before = core.bus.len();
+    let mut reads = 0usize;
+    let mut expositions = Vec::new();
+    for target in [1_000, 100_000] {
+        while reads < target {
+            match core.route(&read, 0).1 {
+                Action::Done(r) => assert_eq!(r.status, 200),
+                _ => panic!("a warm artifact is a cache hit"),
+            }
+            reads += 1;
+        }
+        let text = scrape();
+        let hits = metric(&text, "regend_artifact_cache_hits_total") - hits_before;
+        assert_eq!(hits, reads as f64, "every routed hit is counted");
+        expositions.push(text);
+    }
+    assert!(core.bus.snapshot().is_empty(), "a serving bus keeps no event history");
+    assert_eq!(core.bus.len() - events_before, reads, "one event per routed read");
+    assert_eq!(
+        expositions[0].lines().count(),
+        expositions[1].lines().count(),
+        "the exposition does not grow with uptime"
+    );
+}
+
 /// Backpressure: with one worker busy and a one-slot queue, a burst of
 /// clients sees 429 + `Retry-After` — and the polite retrying client
 /// eventually gets the real bytes.

@@ -7,7 +7,8 @@
 //! * a cell served from the cache never emits a retry afterwards;
 //! * the Prometheus exposition's counters (derived from events) agree
 //!   with the harness's own `HarnessStats` counters — a genuine
-//!   cross-check, since the two are maintained independently;
+//!   cross-check, since the two are maintained independently — and the
+//!   live bus's counters equal a fold of the stream it recorded;
 //! * the Chrome trace export is well-formed JSON containing the spans;
 //! * attaching the bus never changes rendered artifacts.
 //!
@@ -26,7 +27,13 @@ use spectrebench::{Event, EventBus, EventKind, FaultKind, FaultPlan, HarnessStat
 /// appears twice, so its second pass is served entirely from cache),
 /// and — optionally — injected transient faults.
 fn sweep(jobs: Option<usize>, inject: Option<FaultPlan>) -> (Vec<Event>, HarnessStats) {
-    let bus = Arc::new(EventBus::with_clock(Arc::new(VirtualClock::new())));
+    let (bus, stats) = recorded_sweep(jobs, inject);
+    (bus.snapshot(), stats)
+}
+
+/// [`sweep`], returning the recording bus itself.
+fn recorded_sweep(jobs: Option<usize>, inject: Option<FaultPlan>) -> (Arc<EventBus>, HarnessStats) {
+    let bus = Arc::new(EventBus::recording(Arc::new(VirtualClock::new())));
     let opts = RegenOptions {
         artifacts: vec![Artifact::Table1, Artifact::Table9, Artifact::Table10, Artifact::Table9],
         quick: true,
@@ -38,7 +45,7 @@ fn sweep(jobs: Option<usize>, inject: Option<FaultPlan>) -> (Vec<Event>, Harness
     };
     let report = run_regen(&opts).expect("no journal, so no I/O to fail");
     assert!(report.failures().is_empty(), "{:?}", report.failures());
-    (bus.snapshot(), report.stats)
+    (bus, report.stats)
 }
 
 /// The structural invariants every event stream must satisfy.
@@ -185,6 +192,29 @@ fn metrics_cross_check_harness_stats() {
 }
 
 #[test]
+fn live_metrics_equal_the_fold_of_the_recorded_stream() {
+    // The bus folds each event as it is emitted, under the same lock
+    // that records it; folding the recorded stream afterwards must give
+    // the same exposition, line for line. Only the process-global
+    // interpreter and analysis samples differ: other test threads move
+    // them between the two renders.
+    let plan = FaultPlan::new()
+        .fail_cell("table9/Cascade Lake", FaultKind::SimFault, Some(2))
+        .fail_cell("table10/Zen 2", FaultKind::Timeout, Some(1));
+    let (bus, stats) = recorded_sweep(Some(4), Some(plan));
+    let event_lines = |text: String| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with("regen_uarch_") && !l.starts_with("regen_spec_taint_"))
+            .map(str::to_string)
+            .collect()
+    };
+    let live = event_lines(bus.metrics(|m| m.render(&stats)));
+    let recorded = event_lines(metrics::prometheus_text(&bus.snapshot(), &stats));
+    assert!(live.iter().any(|l| l.starts_with("regen_retries_total ")), "{live:?}");
+    assert_eq!(live, recorded);
+}
+
+#[test]
 fn chrome_trace_is_wellformed_json_with_spans() {
     let (events, _) = sweep(Some(2), None);
     let json = trace::chrome_trace_json(&events);
@@ -201,7 +231,7 @@ fn attaching_the_bus_never_changes_artifacts() {
     let base = RegenOptions { artifacts, quick: true, ..RegenOptions::default() };
     let silent = run_regen(&base).expect("no I/O");
     let observed = run_regen(&RegenOptions {
-        obs: Some(Arc::new(EventBus::with_clock(Arc::new(VirtualClock::new())))),
+        obs: Some(Arc::new(EventBus::recording(Arc::new(VirtualClock::new())))),
         ..base
     })
     .expect("no I/O");
