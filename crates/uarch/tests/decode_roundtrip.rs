@@ -8,9 +8,12 @@
 //! 2. **Stepper equivalence**: random programs executed by the decoded
 //!    dispatch loop (`Machine::step`) and by the preserved reference
 //!    interpreter (`Machine::step_reference`) produce identical
-//!    architectural state, cycle counts, and performance counters —
-//!    including runs that end in faults or budget exhaustion, and on
-//!    vulnerability profiles that open transient windows.
+//!    architectural state, cycle counts, performance counters and L1D
+//!    contents — including runs that end in faults or budget
+//!    exhaustion, and on vulnerability profiles that open transient
+//!    windows. Store-bypass programs pin the window shape figure3 spends
+//!    its time in: a forwarded reload opens the window and a branch-free
+//!    body of loads and stores runs it to the cap.
 
 use uarch::decode::decode;
 use uarch::isa::{Cond, FReg, Inst, Pmc, Reg, Width};
@@ -169,6 +172,9 @@ fn every_inst_roundtrips_through_decode() {
 const CODE_BASE: u64 = 0x40_0000;
 const DATA_BASE: u64 = 0x1_0000;
 const DATA_PAGES: u64 = 16;
+/// Physical address of the first data page (`fresh_machine` maps the
+/// data pages to frames from 0x100 up).
+const DATA_PADDR: u64 = 0x100 << 12;
 
 /// One random instruction, biased toward runnable programs: register
 /// values frequently reseeded to mapped data addresses, branch targets
@@ -261,11 +267,20 @@ fn fresh_machine(model: CpuModel, program: &[Inst], fpu_enabled: bool) -> Machin
     m
 }
 
-/// Everything observable that both steppers must agree on.
+/// Everything observable that both steppers must agree on, the L1D
+/// included: a transient load's only lasting effect is the line it
+/// fills, so a window that skips or misplaces a fill shows up here.
 fn fingerprint(m: &Machine) -> String {
     let pmcs: Vec<u64> = Pmc::ALL.iter().map(|p| m.pmc.read(*p)).collect();
+    // One bit per 64-byte line of the mapped data pages (frames 0x100..).
+    let mut l1d = [0u64; (DATA_PAGES * 4096 / 64 / 64) as usize];
+    for line in 0..DATA_PAGES * 4096 / 64 {
+        if m.l1d.probe(DATA_PADDR + line * 64) {
+            l1d[(line / 64) as usize] |= 1 << (line % 64);
+        }
+    }
     format!(
-        "regs={:?} flags={:?} pc={:#x} mode={:?} cycles={} insts={} pmcs={:?} tlb={} sb={} fwd={} frames={}",
+        "regs={:?} flags={:?} pc={:#x} mode={:?} cycles={} insts={} pmcs={:?} windows={} tlb={} sb={} fwd={} frames={} l1d={} {:x?}",
         m.regs,
         m.flags,
         m.pc,
@@ -273,11 +288,37 @@ fn fingerprint(m: &Machine) -> String {
         m.cycles(),
         m.inst_count(),
         pmcs,
+        m.transient_window_count(),
         m.mmu.tlb_len(),
         m.store_buffer.len(),
         m.store_buffer.forwards,
         m.mem.resident_frames(),
+        m.l1d.resident_lines(),
+        l1d,
     )
+}
+
+/// Steps both engines in lockstep, comparing the outcome and the
+/// fingerprint after every instruction, until the program stops, errs
+/// or `steps` run out. Returns the outcome and the length of every
+/// transient window the decoded engine opened (one step opens at most
+/// one).
+fn lockstep(fast: &mut Machine, slow: &mut Machine, steps: u32, label: &str) -> (String, Vec<u64>) {
+    let mut windows = Vec::new();
+    for step in 0..steps {
+        let (opened, ran) = (fast.transient_window_count(), fast.transient_inst_count());
+        let a = format!("{:?}", fast.step(&mut NoEnv));
+        let b = format!("{:?}", slow.step_reference(&mut NoEnv));
+        assert_eq!(a, b, "{label}, step {step}: outcome diverged");
+        assert_eq!(fingerprint(fast), fingerprint(slow), "{label}, step {step}: state diverged");
+        if fast.transient_window_count() > opened {
+            windows.push(fast.transient_inst_count() - ran);
+        }
+        if a != "Ok(None)" {
+            return (a, windows);
+        }
+    }
+    ("step limit".to_string(), windows)
 }
 
 #[test]
@@ -321,14 +362,81 @@ fn single_steps_match_reference_at_every_instruction() {
     ssb.vuln.ssb = true;
     let mut fast = fresh_machine(ssb.clone(), &program, true);
     let mut slow = fresh_machine(ssb, &program, true);
-    for step in 0..2_000u32 {
-        let a = fast.step(&mut NoEnv);
-        let b = slow.step_reference(&mut NoEnv);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "step {step}: outcome diverged");
-        assert_eq!(fingerprint(&fast), fingerprint(&slow), "step {step}: state diverged");
-        match a {
-            Ok(None) => {}
-            _ => break,
+    lockstep(&mut fast, &mut slow, 2_000, "random program");
+}
+
+/// A store-bypass program: each block stores a fresh value through R12
+/// and reloads the same slot through its alias R13 into R14, so the
+/// forwarded reload opens an SSB window whose R14 holds the stale
+/// value. A branch-free body of `body` ALU, load and store instructions
+/// follows; it is longer than the window, so the window runs to the cap
+/// unless a load stalls on a partial overlap with a store inside it.
+/// The body writes only R0..R7 and addresses memory through the
+/// pointers R8..R11 or through R14 masked into a line index, so the
+/// stale and the fresh world fill different lines.
+fn gen_ssb_program(rng: &mut Rng, blocks: usize, body: usize) -> Vec<Inst> {
+    let mut p = vec![
+        Inst::MovImm(Reg::R8, DATA_BASE),
+        Inst::MovImm(Reg::R9, DATA_BASE + 0x4000),
+        Inst::MovImm(Reg::R10, DATA_BASE + 0x8000),
+        Inst::MovImm(Reg::R11, DATA_BASE + 0xc000),
+        Inst::MovImm(Reg::R12, DATA_BASE + 0xf000),
+        Inst::Mov(Reg::R13, Reg::R12),
+    ];
+    for _ in 0..blocks {
+        let v = Reg::ALL[rng.below(8) as usize];
+        let slot = 8 * rng.below(64) as i64;
+        p.push(Inst::MovImm(v, rng.next()));
+        p.push(Inst::Store { src: v, base: Reg::R12, offset: slot, width: Width::B8 });
+        p.push(Inst::Load { dst: Reg::R14, base: Reg::R13, offset: slot, width: Width::B8 });
+        let end = p.len() + body;
+        while p.len() < end {
+            let r = Reg::ALL[rng.below(8) as usize];
+            let s = Reg::ALL[rng.below(8) as usize];
+            let ptr = Reg::ALL[8 + rng.below(4) as usize];
+            let offset = 8 * rng.below(0x4000 / 8) as i64;
+            let width = Width::ALL[rng.below(4) as usize];
+            let inst = match rng.below(12) {
+                0 => Inst::Add(r, s),
+                1 => Inst::SubImm(r, rng.below(64)),
+                2 => Inst::Mul(r, s),
+                3 => Inst::Xor(r, s),
+                4 => Inst::Shr(r, rng.below(64) as u8),
+                5 => Inst::Cmp(r, s),
+                6 | 7 => Inst::Load { dst: r, base: ptr, offset, width },
+                8 | 9 => Inst::Store { src: r, base: ptr, offset, width },
+                _ => {
+                    // The leak gadget: a load indexed by the reloaded value.
+                    p.extend([Inst::Mov(r, Reg::R14), Inst::AndImm(r, 0xffc0), Inst::Add(r, Reg::R8)]);
+                    Inst::Load { dst: s, base: r, offset: 0, width: Width::B8 }
+                }
+            };
+            p.push(inst);
         }
     }
+    p
+}
+
+#[test]
+fn store_bypass_windows_match_reference_in_lockstep() {
+    let mut opened = 0;
+    let mut capped = 0;
+    for (i, model) in models().into_iter().filter(|m| m.vuln.ssb).enumerate() {
+        let cap = model.spec.window as u64;
+        for seed in 0..2u64 {
+            let label = format!("model {i}, seed {seed}");
+            let mut rng = Rng::new(0x55b_0000 + 16 * i as u64 + seed);
+            let program = gen_ssb_program(&mut rng, 16, cap as usize + 16);
+            let mut fast = fresh_machine(model.clone(), &program, true);
+            let mut slow = fresh_machine(model.clone(), &program, true);
+            let (outcome, windows) = lockstep(&mut fast, &mut slow, 20_000, &label);
+            assert_eq!(outcome, "Ok(Some(Halted))", "{label}: the program runs to its halt");
+            opened += windows.len();
+            capped += windows.iter().filter(|&&n| n == cap).count();
+        }
+    }
+    // Every block's reload opens a window, so a test that stops opening
+    // them (or stops running them to the cap) fails here, not silently.
+    assert!(opened >= 100, "only {opened} store-bypass windows opened");
+    assert!(capped * 4 >= opened * 3, "only {capped} of {opened} windows reached the cap");
 }

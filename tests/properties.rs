@@ -7,8 +7,8 @@
 //!   bytecode programs, under random mitigation sets;
 //! * the in-kernel BPF JIT agrees with the BPF reference interpreter;
 //! * the decoded dispatch loop and the reference stepper retire
-//!   identical, pinned work on four loops (branch, load/store, syscall,
-//!   transient window);
+//!   identical, pinned work on five loops (branch, load/store, syscall,
+//!   wrong-path window, store-bypass window);
 //! * statistics invariants: geomean bounds, accumulator mean, noise
 //!   reproducibility, no panic/NaN on empty/single/zero/infinite input,
 //!   and a 95% CI that shrinks monotonically with sample count;
@@ -674,6 +674,11 @@ enum PinnedLoop {
     /// An unpredictable branch whose arms load different lines: a
     /// wrong-path window on roughly every other iteration.
     TransientWindow,
+    /// A store reloaded through an alias register, the reload masked
+    /// into a table index for a dependent load, and that load's value
+    /// stored and reloaded the same way: a store-bypass window, run to
+    /// the cap, on every iteration (figure3's window shape).
+    StoreBypass,
 }
 
 /// Builds `kind` on Skylake Client (vulnerable to the full attack menu,
@@ -797,6 +802,22 @@ fn pinned_loop(kind: PinnedLoop, scale: u64) -> Machine {
             b.bind(join);
             count_down(&mut b, top);
         }
+        PinnedLoop::StoreBypass => {
+            b.mov_imm(Reg::R0, scale);
+            b.mov_imm(Reg::R8, DATA);
+            b.push(Inst::Mov(Reg::R9, Reg::R8));
+            b.mov_imm(Reg::R1, 0x2545_f491_4f6c_dd1d);
+            let top = b.here();
+            xorshift(&mut b);
+            b.push(Inst::Store { src: Reg::R1, base: Reg::R8, offset: 0, width: Width::B8 });
+            b.push(Inst::Load { dst: Reg::R2, base: Reg::R9, offset: 0, width: Width::B8 });
+            b.push(Inst::AndImm(Reg::R2, 0x3fc0));
+            b.push(Inst::Add(Reg::R2, Reg::R8));
+            b.push(Inst::Load { dst: Reg::R3, base: Reg::R2, offset: 0x1000, width: Width::B8 });
+            b.push(Inst::Store { src: Reg::R3, base: Reg::R8, offset: 64, width: Width::B8 });
+            b.push(Inst::Load { dst: Reg::R4, base: Reg::R9, offset: 64, width: Width::B8 });
+            count_down(&mut b, top);
+        }
     }
     m.load_program(b.link(CODE));
     m.pc = CODE;
@@ -804,7 +825,7 @@ fn pinned_loop(kind: PinnedLoop, scale: u64) -> Machine {
 }
 
 /// Both steppers retire identical instruction and cycle counts on the
-/// four pinned loops; the decoded path's retired work (instructions,
+/// five pinned loops; the decoded path's retired work (instructions,
 /// cycles, transient windows, transient instructions) matches the
 /// pinned counts; and the process-wide `pmc::global` counters see at
 /// least the retired total.
@@ -828,6 +849,13 @@ fn pinned_loops_retire_identical_work_on_both_steppers() {
             8_264_231,
             150_781,
             7_237_206,
+        ),
+        (
+            PinnedLoop::StoreBypass,
+            4_800_005,
+            9_300_389,
+            300_006,
+            14_399_984,
         ),
     ];
     let (before, _, _) = uarch::pmc::global::snapshot();
@@ -858,7 +886,7 @@ fn pinned_loops_retire_identical_work_on_both_steppers() {
         );
         retired_total += retired;
     }
-    assert_eq!(retired_total, 11_924_450);
+    assert_eq!(retired_total, 16_724_455);
     let (after, _, _) = uarch::pmc::global::snapshot();
     assert!(
         after - before >= retired_total,
