@@ -9,6 +9,7 @@
 //! the exit path's `verw` cleared the buffers first.
 
 use sim_kernel::{userlib, BootParams, Kernel};
+use uarch::fault::SimError;
 use uarch::isa::{Inst, Reg, Width};
 use uarch::model::CpuModel;
 
@@ -69,20 +70,18 @@ pub fn run(model: CpuModel, cmdline: &str) -> MdsOutcome {
     let table = k.process(pid).expect("attacker").full_table;
     let probe = ProbeArray { base: probe_base, table };
     let mut observed = Vec::new();
-    let mut last_hot: Vec<u8> = Vec::new();
-    let _ = &mut last_hot;
-    // Simply run to completion, checking hot slots as rounds accumulate:
-    // step in slices so intermediate probe states are visible.
+    // Run to completion in slices of 400 instructions, checking hot slots
+    // between slices so intermediate probe states are visible.
     loop {
         probe.flush(&mut k.machine);
-        match k.machine.step_slice(&mut k.state, 400) {
-            Ok(done) => {
-                observed.extend(probe.hot_slots(&k.machine));
-                if done {
-                    break;
-                }
-            }
+        let done = match k.machine.run(&mut k.state, 400) {
+            Ok(_) => true,
+            Err(SimError::InstructionBudgetExhausted) => false,
             Err(e) => panic!("attack failed: {e}"),
+        };
+        observed.extend(probe.hot_slots(&k.machine));
+        if done {
+            break;
         }
     }
     observed.sort_unstable();

@@ -76,8 +76,6 @@ pub struct ServerConfig {
     pub net_inject: Option<NetFaultPlan>,
     /// How often the proxy probes each shard's `/healthz`.
     pub probe_interval: Duration,
-    /// Socket timeout for one proxy→shard fetch.
-    pub fetch_timeout: Duration,
     /// Fetch attempts per shard hop before the proxy fails over to
     /// local recompute.
     pub fetch_attempts: u32,
@@ -99,7 +97,6 @@ impl Default for ServerConfig {
             shard_addrs: Vec::new(),
             net_inject: None,
             probe_interval: Duration::from_millis(100),
-            fetch_timeout: Duration::from_secs(10),
             fetch_attempts: 3,
         }
     }
@@ -233,7 +230,6 @@ impl Core {
             Some(Cluster::new(
                 &cfg.shard_addrs,
                 cfg.net_inject.clone(),
-                cfg.fetch_timeout,
                 cfg.fetch_attempts,
             ))
         };

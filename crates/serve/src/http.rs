@@ -12,7 +12,8 @@
 //! ones; `crates/serve/tests/http_parser.rs` pins that equivalence
 //! property.
 //!
-//! No chunked encoding, no TLS — the repo's dependency policy
+//! No chunked encoding (a `Transfer-Encoding` head is refused), no
+//! TLS — the repo's dependency policy
 //! (hand-rolled JSON/CRC32/RNG, no external crates) extends to the
 //! wire. Limits are enforced *while buffering*, so a malformed or
 //! hostile peer costs a bounded amount of memory, never the process.
@@ -259,11 +260,33 @@ fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
     } else {
         !connection.eq_ignore_ascii_case("close")
     };
-    let body_len = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<u64>().ok())
-        .unwrap_or(0);
+    // Body framing is `Content-Length` alone. Anything that could make
+    // this parser and a client disagree on where the body ends (and so
+    // run body bytes as the next pipelined request) is refused: a
+    // `Transfer-Encoding`, a length that is not plain decimal, or two
+    // lengths that differ.
+    let mut body_len = None;
+    for (name, value) in &headers {
+        match name.as_str() {
+            "transfer-encoding" => {
+                return Err(format!("unsupported transfer-encoding: {value:?}"));
+            }
+            "content-length" => {
+                // `parse` alone would also take a leading `+`.
+                let digits = value.bytes().all(|b| b.is_ascii_digit());
+                let len = match value.parse::<u64>() {
+                    Ok(len) if digits => len,
+                    _ => return Err(format!("bad content-length: {value:?}")),
+                };
+                if body_len.is_some_and(|first| first != len) {
+                    return Err("conflicting content-length headers".to_string());
+                }
+                body_len = Some(len);
+            }
+            _ => {}
+        }
+    }
+    let body_len = body_len.unwrap_or(0);
     let request = Request {
         method,
         path: percent_decode(raw_path),

@@ -37,6 +37,9 @@ pub const VNODES: usize = 64;
 /// Consecutive failures that move a shard from suspect to down.
 pub const DOWN_THRESHOLD: u32 = 3;
 
+/// Socket timeout for one proxy→shard fetch.
+const FETCH_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// FNV-1a over `bytes`, finished with an xorshift-multiply scramble so
 /// nearby keys spread over the whole u64 range.
 fn ring_hash(bytes: &[u8]) -> u64 {
@@ -172,18 +175,12 @@ pub struct Cluster {
     ring: HashRing,
     endpoints: Vec<ShardEndpoint>,
     net_inject: Option<NetFaultPlan>,
-    fetch_timeout: Duration,
     fetch_attempts: u32,
 }
 
 impl Cluster {
     /// Builds the model over `addrs` (shard `i` is `addrs[i]`).
-    pub fn new(
-        addrs: &[String],
-        net_inject: Option<NetFaultPlan>,
-        fetch_timeout: Duration,
-        fetch_attempts: u32,
-    ) -> Cluster {
+    pub fn new(addrs: &[String], net_inject: Option<NetFaultPlan>, fetch_attempts: u32) -> Cluster {
         Cluster {
             ring: HashRing::new(addrs.len()),
             endpoints: addrs
@@ -196,7 +193,6 @@ impl Cluster {
                 })
                 .collect(),
             net_inject,
-            fetch_timeout,
             fetch_attempts: fetch_attempts.max(1),
         }
     }
@@ -285,7 +281,7 @@ impl Cluster {
         let ep = &self.endpoints[shard];
         let mut conn = lock(&ep.pool)
             .pop()
-            .unwrap_or_else(|| Connection::new(&ep.addr, self.fetch_timeout));
+            .unwrap_or_else(|| Connection::new(&ep.addr, FETCH_TIMEOUT));
         // An errored connection is dropped here, not pooled.
         let mut response = conn.get_classified(path)?;
         match injected {
@@ -412,8 +408,7 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let cluster =
-            Cluster::new(&[dead], None, Duration::from_millis(200), 1);
+        let cluster = Cluster::new(&[dead], None, 1);
         let bus = EventBus::new();
         for _ in 0..DOWN_THRESHOLD {
             assert!(cluster.fetch(&bus, 0, "/healthz").is_err());
@@ -428,12 +423,7 @@ mod tests {
     #[test]
     fn injected_drop_counts_as_a_failed_hop() {
         let plan = NetFaultPlan::new().fail_hop(Some(0), "", NetFaultKind::Drop, None);
-        let cluster = Cluster::new(
-            &["127.0.0.1:1".to_string()],
-            Some(plan),
-            Duration::from_millis(200),
-            2,
-        );
+        let cluster = Cluster::new(&["127.0.0.1:1".to_string()], Some(plan), 2);
         let bus = EventBus::new();
         let err = cluster.fetch(&bus, 0, "/cell/x").unwrap_err();
         assert!(err.contains("injected drop"), "{err}");

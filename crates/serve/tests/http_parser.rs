@@ -150,6 +150,12 @@ fn valid_corpus() -> Vec<(&'static str, Vec<u8>, usize)> {
             2,
         ),
         (
+            "explicit zero Content-Length, as perfbench sends",
+            b"POST /shutdown HTTP/1.1\r\nHost: perfbench\r\nContent-Length: 0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n"
+                .to_vec(),
+            2,
+        ),
+        (
             "HTTP/1.0 opt-in keep-alive",
             b"GET /metrics HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
             1,
@@ -166,6 +172,13 @@ fn valid_corpus() -> Vec<(&'static str, Vec<u8>, usize)> {
             4,
         ),
     ]
+}
+
+/// A `POST` whose 26-byte body is itself a request, `POST /shutdown`,
+/// framed by `framing` (header lines).
+fn smuggle(framing: &str) -> Vec<u8> {
+    format!("POST /artifact/x HTTP/1.1\r\n{framing}\r\nPOST /shutdown HTTP/1.1\r\n\r\n")
+        .into_bytes()
 }
 
 /// Malformed heads: each entry is a wire (possibly with valid requests
@@ -214,6 +227,26 @@ fn malformed_corpus() -> Vec<(&'static str, Vec<u8>, usize, &'static str)> {
             b"POST / HTTP/1.1\r\nContent-Length: 70000\r\n\r\n".to_vec(),
             0,
             "request body too large",
+        ),
+        // Smuggling: each head would let the declared body run as the
+        // next pipelined request, so each is refused outright.
+        (
+            "Content-Length that is not plain decimal",
+            smuggle("Content-Length: abc\r\n"),
+            0,
+            r#"bad content-length: "abc""#,
+        ),
+        (
+            "conflicting duplicate Content-Lengths",
+            smuggle("Content-Length: 0\r\nContent-Length: 26\r\n"),
+            0,
+            "conflicting content-length headers",
+        ),
+        (
+            "Transfer-Encoding",
+            smuggle("Transfer-Encoding: chunked\r\n"),
+            0,
+            r#"unsupported transfer-encoding: "chunked""#,
         ),
         (
             "valid request, then malformed pipelined follow-up",

@@ -574,17 +574,8 @@ impl DecodedProgram {
         Some(DecodedInst { op, a, b, c, meta, imm: self.imms[idx] })
     }
 
-    /// Whether `addr` is an instruction-aligned address inside this
-    /// stream — i.e. [`DecodedProgram::fetch`] would succeed.
-    #[inline]
-    pub fn contains(&self, addr: u64) -> bool {
-        let off = addr.wrapping_sub(self.base);
-        off & (INST_SIZE - 1) == 0 && (off / INST_SIZE) < self.ops.len() as u64
-    }
-
-    /// Fetches by instruction index. Callers walking the stream linearly
-    /// (the transient window's inner loop) keep an index instead of
-    /// re-resolving an address per instruction.
+    /// Fetches by instruction index, for callers that walk the whole
+    /// stream (`spec-taint`'s branch analysis).
     ///
     /// # Panics
     /// Panics if `idx` is out of bounds.

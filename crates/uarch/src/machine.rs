@@ -122,7 +122,7 @@ pub struct Machine {
     pub(crate) insts: u64,
     /// Index of the code segment that satisfied the last decoded fetch;
     /// a pure performance hint (see [`CodeMem::fetch_decoded`]).
-    seg_hint: usize,
+    pub(crate) seg_hint: usize,
     /// Current privilege mode.
     pub mode: PrivMode,
     /// An `lfence` just committed on an AMD part: the next indirect branch
@@ -419,223 +419,21 @@ impl Machine {
     }
 
     /// Runs until `Halt`, `Vmcall`, an error, or the instruction budget is
-    /// exhausted.
+    /// exhausted: [`Machine::step`] in a budgeted loop, publishing the
+    /// process-wide counters once when the run ends.
     pub fn run(&mut self, env: &mut dyn Env, budget: u64) -> Result<Stop, SimError> {
-        let result = self.run_inner(env, budget);
+        // `transpose` turns "keep going" (`Ok(None)`) into `None`, so the
+        // first stop or error ends the loop.
+        let result = (0..budget)
+            .find_map(|_| self.step(env).transpose())
+            .unwrap_or(Err(SimError::InstructionBudgetExhausted));
         self.flush_global_counters();
         result
     }
 
-    fn run_inner(&mut self, env: &mut dyn Env, budget: u64) -> Result<Stop, SimError> {
-        let mut remaining = budget;
-        loop {
-            // Tight inline loop over the hot ops: unprivileged ALU,
-            // compares, and direct jumps execute here with the
-            // per-instruction `Instructions` counter batched in `pending`.
-            // None of these ops can fault, stop, open a transient window,
-            // or observe the counters, so batching is architecturally
-            // invisible; everything else (and every error path) falls back
-            // to [`Machine::step`], flushing first. Skipped entirely when a
-            // tracer is attached, which needs the per-step record.
-            if self.tracer.is_none() {
-                let mut pending: u64 = 0;
-                'hot: while remaining != 0 {
-                    let d = match self.code.fetch_decoded(self.pc, &mut self.seg_hint) {
-                        Some(d) => d,
-                        None => break 'hot, // step() raises BadFetch
-                    };
-                    match d.op {
-                        Op::Nop | Op::Pause => {
-                            self.charge(self.model.lat.alu);
-                            self.pc += INST_SIZE;
-                        }
-                        Op::MovImm => self.alu_write(d.a, d.imm),
-                        Op::Mov => self.alu_write(d.a, self.rv(d.b)),
-                        Op::Add => self.alu_write(d.a, self.rv(d.a).wrapping_add(self.rv(d.b))),
-                        Op::AddImm => self.alu_write(d.a, self.rv(d.a).wrapping_add(d.imm)),
-                        Op::Sub => self.alu_write(d.a, self.rv(d.a).wrapping_sub(self.rv(d.b))),
-                        Op::SubImm => self.alu_write(d.a, self.rv(d.a).wrapping_sub(d.imm)),
-                        Op::Mul => {
-                            self.charge(2);
-                            let v = self.rv(d.a).wrapping_mul(self.rv(d.b));
-                            self.set_rv(d.a, v);
-                            self.pc += INST_SIZE;
-                        }
-                        Op::And => self.alu_write(d.a, self.rv(d.a) & self.rv(d.b)),
-                        Op::AndImm => self.alu_write(d.a, self.rv(d.a) & d.imm),
-                        Op::Or => self.alu_write(d.a, self.rv(d.a) | self.rv(d.b)),
-                        Op::Xor => self.alu_write(d.a, self.rv(d.a) ^ self.rv(d.b)),
-                        Op::XorImm => self.alu_write(d.a, self.rv(d.a) ^ d.imm),
-                        Op::Shl => self.alu_write(d.a, self.rv(d.a) << (d.b & 63)),
-                        Op::Shr => self.alu_write(d.a, self.rv(d.a) >> (d.b & 63)),
-                        Op::Not => self.alu_write(d.a, !self.rv(d.a)),
-                        Op::Cmp => {
-                            self.flags = Flags::compare(self.rv(d.a), self.rv(d.b));
-                            self.charge(self.model.lat.alu);
-                            self.pc += INST_SIZE;
-                        }
-                        Op::CmpImm => {
-                            self.flags = Flags::compare(self.rv(d.a), d.imm);
-                            self.charge(self.model.lat.alu);
-                            self.pc += INST_SIZE;
-                        }
-                        Op::Test => {
-                            let v = self.rv(d.a) & self.rv(d.b);
-                            self.flags = Flags {
-                                zero: v == 0,
-                                carry: false,
-                                sign: (v as i64) < 0,
-                                overflow: false,
-                            };
-                            self.charge(self.model.lat.alu);
-                            self.pc += INST_SIZE;
-                        }
-                        Op::Jmp => {
-                            let pc = self.pc;
-                            self.charge(self.model.lat.alu);
-                            self.bhb.record(pc, d.imm);
-                            self.pc = d.imm;
-                        }
-                        Op::Jcc => {
-                            let pc = self.pc;
-                            self.charge(self.model.lat.alu);
-                            let target = d.imm;
-                            let taken = self.flags.eval(Cond::from_index(d.c as usize));
-                            let predicted_taken = self.cond_pred.predict(pc, &self.bhb);
-                            if predicted_taken != taken {
-                                // The wrong-path window can observe the
-                                // counters (`rdpmc`): flush the batch,
-                                // current instruction included.
-                                remaining -= 1;
-                                self.insts += pending + 1;
-                                self.pmc.add(Pmc::Instructions, pending + 1);
-                                pending = 0;
-                                self.lfence_shadow = false;
-                                let wrong_path =
-                                    if predicted_taken { target } else { pc + INST_SIZE };
-                                self.mispredict_window(wrong_path);
-                                self.cond_pred.update(pc, &self.bhb, taken);
-                                if taken {
-                                    self.bhb.record(pc, target);
-                                    self.pc = target;
-                                } else {
-                                    self.pc += INST_SIZE;
-                                }
-                                continue 'hot;
-                            }
-                            self.cond_pred.update(pc, &self.bhb, taken);
-                            if taken {
-                                self.bhb.record(pc, target);
-                                self.pc = target;
-                            } else {
-                                self.pc += INST_SIZE;
-                            }
-                        }
-                        Op::Load => {
-                            let pc = self.pc;
-                            let width = Width::from_index((d.c & 3) as usize);
-                            let vaddr = self.rv(d.b).wrapping_add(d.imm);
-                            match self.read_virt(vaddr, width) {
-                                Ok(v) => {
-                                    self.set_rv(d.a, v);
-                                    let dst = Reg::from_index((d.a & 15) as usize);
-                                    if let Some(stale) = self.ssb_stale(vaddr, width, dst) {
-                                        // SSB window: flush, then open.
-                                        remaining -= 1;
-                                        self.insts += pending + 1;
-                                        self.pmc.add(Pmc::Instructions, pending + 1);
-                                        pending = 0;
-                                        self.lfence_shadow = false;
-                                        transient::run_window(
-                                            self,
-                                            TransientStart::StoreBypass {
-                                                stale,
-                                                dst,
-                                                next_pc: pc + INST_SIZE,
-                                            },
-                                        );
-                                        self.pc = pc + INST_SIZE;
-                                        continue 'hot;
-                                    }
-                                    self.pc += INST_SIZE;
-                                }
-                                Err(fault) => {
-                                    // Faulting-load window + fault delivery:
-                                    // flush first, error paths included.
-                                    remaining -= 1;
-                                    self.insts += pending + 1;
-                                    self.pmc.add(Pmc::Instructions, pending + 1);
-                                    pending = 0;
-                                    self.lfence_shadow = false;
-                                    self.load_fault(fault, pc, vaddr, width, d.a)?;
-                                    continue 'hot;
-                                }
-                            }
-                        }
-                        Op::Store => {
-                            let pc = self.pc;
-                            let width = Width::from_index((d.c & 3) as usize);
-                            let vaddr = self.rv(d.b).wrapping_add(d.imm);
-                            let value = self.rv(d.a);
-                            match self.write_virt(vaddr, value, width) {
-                                Ok(()) => self.pc += INST_SIZE,
-                                Err(fault) => {
-                                    remaining -= 1;
-                                    self.insts += pending + 1;
-                                    self.pmc.add(Pmc::Instructions, pending + 1);
-                                    pending = 0;
-                                    self.lfence_shadow = false;
-                                    self.deliver_fault(fault, pc)?;
-                                    continue 'hot;
-                                }
-                            }
-                        }
-                        _ => break 'hot,
-                    }
-                    remaining -= 1;
-                    pending += 1;
-                    self.lfence_shadow = false;
-                }
-                self.insts += pending;
-                self.pmc.add(Pmc::Instructions, pending);
-            }
-            if remaining == 0 {
-                return Err(SimError::InstructionBudgetExhausted);
-            }
-            remaining -= 1;
-            match self.step(env)? {
-                Some(stop) => return Ok(stop),
-                None => continue,
-            }
-        }
-    }
-
-    /// Runs at most `n` committed instructions. Returns `Ok(true)` when
-    /// the machine stopped (halt or vmcall), `Ok(false)` when the slice
-    /// was exhausted with the machine still runnable. Lets callers
-    /// observe microarchitectural state at intermediate points.
-    pub fn step_slice(&mut self, env: &mut dyn Env, n: u64) -> Result<bool, SimError> {
-        let mut stopped = false;
-        for _ in 0..n {
-            match self.step(env) {
-                Ok(Some(_)) => {
-                    stopped = true;
-                    break;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    self.flush_global_counters();
-                    return Err(e);
-                }
-            }
-        }
-        self.flush_global_counters();
-        Ok(stopped)
-    }
-
     /// Publishes counter deltas to the process-wide totals in
-    /// [`crate::pmc::global`]. Called when a run or slice ends (and on
-    /// drop), so the per-step dispatch path stays free of atomics.
+    /// [`crate::pmc::global`]. Called when a run ends (and on drop), so
+    /// the per-step dispatch path stays free of atomics.
     fn flush_global_counters(&mut self) {
         crate::pmc::global::flush(
             self.insts - self.flushed_insts,
@@ -672,12 +470,14 @@ impl Machine {
     /// Executes one committed instruction (handling any fault it raises).
     /// Returns `Some(stop)` when the machine should stop.
     ///
-    /// This is the decoded-dispatch fast path: one indexed fetch from the
-    /// pre-decoded stream, a jump-table `match` on the dense [`Op`] tag,
-    /// with faults and the rare system instructions out-of-line behind
-    /// `#[cold]` helpers. The original `Inst`-matching interpreter is
-    /// preserved in [`crate::reference`] as the semantics oracle; property
-    /// tests pin the two equal on every counter.
+    /// This is the one committed executor ([`Machine::run`] calls it in a
+    /// loop): a segment-hinted fetch from the pre-decoded stream, counted
+    /// before it executes, then a jump-table `match` on the dense [`Op`]
+    /// tag, with faults, transient windows and the rare system
+    /// instructions out of line behind `#[cold]` helpers. The original
+    /// `Inst`-matching interpreter is preserved in [`crate::reference`] as
+    /// the semantics oracle; property tests pin the two equal on every
+    /// counter.
     pub fn step(&mut self, env: &mut dyn Env) -> Result<Option<Stop>, SimError> {
         let pc = self.pc;
         let d = match self.code.fetch_decoded(pc, &mut self.seg_hint) {
@@ -1238,25 +1038,18 @@ impl Machine {
     /// load forwarded from an in-flight store on a vulnerable part: the
     /// load's dependents first ran ahead with the *stale* pre-store value.
     pub(crate) fn maybe_ssb_window(&mut self, vaddr: u64, width: Width, dst: Reg, next_pc: u64) {
-        if let Some(stale) = self.ssb_stale(vaddr, width, dst) {
+        if !self.model.vuln.ssb || self.ssbd_active() {
+            return;
+        }
+        let stale = match self.store_buffer.bypass_value(vaddr, width, self.cycles) {
+            Some(stale) => stale,
+            None => return,
+        };
+        // A stale value equal to the loaded one makes the bypass world
+        // indistinguishable from the committed world: no window.
+        if stale != self.reg(dst) {
             transient::run_window(self, TransientStart::StoreBypass { stale, dst, next_pc });
         }
-    }
-
-    /// The gate of [`Machine::maybe_ssb_window`]: returns the stale
-    /// bypassed value when the window should open, without opening it —
-    /// so the batched run loop can flush its counters first.
-    pub(crate) fn ssb_stale(&mut self, vaddr: u64, width: Width, dst: Reg) -> Option<u64> {
-        if !self.model.vuln.ssb || self.ssbd_active() {
-            return None;
-        }
-        let now = self.cycles;
-        let stale = self.store_buffer.bypass_value(vaddr, width, now)?;
-        if stale == self.reg(dst) {
-            // Bypass world indistinguishable from the committed world.
-            return None;
-        }
-        Some(stale)
     }
 
     /// Pushes a value on the simulated stack (SP convention register).
@@ -1307,8 +1100,8 @@ impl Machine {
 
 impl Drop for Machine {
     fn drop(&mut self) {
-        // Publish any counter deltas a caller-driven `step` loop (or an
-        // errored run) left unflushed.
+        // Publish any counter deltas a caller-driven `step` loop left
+        // unflushed.
         self.flush_global_counters();
     }
 }

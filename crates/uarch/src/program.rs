@@ -316,29 +316,6 @@ impl CodeMem {
         Some(d)
     }
 
-    /// Resolves the decoded segment whose stream contains `addr`, for
-    /// callers that walk the stream by index ([`DecodedProgram::get`])
-    /// instead of fetching one instruction per call. Same hint protocol
-    /// as [`CodeMem::fetch_decoded`].
-    pub fn decoded_segment(&self, addr: u64, hint: &mut usize) -> Option<&crate::decode::DecodedProgram> {
-        if let Some(seg) = self.segments.get(*hint) {
-            if seg.decoded.contains(addr) {
-                return Some(&seg.decoded);
-            }
-        }
-        let pos = self.segments.partition_point(|s| s.base() <= addr);
-        if pos == 0 {
-            return None;
-        }
-        let d = &self.segments[pos - 1].decoded;
-        if d.contains(addr) {
-            *hint = pos - 1;
-            Some(d)
-        } else {
-            None
-        }
-    }
-
     /// Total instruction count across segments.
     pub fn total_insts(&self) -> usize {
         self.segments.iter().map(Program::len).sum()

@@ -17,9 +17,12 @@
 //! see L1-resident data behind non-present PTEs, MDS parts sample stale
 //! fill-buffer contents, and fixed parts see zeroes or stop the window.
 //!
-//! Like the committed path, the window executes from the pre-decoded
-//! stream ([`crate::decode`]): wrong-path fetch is the same three-array
-//! read as committed fetch, so deep windows stay cheap to simulate.
+//! Every window, whatever opened it, runs through one executor:
+//! [`run_window`] fetches each wrong-path instruction from the
+//! pre-decoded stream ([`crate::decode`]) with the same segment-hinted
+//! [`crate::program::CodeMem::fetch_decoded`] the committed path uses,
+//! counts it, then hands it to `exec_transient`, just as
+//! [`Machine::step`] is the one committed executor.
 
 use crate::decode::{DecodedInst, Op};
 use crate::fpu::FpuState;
@@ -86,7 +89,9 @@ struct Shadow {
     stores: Vec<(u64, Width, u64)>,
 }
 
-/// Runs a transient window on `m`. Architectural state is untouched;
+/// Runs a transient window on `m`: up to `spec.window` wrong-path
+/// instructions, each fetched with the segment hint, counted, then
+/// executed by `exec_transient`. Architectural state is untouched;
 /// microarchitectural state (cache, fill buffers, PMCs) is not.
 pub fn run_window(m: &mut Machine, start: TransientStart) {
     m.transient_windows += 1;
@@ -102,7 +107,7 @@ pub fn run_window(m: &mut Machine, start: TransientStart) {
     match start {
         TransientStart::WrongPath { pc } => sh.pc = pc,
         TransientStart::FaultingLoad { vaddr, width, dst, next_pc } => {
-            match transient_load(m, &sh, vaddr, width, true) {
+            match transient_load(m, &sh, vaddr, width) {
                 Some(v) => sh.regs[dst.index()] = v,
                 None => return,
             }
@@ -121,212 +126,30 @@ pub fn run_window(m: &mut Machine, start: TransientStart) {
         }
     }
 
-    // The window loop proper. The overwhelmingly common transient
-    // instructions — pure shadow-state ALU, compares, and control flow —
-    // execute in an inner loop that pins the decoded segment once and
-    // walks it *by index*: no per-instruction address resolution, no
-    // machine-state traffic at all. That is legal precisely because hot
-    // transient ops touch only `sh` (windows charge no cycles), so the
-    // shared borrow of the stream never conflicts.
-    //
-    // The per-instruction counters are batched in `pending`: none of the
-    // inline ops can observe them, and the batch is flushed before
-    // anything that can (the full executor handles loads, stores, the
-    // divider, `rdpmc`, the serializing set) and at every window exit, so
-    // the architecturally visible counter values are bit-identical to
-    // incrementing per instruction.
-    let mut hint = 0usize;
-    let mut left = m.model.spec.window;
-    let mut pending: u64 = 0;
-    'window: while left > 0 {
-        let dp = match m.code.decoded_segment(sh.pc, &mut hint) {
-            Some(dp) => dp,
-            None => break,
+    // Each instruction counts before it executes, so a `rdpmc` inside
+    // the window reads a count that includes itself. The machine's
+    // segment hint is the first guess: windows start near the committed
+    // pc.
+    let mut hint = m.seg_hint;
+    for _ in 0..m.model.spec.window {
+        let d = match m.code.fetch_decoded(sh.pc, &mut hint) {
+            Some(d) => d,
+            None => return,
         };
-        let base = dp.base();
-        let n = dp.len();
-        let mut idx = ((sh.pc - base) / INST_SIZE) as usize;
-        let mut deferred = None;
-        while left > 0 && idx < n {
-            let d = dp.get(idx);
-            let a = (d.a & 15) as usize;
-            let b = (d.b & 15) as usize;
-            match d.op {
-                Op::Nop | Op::Pause | Op::Mfence | Op::Sfence | Op::Clflush => idx += 1,
-                Op::MovImm => {
-                    sh.regs[a] = d.imm;
-                    idx += 1;
-                }
-                Op::Mov => {
-                    sh.regs[a] = sh.regs[b];
-                    idx += 1;
-                }
-                Op::Add => {
-                    sh.regs[a] = sh.regs[a].wrapping_add(sh.regs[b]);
-                    idx += 1;
-                }
-                Op::AddImm => {
-                    sh.regs[a] = sh.regs[a].wrapping_add(d.imm);
-                    idx += 1;
-                }
-                Op::Sub => {
-                    sh.regs[a] = sh.regs[a].wrapping_sub(sh.regs[b]);
-                    idx += 1;
-                }
-                Op::SubImm => {
-                    sh.regs[a] = sh.regs[a].wrapping_sub(d.imm);
-                    idx += 1;
-                }
-                Op::Mul => {
-                    sh.regs[a] = sh.regs[a].wrapping_mul(sh.regs[b]);
-                    idx += 1;
-                }
-                Op::And => {
-                    sh.regs[a] &= sh.regs[b];
-                    idx += 1;
-                }
-                Op::AndImm => {
-                    sh.regs[a] &= d.imm;
-                    idx += 1;
-                }
-                Op::Or => {
-                    sh.regs[a] |= sh.regs[b];
-                    idx += 1;
-                }
-                Op::Xor => {
-                    sh.regs[a] ^= sh.regs[b];
-                    idx += 1;
-                }
-                Op::XorImm => {
-                    sh.regs[a] ^= d.imm;
-                    idx += 1;
-                }
-                Op::Shl => {
-                    sh.regs[a] <<= (d.b & 63) as u32;
-                    idx += 1;
-                }
-                Op::Shr => {
-                    sh.regs[a] >>= (d.b & 63) as u32;
-                    idx += 1;
-                }
-                Op::Not => {
-                    sh.regs[a] = !sh.regs[a];
-                    idx += 1;
-                }
-                Op::Cmp => {
-                    sh.flags = Flags::compare(sh.regs[a], sh.regs[b]);
-                    idx += 1;
-                }
-                Op::CmpImm => {
-                    sh.flags = Flags::compare(sh.regs[a], d.imm);
-                    idx += 1;
-                }
-                Op::Test => {
-                    let v = sh.regs[a] & sh.regs[b];
-                    sh.flags =
-                        Flags { zero: v == 0, carry: false, sign: (v as i64) < 0, overflow: false };
-                    idx += 1;
-                }
-                Op::Cmov => {
-                    if sh.flags.eval(Cond::from_index(d.c as usize)) {
-                        sh.regs[a] = sh.regs[b];
-                    }
-                    idx += 1;
-                }
-                Op::CmovImm => {
-                    if sh.flags.eval(Cond::from_index(d.c as usize)) {
-                        sh.regs[a] = d.imm;
-                    }
-                    idx += 1;
-                }
-                Op::Jcc => {
-                    if sh.flags.eval(Cond::from_index(d.c as usize)) {
-                        let off = d.imm.wrapping_sub(base);
-                        if off & (INST_SIZE - 1) == 0 && off / INST_SIZE < n as u64 {
-                            idx = (off / INST_SIZE) as usize;
-                        } else {
-                            // Target outside this segment: consume the
-                            // branch, then re-resolve (or end the window).
-                            sh.pc = d.imm;
-                            left -= 1;
-                            pending += 1;
-                            continue 'window;
-                        }
-                    } else {
-                        idx += 1;
-                    }
-                }
-                Op::Jmp => {
-                    let off = d.imm.wrapping_sub(base);
-                    if off & (INST_SIZE - 1) == 0 && off / INST_SIZE < n as u64 {
-                        idx = (off / INST_SIZE) as usize;
-                    } else {
-                        sh.pc = d.imm;
-                        left -= 1;
-                        pending += 1;
-                        continue 'window;
-                    }
-                }
-                Op::JmpInd => {
-                    let t = sh.regs[a];
-                    let off = t.wrapping_sub(base);
-                    if off & (INST_SIZE - 1) == 0 && off / INST_SIZE < n as u64 {
-                        idx = (off / INST_SIZE) as usize;
-                    } else {
-                        sh.pc = t;
-                        left -= 1;
-                        pending += 1;
-                        continue 'window;
-                    }
-                }
-                _ => {
-                    // Loads, stores, divider, rdpmc, calls/rets, the
-                    // serializing set: executed by the full executor once
-                    // the stream borrow is released.
-                    deferred = Some(d);
-                    break;
-                }
-            }
-            left -= 1;
-            pending += 1;
-        }
-        sh.pc = base + idx as u64 * INST_SIZE;
-        match deferred {
-            Some(d) => {
-                // Flush the batch first: the full executor may observe the
-                // counters (`rdpmc`), and the current instruction counts
-                // *before* it executes, exactly as the per-step path did.
-                m.pmc.add(Pmc::TransientInstructions, pending + 1);
-                m.transient_insts += pending + 1;
-                pending = 0;
-                if exec_transient(m, &mut sh, d).is_none() {
-                    return;
-                }
-                left -= 1;
-            }
-            // Ran off the end of the segment (or exhausted the window):
-            // re-resolve from `sh.pc`; an unmapped pc ends the window.
-            None => continue 'window,
+        m.pmc.incr(Pmc::TransientInstructions);
+        m.transient_insts += 1;
+        if exec_transient(m, &mut sh, d).is_none() {
+            return;
         }
     }
-    m.pmc.add(Pmc::TransientInstructions, pending);
-    m.transient_insts += pending;
 }
 
-/// Performs a transient load, applying vulnerability semantics.
-///
-/// `faulting` marks loads that architecturally fault (the committed
-/// instruction raised a fault): these are the Meltdown/L1TF/MDS carriers.
-/// Returns `None` when the window must end (the access stalls
-/// unresolvable), `Some(value)` otherwise.
-fn transient_load(
-    m: &mut Machine,
-    sh: &Shadow,
-    vaddr: u64,
-    width: Width,
-    faulting: bool,
-) -> Option<u64> {
-    let _ = faulting;
+/// Performs a transient load, applying vulnerability semantics: what a
+/// load that architecturally faults (the Meltdown/L1TF/MDS carriers)
+/// observes follows from its translation alone. Returns `None` when the
+/// window must end (the access stalls unresolvable), `Some(value)`
+/// otherwise.
+fn transient_load(m: &mut Machine, sh: &Shadow, vaddr: u64, width: Width) -> Option<u64> {
     // Forwarding from the window's own (squashed) stores: youngest full
     // cover wins; partial overlap stalls the window.
     for (sv, sw, value) in sh.stores.iter().rev() {
@@ -394,7 +217,10 @@ fn transient_load(
 }
 
 /// Executes one instruction transiently. `Some(())` continues the window,
-/// `None` ends it.
+/// `None` ends it. Inlined into [`run_window`]'s loop: out of line, the
+/// call cost figure3 about 13% more CPU time (4 alternating
+/// `regen --jobs 2 figure3` pairs on a 2-vCPU host).
+#[inline(always)]
 fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()> {
     let pc = sh.pc;
     sh.pc = pc + INST_SIZE;
@@ -460,7 +286,7 @@ fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()
             // Within the window, an in-flight store may also be bypassed
             // (nested SSB), but the simple model reads the current memory
             // image, which already reflects committed stores.
-            let v = transient_load(m, sh, vaddr, width, false)?;
+            let v = transient_load(m, sh, vaddr, width)?;
             sh.regs[a] = v;
         }
         Op::Store => {
@@ -546,7 +372,7 @@ fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()
                 return None;
             }
             let vaddr = sh.regs[b].wrapping_add(d.imm);
-            let bits = transient_load(m, sh, vaddr, Width::B8, false)?;
+            let bits = transient_load(m, sh, vaddr, Width::B8)?;
             sh.fregs.regs[(d.a & 7) as usize] = f64::from_bits(bits);
         }
         Op::Fstore => {}

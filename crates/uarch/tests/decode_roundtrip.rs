@@ -407,7 +407,9 @@ fn gen_ssb_program(rng: &mut Rng, blocks: usize, body: usize) -> Vec<Inst> {
                 8 | 9 => Inst::Store { src: r, base: ptr, offset, width },
                 _ => {
                     // The leak gadget: a load indexed by the reloaded value.
-                    p.extend([Inst::Mov(r, Reg::R14), Inst::AndImm(r, 0xffc0), Inst::Add(r, Reg::R8)]);
+                    p.push(Inst::Mov(r, Reg::R14));
+                    p.push(Inst::AndImm(r, 0xffc0));
+                    p.push(Inst::Add(r, Reg::R8));
                     Inst::Load { dst: s, base: r, offset: 0, width: Width::B8 }
                 }
             };

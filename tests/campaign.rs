@@ -229,21 +229,32 @@ fn full_campaign_classifies_every_coordinate_with_no_silent_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A seeded stratified sample over a two-artifact space (what
+/// `regen campaign --quick --retries 2 --sample 60 --seed 20260808
+/// table1 table9` runs): a strict subset, every fault kind represented,
+/// no silent corruption, and the same report bytes on a re-run.
 #[test]
 fn sampled_campaign_is_seed_stable_and_exit_clean() {
     let dir = scratch("sampled");
     let opts = CampaignOptions {
-        artifacts: vec![Artifact::Table1],
+        artifacts: vec![Artifact::Table1, Artifact::Table9],
         quick: true,
         retries: 2,
-        sample: Some(18),
-        seed: 42,
+        sample: Some(60),
+        seed: 20260808,
         dir: dir.join("a"),
         ..CampaignOptions::default()
     };
     let run = run_campaign(&opts).expect("sampled campaign completes");
-    assert_eq!(run.report.outcomes.len(), 18);
+    assert_eq!(run.report.outcomes.len(), 60);
     assert!(run.report.outcomes.len() < run.space, "a strict subset");
+    for kind in FaultKind::ALL {
+        assert!(
+            run.report.outcomes.iter().any(|o| o.coord.kind == kind),
+            "no {} coordinate in the sample",
+            kind.name()
+        );
+    }
     assert!(run.report.silent_corruptions().is_empty());
     let rerun = run_campaign(&CampaignOptions { dir: dir.join("b"), ..opts })
         .expect("re-run completes");

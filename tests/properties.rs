@@ -809,13 +809,38 @@ fn pinned_loop(kind: PinnedLoop, scale: u64) -> Machine {
             b.mov_imm(Reg::R1, 0x2545_f491_4f6c_dd1d);
             let top = b.here();
             xorshift(&mut b);
-            b.push(Inst::Store { src: Reg::R1, base: Reg::R8, offset: 0, width: Width::B8 });
-            b.push(Inst::Load { dst: Reg::R2, base: Reg::R9, offset: 0, width: Width::B8 });
+            b.push(Inst::Store {
+                src: Reg::R1,
+                base: Reg::R8,
+                offset: 0,
+                width: Width::B8,
+            });
+            b.push(Inst::Load {
+                dst: Reg::R2,
+                base: Reg::R9,
+                offset: 0,
+                width: Width::B8,
+            });
             b.push(Inst::AndImm(Reg::R2, 0x3fc0));
             b.push(Inst::Add(Reg::R2, Reg::R8));
-            b.push(Inst::Load { dst: Reg::R3, base: Reg::R2, offset: 0x1000, width: Width::B8 });
-            b.push(Inst::Store { src: Reg::R3, base: Reg::R8, offset: 64, width: Width::B8 });
-            b.push(Inst::Load { dst: Reg::R4, base: Reg::R9, offset: 64, width: Width::B8 });
+            b.push(Inst::Load {
+                dst: Reg::R3,
+                base: Reg::R2,
+                offset: 0x1000,
+                width: Width::B8,
+            });
+            b.push(Inst::Store {
+                src: Reg::R3,
+                base: Reg::R8,
+                offset: 64,
+                width: Width::B8,
+            });
+            b.push(Inst::Load {
+                dst: Reg::R4,
+                base: Reg::R9,
+                offset: 64,
+                width: Width::B8,
+            });
             count_down(&mut b, top);
         }
     }
