@@ -20,10 +20,6 @@ pub struct L1Cache {
     ways: usize,
     set_mask: u64,
     stamp: u64,
-    /// Total hits (diagnostics).
-    pub hits: u64,
-    /// Total misses (diagnostics).
-    pub misses: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -56,8 +52,6 @@ impl L1Cache {
             ways,
             set_mask: (sets - 1) as u64,
             stamp: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -72,7 +66,7 @@ impl L1Cache {
     }
 
     /// Returns whether the line containing physical address `paddr` is
-    /// resident, without touching LRU state or statistics.
+    /// resident, without touching LRU state.
     pub fn probe(&self, paddr: u64) -> bool {
         let line = line_number(paddr);
         self.sets[self.set_index(line)].iter().any(|e| e.line == line)
@@ -88,10 +82,8 @@ impl L1Cache {
         let set = &mut self.sets[idx];
         if let Some(e) = set.iter_mut().find(|e| e.line == line) {
             e.stamp = stamp;
-            self.hits += 1;
             return CacheOutcome::Hit;
         }
-        self.misses += 1;
         if set.len() >= self.ways {
             // Evict LRU.
             if let Some((victim, _)) = set.iter().enumerate().min_by_key(|(_, e)| e.stamp) {
@@ -133,8 +125,6 @@ mod tests {
         assert_eq!(c.access(0x1000), CacheOutcome::Hit);
         assert_eq!(c.access(0x1008), CacheOutcome::Hit, "same line");
         assert_eq!(c.access(0x1040), CacheOutcome::Miss, "next line");
-        assert_eq!(c.hits, 2);
-        assert_eq!(c.misses, 2);
     }
 
     #[test]

@@ -41,13 +41,8 @@ impl FillBuffers {
     }
 
     /// Samples a stale value, as a transient faulting load does on an
-    /// MDS-vulnerable part. Returns the most recent entry, or `None` when
-    /// the buffers are clear (mitigated, or nothing in flight).
-    pub fn sample(&self) -> Option<u64> {
-        self.entries.back().copied()
-    }
-
-    /// Samples like hardware does: which buffer entry leaks is effectively
+    /// MDS-vulnerable part; `None` when the buffers are clear (mitigated,
+    /// or nothing in flight). Which buffer entry leaks is effectively
     /// arbitrary, so successive samples rotate through the live entries.
     /// Real MDS exploitation repeats the attack and histograms the
     /// results (§3.3: the attacks "cannot be targeted"); this rotation is
@@ -81,12 +76,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_returns_most_recent() {
+    fn samples_rotate_through_the_live_entries() {
         let mut fb = FillBuffers::new();
-        assert_eq!(fb.sample(), None);
+        assert_eq!(fb.sample_rotating(), None);
         fb.record(0xaa);
         fb.record(0xbb);
-        assert_eq!(fb.sample(), Some(0xbb));
+        assert_eq!(fb.len(), 2);
+        assert_eq!(fb.sample_rotating(), Some(0xbb));
+        assert_eq!(fb.sample_rotating(), Some(0xaa));
+        assert_eq!(fb.sample_rotating(), Some(0xbb));
     }
 
     #[test]
@@ -95,7 +93,8 @@ mod tests {
         fb.record(0x11);
         fb.clear();
         assert!(fb.is_empty());
-        assert_eq!(fb.sample(), None);
+        assert_eq!(fb.len(), 0);
+        assert_eq!(fb.sample_rotating(), None);
     }
 
     #[test]
@@ -105,6 +104,10 @@ mod tests {
             fb.record(i);
         }
         assert_eq!(fb.len(), CAPACITY);
-        assert_eq!(fb.sample(), Some(99));
+        // The oldest entries were dropped: one full rotation sees exactly
+        // the last CAPACITY values.
+        let mut seen: Vec<u64> = (0..CAPACITY).filter_map(|_| fb.sample_rotating()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (100 - CAPACITY as u64..100).collect::<Vec<_>>());
     }
 }

@@ -180,6 +180,11 @@ pub struct Machine {
     pub(crate) transient_insts: u64,
     /// Transient windows opened, monotonic.
     pub(crate) transient_windows: u64,
+    /// The transient window's store queue, kept between windows so
+    /// [`transient::run_window`] reuses its allocation.
+    pub(crate) window_stores: Vec<(u64, Width, u64)>,
+    /// The transient window's shadow return stack, kept likewise.
+    pub(crate) window_ret_stack: Vec<u64>,
     /// Portion of `insts` already published to [`crate::pmc::global`].
     flushed_insts: u64,
     /// Portion of `transient_insts` already published.
@@ -237,6 +242,8 @@ impl Machine {
             last_ssbd_stall: 0,
             transient_insts: 0,
             transient_windows: 0,
+            window_stores: Vec::new(),
+            window_ret_stack: Vec::new(),
             flushed_insts: 0,
             flushed_transient: 0,
             flushed_windows: 0,

@@ -40,27 +40,45 @@ pub fn line_number(addr: u64) -> u64 {
 /// (it would imply a physical address above 2^76).
 const NO_FRAME: u64 = u64::MAX;
 
+/// Entries in [`PhysMemory`]'s frame cache.
+const FRAME_CACHE: usize = 64;
+
+/// One 4 KiB frame.
+type Frame = [u8; PAGE_SIZE as usize];
+
 /// Sparse byte-addressable physical memory.
 ///
 /// Reads of untouched memory return zero, mirroring zero-fill-on-demand.
 /// Frames live in a stable slab (`slabs`) indexed by a `pfn -> slot` hash
-/// map; a one-entry [`Cell`] cache keeps the simulator's hot loop off the
-/// hash map entirely when consecutive accesses land in the same frame —
-/// which is nearly always, since a cache line never spans frames.
-#[derive(Debug, Default)]
+/// map. A 64-entry direct-mapped frame cache in front of the map keeps
+/// the simulator's hot loop off the hash: a program's working set is a
+/// handful of frames, and a cache line never spans two.
+#[derive(Debug)]
 pub struct PhysMemory {
-    slabs: Vec<Box<[u8; PAGE_SIZE as usize]>>,
+    slabs: Vec<Box<Frame>>,
     index: HashMap<u64, u32>,
-    /// `(pfn, slab slot)` of the most recently touched frame;
-    /// `(NO_FRAME, _)` when empty. A `Cell` so the read path can refresh
-    /// it through `&self`.
-    last: Cell<(u64, u32)>,
+    /// `(pfn, slab slot)` pairs, each at index `pfn % FRAME_CACHE`;
+    /// `(NO_FRAME, _)` when empty. Frames are never freed and a frame
+    /// never moves to another slot, so an entry, once filled, stays true
+    /// and nothing ever invalidates the cache. `Cell`s so the read path
+    /// can fill it through `&self`.
+    recent: [Cell<(u64, u32)>; FRAME_CACHE],
+}
+
+impl Default for PhysMemory {
+    fn default() -> PhysMemory {
+        PhysMemory::new()
+    }
 }
 
 impl PhysMemory {
     /// Creates empty physical memory.
     pub fn new() -> PhysMemory {
-        PhysMemory { slabs: Vec::new(), index: HashMap::new(), last: Cell::new((NO_FRAME, 0)) }
+        PhysMemory {
+            slabs: Vec::new(),
+            index: HashMap::new(),
+            recent: [const { Cell::new((NO_FRAME, 0)) }; FRAME_CACHE],
+        }
     }
 
     /// Number of frames that have been touched.
@@ -68,15 +86,16 @@ impl PhysMemory {
         self.slabs.len()
     }
 
-    /// Resolves a frame for reading, refreshing the one-entry cache.
+    /// Resolves a frame for reading, filling the frame cache.
     #[inline]
-    fn frame(&self, pfn: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
-        let (cached_pfn, slot) = self.last.get();
+    fn frame(&self, pfn: u64) -> Option<&Frame> {
+        let entry = &self.recent[pfn as usize % FRAME_CACHE];
+        let (cached_pfn, slot) = entry.get();
         if cached_pfn == pfn {
             return Some(&self.slabs[slot as usize]);
         }
         let slot = *self.index.get(&pfn)?;
-        self.last.set((pfn, slot));
+        entry.set((pfn, slot));
         Some(&self.slabs[slot as usize])
     }
 
@@ -88,8 +107,9 @@ impl PhysMemory {
         Some(&self.slabs[slot as usize])
     }
 
-    fn frame_mut(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let (cached_pfn, slot) = self.last.get();
+    fn frame_mut(&mut self, pfn: u64) -> &mut Frame {
+        let entry = &self.recent[pfn as usize % FRAME_CACHE];
+        let (cached_pfn, slot) = entry.get();
         if cached_pfn == pfn {
             return &mut self.slabs[slot as usize];
         }
@@ -102,7 +122,7 @@ impl PhysMemory {
                 s
             }
         };
-        self.last.set((pfn, slot));
+        entry.set((pfn, slot));
         &mut self.slabs[slot as usize]
     }
 
@@ -146,20 +166,20 @@ impl PhysMemory {
     ///
     /// An access that stays inside one frame — the overwhelmingly common
     /// case — costs at most a single frame lookup (usually none, via the
-    /// one-entry cache); only accesses that straddle a page boundary fall
-    /// back to the bytewise path.
+    /// frame cache) and moves the bytes as one little-endian word; only
+    /// accesses that straddle a page boundary fall back to the bytewise
+    /// path.
     pub fn read(&self, paddr: u64, width: Width) -> u64 {
         let n = width.bytes();
         let off = page_offset(paddr) as usize;
         if off as u64 + n <= PAGE_SIZE {
             return match self.frame(page_number(paddr)) {
-                Some(f) => {
-                    let mut v = 0u64;
-                    for (i, b) in f[off..off + n as usize].iter().enumerate() {
-                        v |= (*b as u64) << (8 * i);
-                    }
-                    v
-                }
+                Some(f) => match width {
+                    Width::B1 => f[off] as u64,
+                    Width::B2 => load::<2>(f, off),
+                    Width::B4 => load::<4>(f, off),
+                    Width::B8 => load::<8>(f, off),
+                },
                 None => 0,
             };
         }
@@ -176,8 +196,11 @@ impl PhysMemory {
         let off = page_offset(paddr) as usize;
         if off as u64 + n <= PAGE_SIZE {
             let f = self.frame_mut(page_number(paddr));
-            for i in 0..n as usize {
-                f[off + i] = (v >> (8 * i)) as u8;
+            match width {
+                Width::B1 => f[off] = v as u8,
+                Width::B2 => store::<2>(f, off, v),
+                Width::B4 => store::<4>(f, off, v),
+                Width::B8 => store::<8>(f, off, v),
             }
             return;
         }
@@ -250,6 +273,23 @@ impl PhysMemory {
     pub fn read_bytes(&self, paddr: u64, len: usize) -> Vec<u8> {
         (0..len as u64).map(|i| self.read_u8(paddr + i)).collect()
     }
+}
+
+/// The `N` bytes at `off` of `f` as a little-endian word, zero-extended.
+/// `N` is a constant so each copy compiles to one load (and in [`store`]
+/// one store); a length known only at run time compiles to a `memcpy`
+/// call.
+#[inline(always)]
+fn load<const N: usize>(f: &Frame, off: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word[..N].copy_from_slice(&f[off..off + N]);
+    u64::from_le_bytes(word)
+}
+
+/// Stores the low `N` bytes of `v` at `off` of `f`, little-endian.
+#[inline(always)]
+fn store<const N: usize>(f: &mut Frame, off: usize, v: u64) {
+    f[off..off + N].copy_from_slice(&v.to_le_bytes()[..N]);
 }
 
 #[cfg(test)]
@@ -359,7 +399,7 @@ mod tests {
         let mut m = PhysMemory::new();
         fill(&mut m, 2, 0x11);
         fill(&mut m, 6, 0x22);
-        // The source is in the one-entry cache when the copy runs: the
+        // The source is in the frame cache when the copy runs: the
         // destination read right after must resolve to the destination,
         // and a write there must not reach the source.
         let src_word = m.read_u64(2 << PAGE_SHIFT);
@@ -380,6 +420,46 @@ mod tests {
         assert_eq!(m.read_u64(12 << PAGE_SHIFT), src_word);
         m.write_u64(12 << PAGE_SHIFT, 0xd1ff);
         assert_eq!(m.read_u64(2 << PAGE_SHIFT), src_word);
+    }
+
+    #[test]
+    fn default_memory_reads_and_round_trips_frame_zero() {
+        let mut m = PhysMemory::default();
+        assert_eq!(m.read_u64(0x10), 0);
+        m.write_u64(0x10, 0x0123_4567_89ab_cdef);
+        assert_eq!(m.read_u64(0x10), 0x0123_4567_89ab_cdef);
+        assert_eq!(m.resident_frames(), 1);
+    }
+
+    #[test]
+    fn frames_sharing_a_cache_slot_stay_apart() {
+        let mut m = PhysMemory::new();
+        // Frames 5 and 5 + FRAME_CACHE evict each other from the cache.
+        let (a, b) = (5 << PAGE_SHIFT, (5 + FRAME_CACHE as u64) << PAGE_SHIFT);
+        m.write_u64(a, 1);
+        m.write_u64(b, 2);
+        for _ in 0..3 {
+            assert_eq!((m.read_u64(a), m.read_u64(b)), (1, 2));
+        }
+        m.write_u64(a, 3);
+        assert_eq!((m.read_u64(b), m.read_u64(a)), (2, 3));
+    }
+
+    #[test]
+    fn word_accesses_match_the_bytewise_reference() {
+        let mut m = PhysMemory::new();
+        let offsets = [0, 1, 7, 0x7f9, PAGE_SIZE - 9, PAGE_SIZE - 8, PAGE_SIZE - 5, PAGE_SIZE - 1];
+        for (i, off) in offsets.into_iter().enumerate() {
+            for w in Width::ALL {
+                let v = 0x8877_6655_4433_2211u64.rotate_left(8 * i as u32);
+                let addr = (3 << PAGE_SHIFT) + off;
+                m.write(addr, v, w);
+                assert_eq!(m.read(addr, w), w.truncate(v), "{w:?} at {off:#x}");
+                assert_eq!(m.read_reference(addr, w), w.truncate(v), "{w:?} at {off:#x}");
+                m.write_reference(addr, !v, w);
+                assert_eq!(m.read(addr, w), w.truncate(!v), "{w:?} at {off:#x}");
+            }
+        }
     }
 
     #[test]

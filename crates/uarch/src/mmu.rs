@@ -156,6 +156,9 @@ impl PageTable {
     }
 }
 
+/// Entries in [`Mmu`]'s translation cache.
+const TRANSLATION_CACHE: usize = 64;
+
 /// A TLB entry.
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
@@ -195,17 +198,18 @@ pub struct Mmu {
     tlb: Vec<TlbEntry>,
     tlb_capacity: usize,
     stamp: u64,
-    /// Last-translation micro-cache: `(pcid, vpn, pte)` of the most recent
-    /// hit or fill. Hot loops touch the same page repeatedly, so this
-    /// answers most walks without the linear TLB scan. Invariant: when
-    /// `Some`, the entry is also live in `tlb` and is what
-    /// [`Mmu::tlb_lookup`] would return — every TLB mutation clears or
-    /// overwrites it — so hit/miss accounting is bit-identical.
-    last: Option<(u16, u64, Pte)>,
+    /// Translation cache in front of the TLB scan: direct-mapped by
+    /// `vpn % TRANSLATION_CACHE`, each slot the `(pcid, vpn, pte)` of the
+    /// most recent hit or fill of a page that maps there. A program's
+    /// working set is a handful of pages, so this answers most walks
+    /// without the linear TLB scan. Invariant: a `Some` slot is live in
+    /// `tlb` and is what [`Mmu::tlb_lookup`] would return, so hit/miss
+    /// accounting is bit-identical. [`Mmu::flush_tlb_all`] clears every
+    /// slot, [`Mmu::flush_tlb_page`] the page's slot, and `tlb_insert`'s
+    /// FIFO eviction the slot holding the evicted page.
+    recent: [Option<(u16, u64, Pte)>; TRANSLATION_CACHE],
     /// Whether PCID tagging is honoured (CPU + kernel enable it).
     pub pcid_enabled: bool,
-    /// Count of full TLB flushes (diagnostics).
-    pub flush_count: u64,
 }
 
 impl Mmu {
@@ -218,9 +222,8 @@ impl Mmu {
             tlb: Vec::with_capacity(tlb_capacity),
             tlb_capacity,
             stamp: 0,
-            last: None,
+            recent: [None; TRANSLATION_CACHE],
             pcid_enabled: false,
-            flush_count: 0,
         }
     }
 
@@ -276,15 +279,14 @@ impl Mmu {
     /// Flushes the entire TLB.
     pub fn flush_tlb_all(&mut self) {
         self.tlb.clear();
-        self.last = None;
-        self.flush_count += 1;
+        self.recent = [None; TRANSLATION_CACHE];
     }
 
     /// Flushes the TLB entry for one virtual address in the current PCID.
     pub fn flush_tlb_page(&mut self, vaddr: u64) {
         let pcid = self.current_pcid();
         let vpn = page_number(vaddr);
-        self.last = None;
+        self.recent[vpn as usize % TRANSLATION_CACHE] = None;
         self.tlb.retain(|e| !(e.pcid == pcid && e.vpn == vpn));
     }
 
@@ -305,13 +307,17 @@ impl Mmu {
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
             {
-                self.tlb.swap_remove(idx);
+                let evicted = self.tlb.swap_remove(idx).vpn;
+                let slot = &mut self.recent[evicted as usize % TRANSLATION_CACHE];
+                if matches!(*slot, Some((_, v, _)) if v == evicted) {
+                    *slot = None;
+                }
             }
         }
         self.tlb.push(TlbEntry { pcid, vpn, pte, stamp: self.stamp });
         // The just-inserted entry is by construction live and youngest, so
         // it is always safe to cache (an eviction above cannot remove it).
-        self.last = Some((pcid, vpn, pte));
+        self.recent[vpn as usize % TRANSLATION_CACHE] = Some((pcid, vpn, pte));
     }
 
     /// Performs the page walk for `vaddr` in the current address space,
@@ -322,13 +328,14 @@ impl Mmu {
     pub fn walk(&mut self, vaddr: u64) -> WalkResult {
         let (table, pcid, _) = split_cr3(self.cr3);
         let vpn = page_number(vaddr);
-        if let Some((lp, lv, pte)) = self.last {
+        let slot = vpn as usize % TRANSLATION_CACHE;
+        if let Some((lp, lv, pte)) = self.recent[slot] {
             if lv == vpn && (!self.pcid_enabled || lp == pcid) {
                 return WalkResult { pte: Some(pte), tlb_hit: true };
             }
         }
         if let Some(pte) = self.tlb_lookup(pcid, vpn) {
-            self.last = Some((pcid, vpn, pte));
+            self.recent[slot] = Some((pcid, vpn, pte));
             return WalkResult { pte: Some(pte), tlb_hit: true };
         }
         let pte = self.tables.get(&table).and_then(|t| t.entries.get(&vpn)).copied();
@@ -585,6 +592,73 @@ mod tests {
     fn bad_cr3_rejected() {
         let (mut mmu, _) = mmu_with_table();
         assert!(!mmu.load_cr3(make_cr3(PageTableId(999), 0, false)));
+    }
+
+    /// The translation cache answers exactly as the uncached walk does,
+    /// through the TLB's FIFO evictions (a 4-entry TLB over 16 pages),
+    /// per-page flushes, CR3 reloads with and without the no-flush bit,
+    /// and page-table edits. The 16 pages come in 8 pairs that share a
+    /// cache slot.
+    #[test]
+    fn translation_cache_matches_the_uncached_walk() {
+        let page = |k: u64| ((k % 8) + 64 * (k / 8)) << PAGE_SHIFT;
+        for pcid in [false, true] {
+            let mut state = 0x2545_f491_4f6c_dd1d_u64 + pcid as u64;
+            let mut next = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut mmus = [Mmu::new(4), Mmu::new(4)];
+            let mut ids = Vec::new();
+            for mmu in &mut mmus {
+                mmu.pcid_enabled = pcid;
+                ids = (0..2u64)
+                    .map(|t| {
+                        let mut pt = PageTable::new();
+                        for k in 0..16 {
+                            pt.map(page(k), Pte::user(0x100 * (t + 1) + k));
+                        }
+                        mmu.register_table(pt)
+                    })
+                    .collect();
+                assert!(mmu.load_cr3(make_cr3(ids[0], 0, false)));
+            }
+            let [fast, slow] = &mut mmus;
+            for step in 0..20_000 {
+                let vaddr = page(next(16)) | next(4096);
+                match next(16) {
+                    0 => {
+                        let id = ids[next(2) as usize];
+                        let pte = Pte::user(next(0x1000));
+                        let pte = if next(4) == 0 { pte.non_present_stale() } else { pte };
+                        for mmu in [&mut *fast, &mut *slow] {
+                            mmu.table_mut(id).unwrap().map(vaddr, pte);
+                        }
+                    }
+                    1 => {
+                        let id = ids[next(2) as usize];
+                        for mmu in [&mut *fast, &mut *slow] {
+                            mmu.table_mut(id).unwrap().unmap(vaddr);
+                        }
+                    }
+                    2 => {
+                        let cr3 = make_cr3(ids[next(2) as usize], next(3) as u16, next(2) == 0);
+                        assert!(fast.load_cr3(cr3) && slow.load_cr3(cr3));
+                    }
+                    3 => {
+                        fast.flush_tlb_page(vaddr);
+                        slow.flush_tlb_page(vaddr);
+                    }
+                    _ => {
+                        let (f, s) = (fast.walk(vaddr), slow.walk_reference(vaddr));
+                        assert_eq!((f.pte, f.tlb_hit), (s.pte, s.tlb_hit), "pcid {pcid}, step {step}");
+                    }
+                }
+                assert_eq!(fast.tlb_len(), slow.tlb_len(), "pcid {pcid}, step {step}");
+            }
+        }
     }
 
     #[test]

@@ -167,22 +167,11 @@ impl StoreBuffer {
         ForwardOutcome::NoConflict
     }
 
-    /// The Speculative Store Bypass lever: for a *transient* load at
-    /// `vaddr`, returns `true` if an in-flight store overlaps it — meaning
-    /// a vulnerable CPU without SSBD may transiently read the **stale**
-    /// memory value instead of the store's value.
-    pub fn bypass_possible(&self, vaddr: u64, width: Width, now: u64) -> bool {
-        if self.disjoint(vaddr, width) {
-            return false;
-        }
-        self.entries.iter().any(|st| {
-            now.saturating_sub(st.cycle) <= DRAIN_WINDOW && st.overlaps(vaddr, width)
-        })
-    }
-
-    /// The stale value a bypassing load observes: the pre-store memory
-    /// contents recorded by the youngest in-flight store fully covering
-    /// the load. `None` if no bypass is possible.
+    /// The Speculative Store Bypass lever: the stale value a bypassing
+    /// load observes, meaning a vulnerable CPU without SSBD may
+    /// transiently read it instead of the store's value. It is the
+    /// pre-store memory contents recorded by the youngest in-flight store
+    /// fully covering the load; `None` if no bypass is possible.
     pub fn bypass_value(&self, vaddr: u64, width: Width, now: u64) -> Option<u64> {
         if self.disjoint(vaddr, width) {
             return None;
@@ -313,9 +302,9 @@ mod tests {
     fn bypass_window_tracks_in_flight_stores() {
         let mut sb = StoreBuffer::new();
         sb.push(0x100, Width::B8, 1, 0xee, 100);
-        assert!(sb.bypass_possible(0x100, Width::B8, 110));
-        assert!(!sb.bypass_possible(0x100, Width::B8, 100 + DRAIN_WINDOW + 1));
-        assert!(!sb.bypass_possible(0x900, Width::B8, 110));
+        assert_eq!(sb.bypass_value(0x100, Width::B8, 110), Some(0xee));
+        assert_eq!(sb.bypass_value(0x100, Width::B8, 100 + DRAIN_WINDOW + 1), None);
+        assert_eq!(sb.bypass_value(0x900, Width::B8, 110), None);
     }
 
     #[test]

@@ -93,6 +93,10 @@ struct Shadow {
 /// instructions, each fetched with the segment hint, counted, then
 /// executed by `exec_transient`. Architectural state is untouched;
 /// microarchitectural state (cache, fill buffers, PMCs) is not.
+///
+/// The shadow's store queue and return stack are the machine's, cleared
+/// and lent to the window, so windows stop allocating once those two
+/// buffers have grown to fit them.
 pub fn run_window(m: &mut Machine, start: TransientStart) {
     m.transient_windows += 1;
     let mut sh = Shadow {
@@ -100,14 +104,23 @@ pub fn run_window(m: &mut Machine, start: TransientStart) {
         flags: m.flags,
         fregs: m.fpu.state,
         pc: 0,
-        ret_stack: Vec::new(),
-        stores: Vec::new(),
+        ret_stack: std::mem::take(&mut m.window_ret_stack),
+        stores: std::mem::take(&mut m.window_stores),
     };
+    sh.ret_stack.clear();
+    sh.stores.clear();
+    run_shadow(m, &mut sh, start);
+    m.window_ret_stack = sh.ret_stack;
+    m.window_stores = sh.stores;
+}
 
+/// The body of [`run_window`]: opens the window as `start` says, then
+/// runs it on `sh` until it ends.
+fn run_shadow(m: &mut Machine, sh: &mut Shadow, start: TransientStart) {
     match start {
         TransientStart::WrongPath { pc } => sh.pc = pc,
         TransientStart::FaultingLoad { vaddr, width, dst, next_pc } => {
-            match transient_load(m, &sh, vaddr, width) {
+            match transient_load(m, sh, vaddr, width) {
                 Some(v) => sh.regs[dst.index()] = v,
                 None => return,
             }
@@ -119,7 +132,7 @@ pub fn run_window(m: &mut Machine, start: TransientStart) {
         }
         TransientStart::StaleFpu { inst, next_pc } => {
             // Execute the trapping instruction itself on the stale state.
-            if exec_transient(m, &mut sh, inst).is_none() {
+            if exec_transient(m, sh, inst).is_none() {
                 return;
             }
             sh.pc = next_pc;
@@ -138,7 +151,7 @@ pub fn run_window(m: &mut Machine, start: TransientStart) {
         };
         m.pmc.incr(Pmc::TransientInstructions);
         m.transient_insts += 1;
-        if exec_transient(m, &mut sh, d).is_none() {
+        if exec_transient(m, sh, d).is_none() {
             return;
         }
     }

@@ -14,6 +14,13 @@
 //!
 //! This is the full sweep (not `--quick`), so it is the slowest test in
 //! the suite by design; everything else covers the quick variants.
+//!
+//! It also pins the sweep's simulated work: committed instructions,
+//! transient instructions and transient windows, as the process-wide
+//! `uarch` counters total them. It is the only test in this binary, so
+//! those counters see exactly the sweep. A change that only makes the
+//! simulator faster keeps all three; a change to what is simulated moves
+//! them, and updates the pin with the golden file.
 
 use bench::{render_report, run_regen, RegenOptions};
 
@@ -24,6 +31,11 @@ fn full_sweep_matches_committed_golden_file() {
 
     let report = run_regen(&RegenOptions::default()).expect("no journal, so no I/O to fail");
     assert!(report.is_clean(), "failures: {:?}, degraded: {:?}", report.failures(), report.degraded());
+    assert_eq!(
+        uarch::pmc::global::snapshot(),
+        (187_690_400, 577_548_160, 14_062_681),
+        "the sweep's (instructions, transient instructions, transient windows)"
+    );
     let rendered = render_report(&report);
 
     if rendered != golden {
