@@ -20,11 +20,11 @@
 //! Exit codes: 0 clean; 1 at least one artifact failed or was degraded
 //! (or a journal append was lost); 2 bad usage (unknown artifact or
 //! malformed flag). `regen fsck` exits 0 when every line was valid, 1
-//! when only recoverable crash artifacts (stale / torn tail) were
-//! found, 2 on checksum or structural corruption. `regen campaign`
-//! exits 0 when every explored coordinate was absorbed, degraded, or
-//! failed loud; 1 when the reference sweep was not clean; 2 on any
-//! silent-corruption classification (or bad usage).
+//! when the only damage was a torn tail, 2 on checksum or structural
+//! corruption. `regen campaign` exits 0 when every explored coordinate
+//! was absorbed, degraded, or failed loud; 1 when the reference sweep
+//! was not clean; 2 on any silent-corruption classification (or bad
+//! usage).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -61,7 +61,7 @@ fn usage(to_stdout: bool) {
          \x20 fsck <journal>    verify the journal's per-line checksums,\n\
          \x20                   quarantine damaged lines to <journal>.quarantine,\n\
          \x20                   and atomically rewrite a compacted valid journal.\n\
-         \x20                   Exits 0 (clean), 1 (recoverable crash artifacts),\n\
+         \x20                   Exits 0 (clean), 1 (a torn tail only),\n\
          \x20                   or 2 (corruption found / unreadable)\n\
          \x20 fetch <url> <a>   pull one artifact rendering (or 'results' for\n\
          \x20                   all of them) off a running regend and print it;\n\
@@ -444,12 +444,11 @@ fn run_fsck(path: &Path) -> ExitCode {
         Ok(report) => {
             let s = &report.scan;
             eprintln!(
-                "regen fsck: {}: {} valid line(s) -> {} entr{} compacted; {} stale, {} truncated, {} corrupt skipped",
+                "regen fsck: {}: {} valid line(s) -> {} entr{} compacted; {} truncated, {} corrupt skipped",
                 path.display(),
                 s.valid,
                 report.entries,
                 if report.entries == 1 { "y" } else { "ies" },
-                s.stale,
                 s.truncated,
                 s.corrupt
             );
@@ -558,10 +557,10 @@ fn main() -> ExitCode {
             s.panics_caught, s.breaker_skipped
         );
     }
-    if s.journal_stale > 0 || s.journal_corrupt > 0 || s.journal_truncated > 0 {
+    if s.journal_corrupt > 0 || s.journal_truncated > 0 {
         eprintln!(
-            "regen: resume journal damage skipped: {} stale, {} corrupt, {} truncated line(s) (run `regen fsck` to quarantine and compact)",
-            s.journal_stale, s.journal_corrupt, s.journal_truncated
+            "regen: resume journal damage skipped: {} corrupt, {} truncated line(s) (run `regen fsck` to quarantine and compact)",
+            s.journal_corrupt, s.journal_truncated
         );
     }
     if s.journal_write_errors > 0 {

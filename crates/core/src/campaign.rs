@@ -704,6 +704,39 @@ mod tests {
     }
 
     #[test]
+    fn no_one_bit_flip_of_a_campaign_line_decodes_to_another_outcome() {
+        let outcome = Outcome {
+            coord: Coordinate {
+                content_key: "Broadwell (i7-5650U)/getpid/[nopti]".to_string(),
+                seed: 3,
+                attempt: 1,
+                kind: FaultKind::SimFault,
+            },
+            class: SurvivalClass::Degraded,
+            counts: Some((2, 2)),
+            detail: "figure2 degraded".to_string(),
+        };
+        let line = frame_line(CAMPAIGN_TAG, &outcome.to_json());
+        let line = line.trim_end();
+        assert_eq!(decode_campaign_line(line), Some(outcome.clone()));
+        for bit in 0..line.len() * 8 {
+            let mut bytes = line.as_bytes().to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            // A non-UTF-8 journal fails at read time; a flip into a
+            // newline splits the line, and the loader decodes each half.
+            let Ok(text) = String::from_utf8(bytes) else {
+                continue;
+            };
+            for decoded in text.lines().filter_map(decode_campaign_line) {
+                assert_eq!(
+                    decoded, outcome,
+                    "flip of bit {bit} decodes another outcome: {text}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn report_json_is_deterministic_and_well_formed() {
         let space = enumerate_coordinates(&[("cpu/w/[c]".to_string(), 1)], 2);
         let outcomes: Vec<Outcome<Coordinate>> = space

@@ -85,7 +85,6 @@ pub struct Executor {
     jobs: usize,
     journal: Option<Journal>,
     cache: Mutex<HashMap<(String, u64), CellValue>>,
-    obs: Option<Arc<EventBus>>,
     /// Consecutive panic-failed cells per experiment; the breaker is
     /// open once a streak reaches `panic_breaker`.
     panic_streaks: Mutex<HashMap<String, u32>>,
@@ -102,13 +101,11 @@ impl Executor {
     /// An executor over `harness` with [`default_jobs`] workers and no
     /// journal.
     pub fn new(harness: Harness) -> Executor {
-        let obs = harness.obs().cloned();
         Executor {
             harness,
             jobs: default_jobs(),
             journal: None,
             cache: Mutex::new(HashMap::new()),
-            obs,
             panic_streaks: Mutex::new(HashMap::new()),
             panic_breaker: DEFAULT_PANIC_BREAKER,
         }
@@ -142,26 +139,25 @@ impl Executor {
     /// cache hits) and attempt-level events (retries, faults) land in
     /// one ordered stream.
     pub fn with_obs(mut self, bus: Arc<EventBus>) -> Executor {
-        self.harness.set_obs(Arc::clone(&bus));
-        self.obs = Some(bus);
+        self.harness.obs = Some(bus);
         self
     }
 
     /// The attached event bus, if any.
     pub fn obs(&self) -> Option<&Arc<EventBus>> {
-        self.obs.as_ref()
+        self.harness.obs.as_ref()
     }
 
     /// Emits a cell-scoped event (no-op without a bus).
     fn emit_cell(&self, ctx: &RunContext, kind: EventKind) {
-        if let Some(bus) = &self.obs {
+        if let Some(bus) = self.obs() {
             bus.emit(&ctx.experiment, &ctx.cell_key(), &ctx.content_key(), 0, kind);
         }
     }
 
     /// Emits a plan-scoped event (no cell context; no-op without a bus).
     fn emit_plan(&self, experiment: &str, kind: EventKind) {
-        if let Some(bus) = &self.obs {
+        if let Some(bus) = self.obs() {
             bus.emit(experiment, "", "", 0, kind);
         }
     }

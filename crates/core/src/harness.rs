@@ -301,9 +301,6 @@ pub struct HarnessStats {
     /// Journal appends (or flushes/fsyncs) that failed; nonzero makes
     /// the sweep not clean, because resumability was silently lost.
     pub journal_write_errors: u64,
-    /// Journal lines skipped on open because they predate the
-    /// seed-aware format (stale: replaying them would be wrong).
-    pub journal_stale: u64,
     /// Journal lines rejected on open because their checksum or
     /// structure was wrong mid-file (corruption, never replayed).
     pub journal_corrupt: u64,
@@ -335,7 +332,6 @@ impl HarnessStats {
             journal_write_errors: self
                 .journal_write_errors
                 .wrapping_sub(earlier.journal_write_errors),
-            journal_stale: self.journal_stale.wrapping_sub(earlier.journal_stale),
             journal_corrupt: self.journal_corrupt.wrapping_sub(earlier.journal_corrupt),
             journal_truncated: self.journal_truncated.wrapping_sub(earlier.journal_truncated),
             sim_time: self.sim_time.saturating_sub(earlier.sim_time),
@@ -355,7 +351,6 @@ impl HarnessStats {
         self.panics_caught += other.panics_caught;
         self.breaker_skipped += other.breaker_skipped;
         self.journal_write_errors += other.journal_write_errors;
-        self.journal_stale += other.journal_stale;
         self.journal_corrupt += other.journal_corrupt;
         self.journal_truncated += other.journal_truncated;
         self.sim_time += other.sim_time;
@@ -375,7 +370,10 @@ pub struct Harness {
     /// Deterministic fault injection (empty by default).
     pub plan: FaultPlan,
     stats: Mutex<HarnessStats>,
-    obs: Option<Arc<EventBus>>,
+    /// The sweep's event bus, installed by [`crate::Executor::with_obs`]:
+    /// the harness reports retries, injected faults and watchdog kills
+    /// on it, and the executor its scheduling events.
+    pub(crate) obs: Option<Arc<EventBus>>,
 }
 
 impl Default for RetryPolicy {
@@ -407,31 +405,6 @@ impl Harness {
     pub fn with_retry(mut self, retry: RetryPolicy) -> Harness {
         self.retry = retry;
         self
-    }
-
-    /// Builder: install a watchdog.
-    pub fn with_watchdog(mut self, watchdog: Watchdog) -> Harness {
-        self.watchdog = watchdog;
-        self
-    }
-
-    /// Builder: attach an observability event bus. The harness then
-    /// reports retries, injected faults, and watchdog kills as
-    /// [`EventKind`]s in addition to its counters.
-    pub fn with_obs(mut self, bus: Arc<EventBus>) -> Harness {
-        self.obs = Some(bus);
-        self
-    }
-
-    /// Installs (or replaces) the event bus after construction — the
-    /// executor uses this to share one bus with its harness.
-    pub(crate) fn set_obs(&mut self, bus: Arc<EventBus>) {
-        self.obs = Some(bus);
-    }
-
-    /// The attached event bus, if any.
-    pub fn obs(&self) -> Option<&Arc<EventBus>> {
-        self.obs.as_ref()
     }
 
     /// Counters so far.
@@ -483,7 +456,6 @@ impl Harness {
     /// and the metrics exposition.
     pub(crate) fn note_journal_scan(&self, scan: &JournalScan) {
         let mut stats = lock(&self.stats);
-        stats.journal_stale += scan.stale;
         stats.journal_corrupt += scan.corrupt;
         stats.journal_truncated += scan.truncated;
     }
@@ -654,16 +626,12 @@ const JOURNAL_TAG: &str = "v2";
 /// How `Journal::open` / `fsck` classified one journal line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LineClass {
-    /// A parseable cell entry (v2 with a matching checksum, or a legacy
-    /// v1 line carrying seed and kind).
+    /// A parseable cell entry: a `v2` line with a matching checksum.
     Valid(String, u64, CellValue),
     /// The format header (`#regen-journal v2`).
     Header,
     /// A blank line (ignored, not counted).
     Blank,
-    /// A pre-seed-format line: structurally sound but recorded before
-    /// cells were keyed by seed, so replaying it would be wrong.
-    Stale,
     /// The incomplete final line of a killed writer (no closing brace /
     /// short header); expected after a crash, recovered by re-running.
     TruncatedTail,
@@ -678,8 +646,6 @@ pub struct JournalScan {
     /// Valid cell entries loaded (later duplicates overwrite earlier
     /// ones, so this can exceed the entry count).
     pub valid: u64,
-    /// Stale pre-seed-format lines skipped.
-    pub stale: u64,
     /// Torn final lines skipped.
     pub truncated: u64,
     /// Checksum/structure failures skipped.
@@ -689,7 +655,7 @@ pub struct JournalScan {
 impl JournalScan {
     /// True if every line was valid (or header/blank).
     pub fn is_clean(&self) -> bool {
-        self.stale == 0 && self.truncated == 0 && self.corrupt == 0
+        self.truncated == 0 && self.corrupt == 0
     }
 }
 
@@ -729,28 +695,14 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
         return LineClass::Corrupt;
     }
     match unframe_line(JOURNAL_TAG, trimmed, is_last) {
-        Unframed::Payload(payload) => {
-            return parse_journal_line(payload)
-                .map_or(LineClass::Corrupt, |(key, seed, v)| LineClass::Valid(key, seed, v));
-        }
-        Unframed::Torn => return LineClass::TruncatedTail,
-        Unframed::Corrupt => return LineClass::Corrupt,
-        Unframed::Foreign => {}
-    }
-    if trimmed.starts_with("{\"cell\":\"") {
-        // Legacy v1 line (no checksum). Replay it if it carries seed
-        // and kind; the pre-plan format without them is stale.
-        if let Some((key, seed, v)) = parse_journal_line(trimmed) {
-            return LineClass::Valid(key, seed, v);
-        }
-        if json::parse(trimmed).is_ok() {
-            return LineClass::Stale;
-        }
-    }
-    if is_last {
-        LineClass::TruncatedTail
-    } else {
-        LineClass::Corrupt
+        Unframed::Payload(payload) => parse_journal_line(payload)
+            .map_or(LineClass::Corrupt, |(key, seed, v)| LineClass::Valid(key, seed, v)),
+        Unframed::Torn => LineClass::TruncatedTail,
+        // A line without the `v2` framing carries no checksum, so it
+        // never replays: the unterminated last line of a file is a torn
+        // write, anything else is corruption.
+        Unframed::Foreign if is_last => LineClass::TruncatedTail,
+        Unframed::Foreign | Unframed::Corrupt => LineClass::Corrupt,
     }
 }
 
@@ -767,7 +719,6 @@ fn scan_lines(text: &str, mut visit: impl FnMut(&str, LineClass)) -> JournalScan
         let class = classify_line(line, lines.peek().is_none() && !complete_tail);
         match class {
             LineClass::Valid(..) => scan.valid += 1,
-            LineClass::Stale => scan.stale += 1,
             LineClass::TruncatedTail => scan.truncated += 1,
             LineClass::Corrupt => scan.corrupt += 1,
             LineClass::Header | LineClass::Blank => {}
@@ -805,11 +756,9 @@ pub fn scan_journal_text(text: &str) -> (JournalScan, HashMap<(String, u64), Cel
 /// `flags` with a `"v":[...]` array (`null` marks a not-applicable
 /// entry). Lines are framed by [`frame_line`] and payloads read back
 /// with [`crate::json`], which ignores unknown fields and keeps integers
-/// exact. Legacy v1 lines (bare JSON, no checksum) still replay;
-/// pre-seed-format lines are counted stale and skipped — a resumed
-/// sweep must never reuse a value recorded under different seeding.
-/// Every line is classified on open ([`classify_line`]) and the
-/// per-class counts are kept in [`JournalScan`].
+/// exact. A line without a checksum never replays. Every line is
+/// classified on open ([`classify_line`]) and the per-class counts are
+/// kept in [`JournalScan`].
 ///
 /// Durability: every cell's line reaches the OS as it is recorded
 /// ([`Journal::record`]) and the file is fsynced at plan boundaries
@@ -830,7 +779,7 @@ impl Journal {
 
     /// Opens (or creates) a journal file, loading any completed cells
     /// already recorded in it and classifying every line as valid /
-    /// stale / truncated-tail / corrupt. When anything other than valid
+    /// truncated-tail / corrupt. When anything other than valid
     /// lines is found, a one-line warning naming the path and counts is
     /// printed — a resumed sweep must never silently drop work.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
@@ -838,10 +787,9 @@ impl Journal {
         let (scan, entries) = scan_journal_text(&text);
         if !scan.is_clean() {
             eprintln!(
-                "warning: journal {}: skipped {} stale, {} corrupt, {} truncated line(s); \
+                "warning: journal {}: skipped {} corrupt, {} truncated line(s); \
                  affected cells will re-run (run `regen fsck` to quarantine and compact)",
                 path.display(),
-                scan.stale,
                 scan.corrupt,
                 scan.truncated
             );
@@ -936,13 +884,12 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
-    /// Exit-code severity: 0 = every line valid; 1 = recoverable crash
-    /// artifacts only (stale / torn tail); 2 = checksum or structural
-    /// corruption found.
+    /// Exit-code severity: 0 = every line valid; 1 = a torn tail only;
+    /// 2 = checksum or structural corruption found.
     pub fn severity(&self) -> u8 {
         if self.scan.corrupt > 0 {
             2
-        } else if self.scan.stale > 0 || self.scan.truncated > 0 {
+        } else if self.scan.truncated > 0 {
             1
         } else {
             0
@@ -956,7 +903,7 @@ impl FsckReport {
 /// 2. writes corrupt and truncated raw lines to `<journal>.quarantine`
 ///    (appending, so repeated fsck runs keep earlier evidence);
 /// 3. atomically rewrites the journal compacted — header plus one v2
-///    line per surviving (cell, seed) entry, legacy v1 lines upgraded.
+///    line per surviving (cell, seed) entry.
 ///
 /// The rewrite goes through [`atomic_write`], so a crash mid-fsck
 /// leaves the original journal untouched.
@@ -981,7 +928,7 @@ pub fn fsck_journal(path: &Path) -> std::io::Result<FsckReport> {
             bad_lines.push_str(line);
             bad_lines.push('\n');
         }
-        LineClass::Stale | LineClass::Header | LineClass::Blank => {}
+        LineClass::Header | LineClass::Blank => {}
     });
 
     let mut quarantine = None;
@@ -1046,9 +993,7 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Parses one journal payload; `None` for malformed input (a truncated
-/// final line from a killed run, or a stale pre-seed-format line, is
-/// expected, not an error).
+/// Parses one journal payload; `None` for malformed input.
 fn parse_journal_line(line: &str) -> Option<(String, u64, CellValue)> {
     // `null` marks a not-applicable entry.
     fn nullable<T: std::str::FromStr>(x: &Value) -> Option<Option<T>> {
@@ -1242,7 +1187,7 @@ mod tests {
     fn journal_skips_truncated_and_legacy_lines() {
         assert!(parse_journal_line("{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1").is_none());
         assert!(parse_journal_line("").is_none());
-        // The pre-plan format carried no seed or kind: stale, skipped.
+        // A payload without seed or kind is refused.
         assert!(
             parse_journal_line("{\"cell\":\"a/b/c\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}")
                 .is_none()
@@ -1267,15 +1212,11 @@ mod tests {
         assert_eq!(classify_line(JOURNAL_HEADER_V2, false), LineClass::Header);
         assert_eq!(classify_line("", false), LineClass::Blank);
         assert_eq!(classify_line("   ", false), LineClass::Blank);
-        // Legacy v1 with seed+kind replays; pre-seed v1 is stale.
-        assert!(matches!(
-            classify_line("{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[2]}", false),
-            LineClass::Valid(..)
-        ));
-        assert_eq!(
-            classify_line("{\"cell\":\"a/b\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}", false),
-            LineClass::Stale
-        );
+        // A bare payload carries no checksum: corrupt mid-file, a torn
+        // write as the unterminated last line, never valid.
+        let bare = "{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[2]}";
+        assert_eq!(classify_line(bare, false), LineClass::Corrupt);
+        assert_eq!(classify_line(bare, true), LineClass::TruncatedTail);
         // A torn prefix of a valid v2 line: tail => truncated, mid-file
         // => corrupt.
         let torn = &valid[..valid.len() * 2 / 3];
@@ -1309,8 +1250,8 @@ mod tests {
         flipped[mid] ^= 0x01;
         text.push_str(&String::from_utf8(flipped).unwrap());
         text.push('\n');
-        // Stale pre-seed v1 line.
-        text.push_str("{\"cell\":\"a/stale\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}\n");
+        // A bare payload without the v2 framing: corrupt.
+        text.push_str("{\"cell\":\"a/bare\",\"seed\":1,\"kind\":\"num\",\"v\":[7]}\n");
         // Torn tail: prefix of a valid line, no trailing newline.
         let torn_src = encode_v2_line("a/torn", 1, &CellValue::Num(6.0));
         text.push_str(&torn_src[..torn_src.len() * 2 / 3]);
@@ -1318,13 +1259,10 @@ mod tests {
 
         let j = Journal::open(&path).unwrap();
         let scan = *j.scan();
-        assert_eq!(
-            (scan.valid, scan.stale, scan.corrupt, scan.truncated),
-            (1, 1, 1, 1),
-            "{scan:?}"
-        );
+        assert_eq!((scan.valid, scan.corrupt, scan.truncated), (1, 2, 1), "{scan:?}");
         assert_eq!(j.lookup("a/good", 1), Some(CellValue::Num(4.0)));
         assert_eq!(j.lookup("a/other", 1), None, "corrupt line must not replay");
+        assert_eq!(j.lookup("a/bare", 1), None, "bare line must not replay");
         assert_eq!(j.lookup("a/torn", 1), None, "torn line must not replay");
         let _ = std::fs::remove_file(&path);
     }
@@ -1334,6 +1272,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sb-fsck-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fsck.jsonl");
+        let _ = std::fs::remove_file(dir.join("fsck.jsonl.quarantine"));
 
         // Clean journal => severity 0, no quarantine file.
         let mut text = String::from(JOURNAL_HEADER_V2);
@@ -1345,31 +1284,38 @@ mod tests {
         assert_eq!(report.entries, 1);
         assert!(report.quarantine.is_none());
 
-        // Duplicate entries compact to one, later value winning; a
-        // legacy v1 line upgrades to v2.
+        // Duplicate entries compact to one, later value winning.
         text.push_str(&encode_v2_line("a/x", 1, &CellValue::Num(2.0)));
-        text.push_str("{\"cell\":\"a/v1\",\"seed\":0,\"kind\":\"num\",\"v\":[7]}\n");
-        // Corrupt line => severity 2 + quarantine.
+        // A bare payload without the v2 framing and a mid-file bit-flip
+        // are both corrupt => severity 2 + quarantine.
+        let bare = "{\"cell\":\"a/v1\",\"seed\":0,\"kind\":\"num\",\"v\":[7]}";
+        text.push_str(bare);
+        text.push('\n');
         let mut flipped = encode_v2_line("a/bad", 1, &CellValue::Num(9.0)).trim_end().as_bytes().to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
-        text.push_str(&String::from_utf8(flipped).unwrap());
+        let flipped = String::from_utf8(flipped).unwrap();
+        text.push_str(&flipped);
         text.push('\n');
         std::fs::write(&path, &text).unwrap();
         let report = fsck_journal(&path).unwrap();
         assert_eq!(report.severity(), 2);
-        assert_eq!(report.entries, 2, "a/x compacted + a/v1 upgraded");
-        assert_eq!((report.scan.valid, report.scan.corrupt), (3, 1));
+        assert_eq!(report.entries, 1, "a/x compacted; nothing else survives");
+        assert_eq!((report.scan.valid, report.scan.corrupt), (2, 2));
         let qpath = report.quarantine.unwrap();
-        assert!(std::fs::read_to_string(&qpath).unwrap().contains("a/bad") || !std::fs::read_to_string(&qpath).unwrap().is_empty());
+        assert_eq!(
+            std::fs::read_to_string(&qpath).unwrap(),
+            format!("{bare}\n{flipped}\n"),
+            "the quarantine holds exactly the damaged lines"
+        );
 
-        // The compacted journal is fully valid and replays both cells.
+        // The compacted journal is fully valid and replays only a/x.
         let report = fsck_journal(&path).unwrap();
         assert_eq!(report.severity(), 0);
         let j = Journal::open(&path).unwrap();
         assert!(j.scan().is_clean());
         assert_eq!(j.lookup("a/x", 1), Some(CellValue::Num(2.0)), "later duplicate won");
-        assert_eq!(j.lookup("a/v1", 0), Some(CellValue::Num(7.0)));
+        assert_eq!(j.lookup("a/v1", 0), None);
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&qpath);

@@ -415,8 +415,6 @@ impl Metrics {
 
         // Journal line classification comes from HarnessStats (it is an
         // open-time scan, not an event-stream phenomenon).
-        header(&mut out, "regen_journal_stale_lines", "gauge", "Stale-seed journal lines skipped on resume.");
-        let _ = writeln!(out, "regen_journal_stale_lines {}", stats.journal_stale);
         header(&mut out, "regen_journal_corrupt_lines", "gauge", "Checksum-failed journal lines skipped on resume.");
         let _ = writeln!(out, "regen_journal_corrupt_lines {}", stats.journal_corrupt);
         header(&mut out, "regen_journal_truncated_lines", "gauge", "Torn-tail journal lines skipped on resume.");

@@ -79,22 +79,6 @@ impl CellValue {
         }
     }
 
-    /// The measurement, or a shape-mismatch error.
-    pub fn as_measurement(&self, ctx: &RunContext) -> Result<Measurement, ExperimentError> {
-        match self {
-            CellValue::Measurement(m) => Ok(*m),
-            other => Err(other.mismatch(ctx, "meas")),
-        }
-    }
-
-    /// The scalar vector, or a shape-mismatch error.
-    pub fn as_nums(&self, ctx: &RunContext) -> Result<&[f64], ExperimentError> {
-        match self {
-            CellValue::Nums(xs) => Ok(xs),
-            other => Err(other.mismatch(ctx, "nums")),
-        }
-    }
-
     /// The optional-scalar vector, or a shape-mismatch error.
     pub fn as_opt_nums(&self, ctx: &RunContext) -> Result<&[Option<f64>], ExperimentError> {
         match self {

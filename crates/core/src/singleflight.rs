@@ -107,13 +107,6 @@ impl<V: Clone> SingleFlight<V> {
             }
         }
     }
-
-    /// Drops the posted value for `key`, if any. The group itself calls
-    /// this implicitly at the start of each new flight; callers only
-    /// need it to bound memory when keys are unbounded.
-    pub fn forget(&self, key: &str) {
-        relock(&self.done).remove(key);
-    }
 }
 
 struct AbandonOnDrop<'a, V: Clone> {

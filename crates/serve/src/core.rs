@@ -366,7 +366,7 @@ impl Core {
             body.push(']');
         }
         body.push_str("}\n");
-        Response::json(200, body)
+        checksummed_json(body)
     }
 
     fn metrics(&self) -> Response {
@@ -471,7 +471,7 @@ impl Core {
             Err(resp) => return Action::Done(resp),
         };
         if let Some(v) = self.exec.cache_lookup(content_key, seed) {
-            return Action::Done(cell_json_response(format!(
+            return Action::Done(checksummed_json(format!(
                 "{}\n",
                 cell_value_json(content_key, seed, &v)
             )));
@@ -505,7 +505,7 @@ impl Core {
         }
         match self.exec.cache_lookup(content_key, seed) {
             Some(v) => {
-                cell_json_response(format!("{}\n", cell_value_json(content_key, seed, &v)))
+                checksummed_json(format!("{}\n", cell_value_json(content_key, seed, &v)))
             }
             None => Response::text(
                 404,
@@ -603,9 +603,10 @@ pub(crate) fn artifact_response(r: &Rendered, quick: bool) -> Response {
     resp
 }
 
-/// Builds the 200 response for one cell's JSON, checksummed like
-/// artifact bodies (the proxy verifies cross-shard cell fills).
-pub(crate) fn cell_json_response(body: String) -> Response {
+/// Builds a 200 JSON response checksummed like artifact bodies: the
+/// proxy verifies every shard hop, cell fills and `/healthz` probes
+/// alike.
+pub(crate) fn checksummed_json(body: String) -> Response {
     let checksum = format!("{:08x}", crc32(body.as_bytes()));
     Response::json(200, body).with_header("X-Regend-Crc32", checksum)
 }

@@ -23,15 +23,16 @@
 //! 3. a down shard additionally stamps `Retry-After: 1`, telling
 //!    clients the cluster is degraded and when to try again.
 //!
-//! Silent corruption is structurally excluded: shard bodies carry
-//! `X-Regend-Crc32`, verified on receipt — a damaged hop is a
-//! *detected* transient failure that re-enters layer 1.
+//! Silent corruption is structurally excluded: every shard 200 carries
+//! `X-Regend-Crc32`, verified on receipt — a damaged hop, or a 200
+//! without the header, is a *detected* transient failure that re-enters
+//! layer 1.
 
 use spectrebench::obs::{EventKind, ShardState};
 use spectrebench::Artifact;
 
 use crate::core::{
-    artifact_response, cell_json_response, lock, ArtifactEntry, Core, Rendered, SlowWork,
+    artifact_response, checksummed_json, lock, ArtifactEntry, Core, Rendered, SlowWork,
 };
 use crate::http::{percent_encode_path, Response};
 use crate::shard::Cluster;
@@ -125,7 +126,7 @@ fn cell(
     );
     match cluster.fetch(&core.bus, shard, &hop) {
         Ok(resp) if resp.status == 200 => {
-            cell_json_response(String::from_utf8_lossy(&resp.body).into_owned())
+            checksummed_json(String::from_utf8_lossy(&resp.body).into_owned())
         }
         // Client-side errors (bad seed, unknown key) are the shard's
         // verdict on the request, not a shard failure — pass them

@@ -296,26 +296,32 @@ impl Cluster {
             }
             _ => {}
         }
-        // Verify the body against the shard's checksum. Damage on the
-        // wire (injected or real) becomes a detected transient failure
-        // here — by construction it can never reach a client.
-        if let Some(declared) = response.header("x-regend-crc32") {
-            let declared = declared.to_string();
-            let actual = format!("{:08x}", crc32(&response.body));
-            if declared != actual {
-                // The socket itself is clean (the damage is in our
-                // copy), so the connection is still poolable.
-                lock(&ep.pool).push(conn);
-                return Err((
-                    true,
+        // Verify the body against the shard's checksum. Every 200 a
+        // shard serves carries one, so a 200 without it is damage too.
+        // Damage on the wire (injected or real) becomes a detected
+        // transient failure here — by construction it can never reach a
+        // client. Other statuses pass through unchecked when unsigned.
+        let damage = match response.header("x-regend-crc32") {
+            Some(declared) => {
+                let actual = format!("{:08x}", crc32(&response.body));
+                (declared != actual).then(|| {
                     format!(
                         "shard {shard} body checksum mismatch on {path}: got {actual}, declared {declared}"
-                    ),
-                ));
+                    )
+                })
             }
-        }
+            None if response.status == 200 => Some(format!(
+                "shard {shard} 200 without a body checksum on {path}"
+            )),
+            None => None,
+        };
+        // The socket itself is clean (any damage is in our copy), so the
+        // connection is still poolable.
         lock(&ep.pool).push(conn);
-        Ok(response)
+        match damage {
+            Some(e) => Err((true, e)),
+            None => Ok(response),
+        }
     }
 
     /// Fetches `path` from `shard` with bounded retry + backoff.
@@ -418,6 +424,51 @@ mod tests {
         let err = cluster.fetch(&bus, 0, "/healthz").unwrap_err();
         assert!(err.contains("is down"), "{err}");
         assert!(start.elapsed() < Duration::from_millis(50), "no wire attempt");
+    }
+
+    #[test]
+    fn a_200_without_its_checksum_is_a_failed_hop() {
+        let body = b"{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1.5]}\n".to_vec();
+        let crc = crc32(&body);
+        // A 200 whose checksum header is `name: <crc of the intact body>`.
+        let reply = |name: &str, body: &[u8]| {
+            let mut r = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n{name}: {crc:08x}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            r.extend_from_slice(body);
+            r
+        };
+        // One hop to a shard that answers one request with `reply`.
+        let fetch = |reply: Vec<u8>| {
+            use std::io::{Read as _, Write as _};
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let shard = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut head = Vec::new();
+                let mut byte = [0u8];
+                while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+                    head.push(byte[0]);
+                }
+                stream.write_all(&reply).unwrap();
+            });
+            let got = Cluster::new(&[addr], None, 1).fetch(&EventBus::new(), 0, "/cell/x");
+            shard.join().unwrap();
+            got
+        };
+
+        // Intact: the declared checksum holds over the body.
+        let ok = fetch(reply("X-Regend-Crc32", &body)).unwrap();
+        assert_eq!((ok.status, ok.body.as_slice()), (200, body.as_slice()));
+
+        // One bit flipped in the header's name (`Crc32` -> `Crc33`) and
+        // one in the body: the checksum is gone, so is the pass.
+        let mut damaged = body.clone();
+        damaged[9] ^= 0x04;
+        let err = fetch(reply("X-Regend-Crc33", &damaged)).unwrap_err();
+        assert!(err.contains("without a body checksum"), "{err}");
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl Default for BootParams {
 }
 
 impl BootParams {
-    /// The kernel defaults (everything mitigated, as Table 1 reports).
-    pub fn secure_default() -> BootParams {
-        BootParams::default()
-    }
-
     /// Parses a boot command line. Unknown tokens are ignored, as Linux
     /// does.
     pub fn parse(cmdline: &str) -> BootParams {

@@ -210,17 +210,6 @@ impl Kernel {
         self.machine.run(&mut self.state, budget)
     }
 
-    /// Convenience: spawn, start, run.
-    pub fn run_program(
-        &mut self,
-        build: impl FnOnce(&mut ProgramBuilder),
-        budget: u64,
-    ) -> Result<Stop, SimError> {
-        self.spawn(build);
-        self.start();
-        self.run(budget)
-    }
-
     /// Total simulated cycles so far.
     pub fn cycles(&self) -> u64 {
         self.machine.cycles()
@@ -295,11 +284,6 @@ impl Kernel {
         (self.state.bpf_maps.len() - 1) as MapId
     }
 
-    /// A map's kernel location (for experiments that probe cache state).
-    pub fn bpf_map_loc(&self, map: MapId) -> MapLoc {
-        self.state.bpf_maps[map as usize]
-    }
-
     /// Physical address of a map slot.
     pub fn bpf_map_paddr(&self, map: MapId, idx: u64) -> u64 {
         let loc = self.state.bpf_maps[map as usize];
@@ -356,11 +340,6 @@ impl Kernel {
         self.machine.load_program(prog);
         self.state.bpf_progs.push(base);
         Ok((self.state.bpf_progs.len() - 1) as ProgId)
-    }
-
-    /// The pid of the currently scheduled process.
-    pub fn current_pid(&self) -> Pid {
-        self.state.procs[self.state.current].pid
     }
 
     /// Immutable view of a process.

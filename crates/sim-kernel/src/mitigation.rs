@@ -110,11 +110,6 @@ impl MitigationConfig {
         }
     }
 
-    /// Whether the entry/exit stubs contain any `mov %cr3` (the PTI cost).
-    pub fn entry_swaps_cr3(&self) -> bool {
-        self.pti
-    }
-
     /// Whether legacy IBRS writes `IA32_SPEC_CTRL` on every entry/exit.
     pub fn entry_writes_spec_ctrl(&self) -> bool {
         self.spectre_v2 == SpectreV2Mode::LegacyIbrs

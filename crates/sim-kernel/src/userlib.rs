@@ -27,22 +27,6 @@ pub fn emit_getpid(b: &mut ProgramBuilder) {
     emit_syscall(b, nr::GETPID);
 }
 
-/// Emits `R0 = read(fd, buf, len)`.
-pub fn emit_read(b: &mut ProgramBuilder, fd: u64, buf: u64, len: u64) {
-    b.mov_imm(Reg::R1, fd);
-    b.mov_imm(Reg::R2, buf);
-    b.mov_imm(Reg::R3, len);
-    emit_syscall(b, nr::READ);
-}
-
-/// Emits `R0 = write(fd, buf, len)`.
-pub fn emit_write(b: &mut ProgramBuilder, fd: u64, buf: u64, len: u64) {
-    b.mov_imm(Reg::R1, fd);
-    b.mov_imm(Reg::R2, buf);
-    b.mov_imm(Reg::R3, len);
-    emit_syscall(b, nr::WRITE);
-}
-
 /// Starts a counted loop of `count` iterations using `counter` as the
 /// induction register. Returns the label to pass to [`end_loop`].
 pub fn begin_loop(b: &mut ProgramBuilder, counter: Reg, count: u64) -> Label {

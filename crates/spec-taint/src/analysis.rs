@@ -78,23 +78,6 @@ pub enum Reason {
     NoTransmittingLoad,
 }
 
-impl Reason {
-    /// One-line human rendering for reports.
-    pub fn describe(&self) -> String {
-        match self {
-            Reason::DependentLoadTransmit { first_load, second_load } => format!(
-                "load at inst {first_load} reads out of bounds; load at inst {second_load} transmits it"
-            ),
-            Reason::NoGuardComparison => "no guard comparison dominates the branch".into(),
-            Reason::EmptyShadow => "shadow is empty".into(),
-            Reason::ShadowFenced => "lfence serializes the shadow".into(),
-            Reason::MaskedIndex => "guarded index is masked before any load".into(),
-            Reason::NoTaintedLoad => "no attacker-tainted load in the shadow".into(),
-            Reason::NoTransmittingLoad => "out-of-bounds load never feeds a second load".into(),
-        }
-    }
-}
-
 /// Analysis result for one conditional branch.
 #[derive(Clone, Debug)]
 pub struct BranchFinding {

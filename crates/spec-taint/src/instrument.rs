@@ -15,7 +15,7 @@
 //! take the address of an instruction after a hardened branch.
 
 use uarch::program::INST_SIZE;
-use uarch::{Cond, Inst, Reg};
+use uarch::Inst;
 
 use crate::analysis::BranchReport;
 use crate::counters;
@@ -149,10 +149,4 @@ fn harden(base: u64, insts: &[Inst], insert_after: &dyn Fn(usize) -> Option<Inst
     }
     counters::record_fences(fences);
     Hardened { insts: out, base, new_index, old_len: insts.len() }
-}
-
-/// Convenience for tests and the attack harness: the canonical mask
-/// instruction the kernel's eBPF JIT emits for a guarded index.
-pub fn canonical_mask(cond: Cond, guard: Reg) -> Inst {
-    Inst::CmovImm(cond, guard, 0)
 }

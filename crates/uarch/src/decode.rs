@@ -91,68 +91,6 @@ pub enum Op {
     Vmcall,
 }
 
-impl Op {
-    /// The same short mnemonic [`Inst::mnemonic`] reports, so trace output
-    /// is identical whichever representation recorded it.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            Op::Nop => "nop",
-            Op::Pause => "pause",
-            Op::Halt => "hlt",
-            Op::MovImm => "mov(imm)",
-            Op::Mov => "mov",
-            Op::Add | Op::AddImm => "add",
-            Op::Sub | Op::SubImm => "sub",
-            Op::Mul => "mul",
-            Op::Div => "div",
-            Op::And | Op::AndImm => "and",
-            Op::Or => "or",
-            Op::Xor | Op::XorImm => "xor",
-            Op::Shl => "shl",
-            Op::Shr => "shr",
-            Op::Not => "not",
-            Op::Load => "load",
-            Op::Store => "store",
-            Op::Cmp | Op::CmpImm => "cmp",
-            Op::Test => "test",
-            Op::Jcc => "jcc",
-            Op::Jmp => "jmp",
-            Op::JmpInd => "jmp*",
-            Op::Call => "call",
-            Op::CallInd => "call*",
-            Op::Ret => "ret",
-            Op::Cmov | Op::CmovImm => "cmov",
-            Op::Lfence => "lfence",
-            Op::Mfence => "mfence",
-            Op::Sfence => "sfence",
-            Op::Clflush => "clflush",
-            Op::Rdtsc => "rdtsc",
-            Op::Rdpmc => "rdpmc",
-            Op::Wrmsr => "wrmsr",
-            Op::Rdmsr => "rdmsr",
-            Op::Syscall => "syscall",
-            Op::Sysret => "sysret",
-            Op::Swapgs => "swapgs",
-            Op::Iret => "iret",
-            Op::MovCr3 => "mov cr3",
-            Op::Verw => "verw",
-            Op::Invlpg => "invlpg",
-            Op::Fadd => "fadd",
-            Op::Fsub => "fsub",
-            Op::Fmul => "fmul",
-            Op::Fdiv => "fdiv",
-            Op::FmovImm => "fmov(imm)",
-            Op::Fload => "fload",
-            Op::Fstore => "fstore",
-            Op::FtoG => "ftog",
-            Op::Xsave => "xsave",
-            Op::Xrstor => "xrstor",
-            Op::Host => "host",
-            Op::Vmcall => "vmcall",
-        }
-    }
-}
-
 /// Attribute bit in [`DecodedInst::meta`]: faults with `#GP` in user mode.
 pub const META_PRIVILEGED: u8 = 1 << 0;
 
@@ -602,21 +540,6 @@ mod tests {
         assert!(d.is_privileged());
         let d = decode(&Inst::Rdtsc(Reg::R0));
         assert!(!d.is_privileged());
-    }
-
-    #[test]
-    fn mnemonics_match_inst() {
-        let insts = [
-            Inst::Nop,
-            Inst::MovImm(Reg::R1, 7),
-            Inst::Load { dst: Reg::R0, base: Reg::R1, offset: -8, width: Width::B4 },
-            Inst::Jcc(Cond::Above, 0x40),
-            Inst::FmovImm(FReg::F3, 2.5),
-            Inst::Host(7),
-        ];
-        for inst in &insts {
-            assert_eq!(decode(inst).op.mnemonic(), inst.mnemonic());
-        }
     }
 
     #[test]

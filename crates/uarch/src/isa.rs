@@ -636,65 +636,6 @@ impl Inst {
         )
     }
 
-    /// A short mnemonic for tracing and diagnostics.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Inst::Nop => "nop",
-            Inst::Pause => "pause",
-            Inst::Halt => "hlt",
-            Inst::MovImm(..) => "mov(imm)",
-            Inst::Mov(..) => "mov",
-            Inst::Add(..) | Inst::AddImm(..) => "add",
-            Inst::Sub(..) | Inst::SubImm(..) => "sub",
-            Inst::Mul(..) => "mul",
-            Inst::Div(..) => "div",
-            Inst::And(..) | Inst::AndImm(..) => "and",
-            Inst::Or(..) => "or",
-            Inst::Xor(..) | Inst::XorImm(..) => "xor",
-            Inst::Shl(..) => "shl",
-            Inst::Shr(..) => "shr",
-            Inst::Not(..) => "not",
-            Inst::Load { .. } => "load",
-            Inst::Store { .. } => "store",
-            Inst::Cmp(..) | Inst::CmpImm(..) => "cmp",
-            Inst::Test(..) => "test",
-            Inst::Jcc(..) => "jcc",
-            Inst::Jmp(..) => "jmp",
-            Inst::JmpInd(..) => "jmp*",
-            Inst::Call(..) => "call",
-            Inst::CallInd(..) => "call*",
-            Inst::Ret => "ret",
-            Inst::Cmov(..) | Inst::CmovImm(..) => "cmov",
-            Inst::Lfence => "lfence",
-            Inst::Mfence => "mfence",
-            Inst::Sfence => "sfence",
-            Inst::Clflush(..) => "clflush",
-            Inst::Rdtsc(..) => "rdtsc",
-            Inst::Rdpmc { .. } => "rdpmc",
-            Inst::Wrmsr { .. } => "wrmsr",
-            Inst::Rdmsr { .. } => "rdmsr",
-            Inst::Syscall => "syscall",
-            Inst::Sysret => "sysret",
-            Inst::Swapgs => "swapgs",
-            Inst::Iret => "iret",
-            Inst::MovCr3(..) => "mov cr3",
-            Inst::Verw => "verw",
-            Inst::Invlpg(..) => "invlpg",
-            Inst::Fadd(..) => "fadd",
-            Inst::Fsub(..) => "fsub",
-            Inst::Fmul(..) => "fmul",
-            Inst::Fdiv(..) => "fdiv",
-            Inst::FmovImm(..) => "fmov(imm)",
-            Inst::Fload { .. } => "fload",
-            Inst::Fstore { .. } => "fstore",
-            Inst::FtoG(..) => "ftog",
-            Inst::Xsave => "xsave",
-            Inst::Xrstor => "xrstor",
-            Inst::Host(..) => "host",
-            Inst::Vmcall => "vmcall",
-        }
-    }
-
     /// Returns `true` for privileged instructions that fault in user mode.
     pub fn is_privileged(&self) -> bool {
         matches!(

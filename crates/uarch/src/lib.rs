@@ -65,7 +65,6 @@ pub mod predictor;
 pub mod program;
 pub mod reference;
 pub mod store_buffer;
-pub mod trace;
 pub mod transient;
 
 pub use decode::{DecodedInst, DecodedProgram, Op};

@@ -29,7 +29,6 @@ use crate::pmc::PmcBank;
 use crate::predictor::{Bhb, Btb, CondPredictor, PrivMode, Rsb};
 use crate::program::{CodeMem, Program, INST_SIZE};
 use crate::store_buffer::{ForwardOutcome, StoreBuffer};
-use crate::trace::{TraceRecord, Tracer};
 use crate::transient::{self, TransientStart};
 
 /// Why `Machine::run` returned.
@@ -194,9 +193,6 @@ pub struct Machine {
     /// GS-base selector (flips on `swapgs`; semantic payload is not
     /// modelled, only the mitigation cost around it).
     pub swapgs_user: bool,
-    /// Optional execution trace (off by default; see
-    /// [`Machine::enable_trace`]).
-    pub tracer: Option<Tracer>,
 }
 
 impl Machine {
@@ -248,15 +244,8 @@ impl Machine {
             flushed_transient: 0,
             flushed_windows: 0,
             swapgs_user: true,
-            tracer: None,
             model,
         }
-    }
-
-    /// Enables execution tracing, keeping the last `capacity` committed
-    /// instructions (see [`crate::trace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Some(Tracer::new(capacity));
     }
 
     /// Current cycle count (the TSC value).
@@ -493,14 +482,6 @@ impl Machine {
         };
         self.insts += 1;
         self.pmc.incr(Pmc::Instructions);
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceRecord {
-                pc,
-                cycles: self.cycles,
-                mode: self.mode,
-                mnemonic: d.op.mnemonic(),
-            });
-        }
 
         // Privilege check first: privileged instructions fault in user
         // mode. The bit was precomputed at decode time.

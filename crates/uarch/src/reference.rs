@@ -25,7 +25,6 @@ use crate::model::Vendor;
 use crate::msr::MsrEffect;
 use crate::predictor::PrivMode;
 use crate::program::INST_SIZE;
-use crate::trace::TraceRecord;
 use crate::transient::{self, TransientStart};
 
 impl Machine {
@@ -57,14 +56,6 @@ impl Machine {
         };
         self.insts += 1;
         self.pmc.incr(Pmc::Instructions);
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceRecord {
-                pc,
-                cycles: self.cycles,
-                mode: self.mode,
-                mnemonic: inst.mnemonic(),
-            });
-        }
 
         // Privilege check first: privileged instructions fault in user mode.
         if self.mode == PrivMode::User && inst.is_privileged() {

@@ -165,7 +165,6 @@ fn every_inst_roundtrips_through_decode() {
             "round-trip mismatch: {inst:?} -> {d:?} -> {back:?}"
         );
         assert_eq!(d.is_privileged(), inst.is_privileged(), "privilege bit for {inst:?}");
-        assert_eq!(d.op.mnemonic(), inst.mnemonic(), "mnemonic for {inst:?}");
     }
 }
 

@@ -576,9 +576,35 @@ mod bpf_props {
 /// valid entry. This is the contract that makes `regen fsck` sound —
 /// CRC-32 catches any error burst up to 32 bits, so a one-byte flip
 /// anywhere (prefix, checksum field, payload) cannot replay as data.
+/// It also holds for every two-bit flip of one line and of the
+/// `#regen-journal v2` header, and a bare payload without the framing
+/// (the retired v1 shape) never replays, flipped or not.
 #[test]
 fn prop_journal_v2_single_byte_corruption_never_replays() {
-    use spectrebench::{classify_line, crc32, LineClass};
+    use spectrebench::{classify_line, crc32, LineClass, JOURNAL_HEADER_V2};
+
+    // Every variant of `line` with the bits `flips` inverted that a line
+    // reader could hand to `classify_line`: flips into a newline split
+    // the line at read time instead, and a non-UTF-8 journal fails
+    // earlier, at read time.
+    fn flipped(line: &str, flips: &[usize]) -> Option<String> {
+        let mut bytes = line.as_bytes().to_vec();
+        for &bit in flips {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        if flips.iter().any(|&bit| bytes[bit / 8] == b'\n') {
+            return None;
+        }
+        String::from_utf8(bytes).ok()
+    }
+    let never_valid = |line: &str, what: &str| {
+        for is_last in [false, true] {
+            assert!(
+                !matches!(classify_line(line, is_last), LineClass::Valid(..)),
+                "{what} must not replay: {line}"
+            );
+        }
+    };
 
     let mut rng = Rng::new(0x6A51);
     // A spread of payload shapes: escaped quotes in keys, every value
@@ -654,6 +680,48 @@ fn prop_journal_v2_single_byte_corruption_never_replays() {
                 !matches!(classify_line(torn, false), LineClass::Valid(..)),
                 "torn mid-file line must not replay: {torn}"
             );
+        }
+        // The bare payload carries no checksum: neither it nor any
+        // one-bit flip of it replays.
+        never_valid(payload, "a bare payload");
+        for bit in 0..payload.len() * 8 {
+            if let Some(corrupted) = flipped(payload, &[bit]) {
+                never_valid(&corrupted, "a flipped bare payload");
+            }
+        }
+    }
+
+    // Every pair of bit flips of the first payload's v2 line is refused
+    // or replays the identical entry: none may replay a different key,
+    // seed or value.
+    let line = format!("v2 {:08x} {}", crc32(payloads[0].as_bytes()), payloads[0]);
+    let LineClass::Valid(key, seed, value) = classify_line(&line, false) else {
+        panic!("pristine line must be valid: {line}");
+    };
+    let bits = line.len() * 8;
+    for a in 0..bits {
+        for b in a + 1..bits {
+            let Some(corrupted) = flipped(&line, &[a, b]) else {
+                continue;
+            };
+            if let LineClass::Valid(k, s, v) = classify_line(&corrupted, false) {
+                assert_eq!(
+                    (&k, s, &v),
+                    (&key, seed, &value),
+                    "flip bits {a} and {b} replays a different entry: {corrupted}"
+                );
+            }
+        }
+    }
+
+    // No one- or two-bit flip of the header line replays as data.
+    let bits = JOURNAL_HEADER_V2.len() * 8;
+    for a in 0..bits {
+        for b in a..bits {
+            let flips: &[usize] = if a == b { &[a] } else { &[a, b] };
+            if let Some(corrupted) = flipped(JOURNAL_HEADER_V2, flips) {
+                never_valid(&corrupted, "a flipped header");
+            }
         }
     }
 }
