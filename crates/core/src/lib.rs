@@ -79,7 +79,7 @@ pub use harness::{
 };
 pub use singleflight::{FlightOutcome, SingleFlight};
 pub use obs::{Clock, Event, EventBus, EventKind, ShardState, SystemClock, VirtualClock};
-pub use persist::{atomic_write, crc32, fnv1a, WriteDamage};
+pub use persist::{atomic_write, crc32, crc32_extend, fnv1a, WriteDamage};
 pub use plan::{CellOutcome, CellSource, CellSpec, CellValue, ExperimentPlan};
 pub use probe::{ProbeConfig, ProbeResult};
 pub use stats::{geomean, measure_until, Measurement, NoiseModel, StatsError, StopPolicy};

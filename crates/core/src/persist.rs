@@ -51,11 +51,17 @@ const CRC32_TABLE: [u32; 256] = {
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of some bytes followed by `bytes`, given `crc`, the CRC-32
+/// of the first part: `crc32_extend(crc32(a), b) == crc32(a ++ b)`.
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
     for b in bytes {
         c = CRC32_TABLE[((c ^ *b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    !c
 }
 
 /// 64-bit FNV-1a of `bytes`. Callers add their own finalizer; the bare
@@ -227,6 +233,15 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn crc32_extend_continues_a_checksum() {
+        let text = b"The quick brown fox jumps over the lazy dog";
+        for cut in 0..=text.len() {
+            let (head, tail) = text.split_at(cut);
+            assert_eq!(crc32_extend(crc32(head), tail), 0x414F_A339, "cut at {cut}");
+        }
     }
 
     #[test]

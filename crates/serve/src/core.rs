@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 
 use spectrebench::obs::EventKind;
 use spectrebench::{
-    cell_value_json, crc32, default_jobs, Artifact, EventBus, Executor, FaultPlan, FlightOutcome,
-    Harness, HarnessStats, Journal, NetFaultPlan, RetryPolicy, SingleFlight,
+    cell_value_json, crc32, crc32_extend, default_jobs, Artifact, EventBus, Executor, FaultPlan,
+    FlightOutcome, Harness, HarnessStats, Journal, NetFaultPlan, RetryPolicy, SingleFlight,
 };
 
 use crate::http::{percent_encode_path, Request, Response};
@@ -104,13 +104,44 @@ impl Default for ServerConfig {
 
 /// A rendered artifact held in the serving cache: the exact block the
 /// CLI prints (`== caption ==\n<text>\n`) as shared bytes the
-/// connections write zero-copy, plus its degraded flag.
+/// connections write zero-copy, its marker flags, and its wire checksum,
+/// computed once when the rendering is made.
 #[derive(Debug, Clone)]
 pub struct Rendered {
     /// The response body (shared, immutable).
     pub body: Arc<[u8]>,
     /// Whether any attribution slice had to be bridged.
     pub degraded: bool,
+    /// Whether this is the quick variant's rendering.
+    pub quick: bool,
+    /// [`marked_crc32`] of the body and the two flags: the
+    /// `X-Regend-Crc32` every response for this rendering carries.
+    pub crc32: u32,
+}
+
+impl Rendered {
+    /// A rendering of `body` with its markers, checksummed.
+    pub(crate) fn new(body: Arc<[u8]>, degraded: bool, quick: bool) -> Rendered {
+        let crc32 = marked_crc32(&body, degraded, quick);
+        Rendered { body, degraded, quick, crc32 }
+    }
+}
+
+/// The checksum an artifact response declares in `X-Regend-Crc32`: the
+/// CRC-32 of its body followed by one tag per marker header it carries
+/// (`X-Regend-Degraded`, then `X-Regend-Quick`). A marker lost or made
+/// on the wire therefore fails the check like a damaged body does. The
+/// tags start with `0xff`, which UTF-8 never contains, and an unmarked
+/// response's checksum is its body's plain CRC-32.
+pub(crate) fn marked_crc32(body: &[u8], degraded: bool, quick: bool) -> u32 {
+    let mut crc = crc32(body);
+    if degraded {
+        crc = crc32_extend(crc, b"\xffdegraded");
+    }
+    if quick {
+        crc = crc32_extend(crc, b"\xffquick");
+    }
+    crc
 }
 
 /// Outcome of obtaining an artifact: the rendering or the error text.
@@ -322,7 +353,7 @@ impl Core {
     pub(crate) fn execute_local(&self, work: &SlowWork, path: &str) -> Response {
         match work {
             SlowWork::Artifact { artifact, quick } => match self.obtain(*artifact, *quick, path) {
-                Ok(r) => artifact_response(&r, *quick),
+                Ok(r) => artifact_response(&r),
                 Err(e) => {
                     Response::text(500, format!("regend: {} failed: {e}\n", artifact.name()))
                 }
@@ -395,7 +426,7 @@ impl Core {
         };
         if let Some(r) = lock(&self.rendered).get(&(artifact.name(), quick)).cloned() {
             self.bus.emit(artifact.name(), &request.path, "", 0, EventKind::ArtifactCacheHit);
-            return Action::Done(artifact_response(&r, quick));
+            return Action::Done(artifact_response(&r));
         }
         Action::Slow(SlowWork::Artifact { artifact, quick })
     }
@@ -572,8 +603,7 @@ impl Core {
             match artifact.regenerate(quick, &self.exec) {
                 Ok(out) => {
                     let block = artifact.block(Some(&out.text));
-                    let rendered =
-                        Rendered { body: block.into_bytes().into(), degraded: out.degraded };
+                    let rendered = Rendered::new(block.into_bytes().into(), out.degraded, quick);
                     lock(&self.rendered).insert((artifact.name(), quick), rendered.clone());
                     lock(&self.swept).insert((artifact.name(), quick));
                     Ok(rendered)
@@ -589,15 +619,16 @@ impl Core {
 }
 
 /// Builds the 200 response for a rendered artifact (zero-copy body,
-/// degraded/quick marker headers, and a body checksum so the cluster
-/// proxy can detect damage on the proxy↔shard hop).
-pub(crate) fn artifact_response(r: &Rendered, quick: bool) -> Response {
+/// degraded/quick marker headers, and the rendering's stored checksum
+/// over both, so the cluster proxy can detect damage on the proxy↔shard
+/// hop without a cache hit re-hashing the body).
+pub(crate) fn artifact_response(r: &Rendered) -> Response {
     let mut resp = Response::shared(200, Arc::clone(&r.body))
-        .with_header("X-Regend-Crc32", format!("{:08x}", crc32(&r.body)));
+        .with_header("X-Regend-Crc32", format!("{:08x}", r.crc32));
     if r.degraded {
         resp = resp.with_header("X-Regend-Degraded", "true");
     }
-    if quick {
+    if r.quick {
         resp = resp.with_header("X-Regend-Quick", "true");
     }
     resp

@@ -43,7 +43,7 @@ pub(crate) fn execute(core: &Core, cluster: &Cluster, work: &SlowWork, path: &st
         SlowWork::Artifact { artifact, quick } => {
             let (entry, failover) = fill_artifact(core, cluster, *artifact, *quick, path);
             let resp = match entry {
-                Ok(r) => artifact_response(&r, *quick),
+                Ok(r) => artifact_response(&r),
                 Err(e) => {
                     Response::text(500, format!("regend: {} failed: {e}\n", artifact.name()))
                 }
@@ -87,8 +87,9 @@ fn fill_artifact(
     let hop = format!("/artifact/{}?quick={}", artifact.name(), u32::from(quick));
     match cluster.fetch(&core.bus, shard, &hop) {
         Ok(resp) if resp.status == 200 => {
+            // The hop's checksum covered this marker (see `marked_crc32`).
             let degraded = resp.header("x-regend-degraded").is_some();
-            let rendered = Rendered { body: resp.body.into(), degraded };
+            let rendered = Rendered::new(resp.body.into(), degraded, quick);
             lock(&core.rendered).insert((artifact.name(), quick), rendered.clone());
             (Ok(rendered), None)
         }

@@ -24,10 +24,10 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use spectrebench::obs::ShardState;
-use spectrebench::{crc32, fnv1a, EventBus, EventKind, NetFaultKind, NetFaultPlan};
+use spectrebench::{fnv1a, EventBus, EventKind, NetFaultKind, NetFaultPlan};
 
 use crate::client::{backoff_delay, Connection, HttpResponse};
-use crate::core::lock;
+use crate::core::{lock, marked_crc32};
 
 /// Virtual nodes per shard on the ring. 64 points per shard keeps the
 /// key split within a few percent of even for small clusters while the
@@ -296,14 +296,17 @@ impl Cluster {
             }
             _ => {}
         }
-        // Verify the body against the shard's checksum. Every 200 a
-        // shard serves carries one, so a 200 without it is damage too.
-        // Damage on the wire (injected or real) becomes a detected
-        // transient failure here — by construction it can never reach a
-        // client. Other statuses pass through unchecked when unsigned.
+        // Verify the body and the marker headers against the shard's
+        // checksum. Every 200 a shard serves carries one, so a 200
+        // without it is damage too. Damage on the wire (injected or
+        // real) becomes a detected transient failure here — by
+        // construction it can never reach a client. Other statuses pass
+        // through unchecked when unsigned.
         let damage = match response.header("x-regend-crc32") {
             Some(declared) => {
-                let actual = format!("{:08x}", crc32(&response.body));
+                let degraded = response.header("x-regend-degraded").is_some();
+                let quick = response.header("x-regend-quick").is_some();
+                let actual = format!("{:08x}", marked_crc32(&response.body, degraded, quick));
                 (declared != actual).then(|| {
                     format!(
                         "shard {shard} body checksum mismatch on {path}: got {actual}, declared {declared}"
@@ -426,49 +429,82 @@ mod tests {
         assert!(start.elapsed() < Duration::from_millis(50), "no wire attempt");
     }
 
+    /// A 200 carrying `headers` (name, value) and `body`.
+    fn reply(headers: &[(&str, String)], body: &[u8]) -> Vec<u8> {
+        let mut r = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n", body.len());
+        for (name, value) in headers {
+            r.push_str(&format!("{name}: {value}\r\n"));
+        }
+        r.push_str("\r\n");
+        let mut r = r.into_bytes();
+        r.extend_from_slice(body);
+        r
+    }
+
+    /// One hop through `Cluster::fetch` to a loopback shard that answers
+    /// one request with `reply`.
+    fn fetch_from_fake_shard(reply: Vec<u8>) -> Result<HttpResponse, String> {
+        use std::io::{Read as _, Write as _};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = Vec::new();
+            let mut byte = [0u8];
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+                head.push(byte[0]);
+            }
+            stream.write_all(&reply).unwrap();
+        });
+        let got = Cluster::new(&[addr], None, 1).fetch(&EventBus::new(), 0, "/cell/x");
+        shard.join().unwrap();
+        got
+    }
+
     #[test]
     fn a_200_without_its_checksum_is_a_failed_hop() {
         let body = b"{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1.5]}\n".to_vec();
-        let crc = crc32(&body);
         // A 200 whose checksum header is `name: <crc of the intact body>`.
-        let reply = |name: &str, body: &[u8]| {
-            let mut r = format!(
-                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n{name}: {crc:08x}\r\n\r\n",
-                body.len()
-            )
-            .into_bytes();
-            r.extend_from_slice(body);
-            r
-        };
-        // One hop to a shard that answers one request with `reply`.
-        let fetch = |reply: Vec<u8>| {
-            use std::io::{Read as _, Write as _};
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let shard = std::thread::spawn(move || {
-                let (mut stream, _) = listener.accept().unwrap();
-                let mut head = Vec::new();
-                let mut byte = [0u8];
-                while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
-                    head.push(byte[0]);
-                }
-                stream.write_all(&reply).unwrap();
-            });
-            let got = Cluster::new(&[addr], None, 1).fetch(&EventBus::new(), 0, "/cell/x");
-            shard.join().unwrap();
-            got
-        };
+        let crc = format!("{:08x}", spectrebench::crc32(&body));
 
         // Intact: the declared checksum holds over the body.
-        let ok = fetch(reply("X-Regend-Crc32", &body)).unwrap();
+        let ok = fetch_from_fake_shard(reply(&[("X-Regend-Crc32", crc.clone())], &body)).unwrap();
         assert_eq!((ok.status, ok.body.as_slice()), (200, body.as_slice()));
 
         // One bit flipped in the header's name (`Crc32` -> `Crc33`) and
         // one in the body: the checksum is gone, so is the pass.
         let mut damaged = body.clone();
         damaged[9] ^= 0x04;
-        let err = fetch(reply("X-Regend-Crc33", &damaged)).unwrap_err();
+        let err = fetch_from_fake_shard(reply(&[("X-Regend-Crc33", crc)], &damaged)).unwrap_err();
         assert!(err.contains("without a body checksum"), "{err}");
+    }
+
+    #[test]
+    fn a_marker_header_damaged_on_the_hop_fails_its_checksum() {
+        let body = b"== Table 1 ==\nintact rendering\n".to_vec();
+        let crc = format!("{:08x}", marked_crc32(&body, true, true));
+        let fetch = |degraded: &str, quick: &str| {
+            let headers = [
+                ("X-Regend-Crc32", crc.clone()),
+                (degraded, "true".to_string()),
+                (quick, "true".to_string()),
+            ];
+            fetch_from_fake_shard(reply(&headers, &body))
+        };
+
+        // Intact: the checksum covers the body and both markers.
+        let ok = fetch("X-Regend-Degraded", "X-Regend-Quick").unwrap();
+        assert!(ok.header("x-regend-degraded").is_some(), "the marker arrives");
+
+        // One bit flipped in either marker's name (`d` -> `e`, `k` ->
+        // `j`): the body is intact, but the degraded artifact must not
+        // pass as clean, nor the quick one as full.
+        for (degraded, quick) in
+            [("X-Regend-Degradee", "X-Regend-Quick"), ("X-Regend-Degraded", "X-Regend-Quicj")]
+        {
+            let err = fetch(degraded, quick).unwrap_err();
+            assert!(err.contains("checksum mismatch"), "{degraded}, {quick}: {err}");
+        }
     }
 
     #[test]

@@ -74,16 +74,25 @@ impl L1Cache {
 
     /// Accesses the line containing `paddr`: returns `Hit` or `Miss`, and
     /// in either case leaves the line resident (fills on miss).
+    #[inline(always)]
     pub fn access(&mut self, paddr: u64) -> CacheOutcome {
         let line = line_number(paddr);
         let idx = self.set_index(line);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.sets[idx];
-        if let Some(e) = set.iter_mut().find(|e| e.line == line) {
+        if let Some(e) = self.sets[idx].iter_mut().find(|e| e.line == line) {
             e.stamp = stamp;
             return CacheOutcome::Hit;
         }
+        self.fill(idx, line, stamp);
+        CacheOutcome::Miss
+    }
+
+    /// The miss path of [`L1Cache::access`]: fills `line` into set `idx`,
+    /// evicting the least recently used way of a full set.
+    #[cold]
+    fn fill(&mut self, idx: usize, line: u64, stamp: u64) {
+        let set = &mut self.sets[idx];
         if set.len() >= self.ways {
             // Evict LRU.
             if let Some((victim, _)) = set.iter().enumerate().min_by_key(|(_, e)| e.stamp) {
@@ -91,7 +100,6 @@ impl L1Cache {
             }
         }
         set.push(LineEntry { line, stamp });
-        CacheOutcome::Miss
     }
 
     /// Flushes the line containing `paddr` (clflush).

@@ -10,10 +10,9 @@
 //! 64-bit immediate. The machine's dispatch loop then switches on the
 //! dense tag — a jump table — and never touches the `Inst` enum again.
 //!
-//! [`DecodedProgram`] stores the stream struct-of-arrays: one dense tag
-//! array (`Vec<Op>`, one byte per instruction), one operand-word array,
-//! and one immediate array. Straight-line fetch walks three parallel
-//! arrays sequentially, which is as prefetch-friendly as the layout gets.
+//! [`DecodedProgram`] stores the stream as one array of [`DecodedInst`],
+//! so a fetch is one alignment check, one bounds check and one 16-byte
+//! load, and straight-line execution walks the array sequentially.
 //!
 //! Decoding is lossless: [`DecodedInst::to_inst`] reconstructs the exact
 //! original `Inst` (bit-exact even for `f64` immediates), which the
@@ -450,33 +449,21 @@ pub fn decode(inst: &Inst) -> DecodedInst {
     d
 }
 
-/// A pre-decoded instruction stream for one linked segment, stored
-/// struct-of-arrays: dense tags, packed operand words, and immediates in
-/// three parallel arrays indexed by `(addr - base) / INST_SIZE`.
+/// A pre-decoded instruction stream for one linked segment: one
+/// [`DecodedInst`] per instruction, indexed by `(addr - base) / INST_SIZE`.
 #[derive(Debug, Clone, Default)]
 pub struct DecodedProgram {
     base: u64,
-    /// Dense opcode tags, one byte per instruction.
-    ops: Vec<Op>,
-    /// Packed operand words: `[a, b, c, meta]` per instruction.
-    operands: Vec<[u8; 4]>,
-    /// 64-bit immediates (value / target / displacement / MSR / f64 bits).
-    imms: Vec<u64>,
+    insts: Vec<DecodedInst>,
 }
 
 impl DecodedProgram {
+    /// An empty stream, which every fetch misses.
+    pub(crate) const EMPTY: DecodedProgram = DecodedProgram { base: 0, insts: Vec::new() };
+
     /// Decodes a linked instruction slice based at `base`.
     pub fn from_insts(base: u64, insts: &[Inst]) -> DecodedProgram {
-        let mut ops = Vec::with_capacity(insts.len());
-        let mut operands = Vec::with_capacity(insts.len());
-        let mut imms = Vec::with_capacity(insts.len());
-        for inst in insts {
-            let d = decode(inst);
-            ops.push(d.op);
-            operands.push([d.a, d.b, d.c, d.meta]);
-            imms.push(d.imm);
-        }
-        DecodedProgram { base, ops, operands, imms }
+        DecodedProgram { base, insts: insts.iter().map(decode).collect() }
     }
 
     /// The base code address of the stream.
@@ -488,28 +475,25 @@ impl DecodedProgram {
     /// Number of instructions in the stream.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.insts.len()
     }
 
     /// Whether the stream is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.insts.is_empty()
     }
 
-    /// Fetches the decoded instruction at `addr`: a bounds-and-alignment
-    /// check plus three array reads, no search and no enum walk.
-    #[inline]
+    /// Fetches the decoded instruction at `addr`: an alignment check and
+    /// one bounds check, no search and no enum walk.
+    #[inline(always)]
     pub fn fetch(&self, addr: u64) -> Option<DecodedInst> {
         let off = addr.wrapping_sub(self.base);
         // A wrapped (addr < base) offset fails the bounds check below.
         if off & (INST_SIZE - 1) != 0 {
             return None;
         }
-        let idx = (off / INST_SIZE) as usize;
-        let op = *self.ops.get(idx)?;
-        let [a, b, c, meta] = self.operands[idx];
-        Some(DecodedInst { op, a, b, c, meta, imm: self.imms[idx] })
+        self.insts.get((off / INST_SIZE) as usize).copied()
     }
 
     /// Fetches by instruction index, for callers that walk the whole
@@ -519,9 +503,7 @@ impl DecodedProgram {
     /// Panics if `idx` is out of bounds.
     #[inline]
     pub fn get(&self, idx: usize) -> DecodedInst {
-        let op = self.ops[idx];
-        let [a, b, c, meta] = self.operands[idx];
-        DecodedInst { op, a, b, c, meta, imm: self.imms[idx] }
+        self.insts[idx]
     }
 }
 

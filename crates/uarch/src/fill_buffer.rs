@@ -12,16 +12,20 @@
 //! queue; that clearing is what costs ~500 cycles on every kernel→user
 //! transition of a vulnerable CPU (Table 4).
 
-use std::collections::VecDeque;
-
 /// Number of fill-buffer entries (real parts have 10–12 LFBs).
 pub const CAPACITY: usize = 12;
 
-/// The collapsed fill-buffer / load-port / store-buffer leak source.
+/// The collapsed fill-buffer / load-port / store-buffer leak source: a
+/// fixed ring of the last [`CAPACITY`] values, oldest first from `head`.
 #[derive(Debug, Default)]
 pub struct FillBuffers {
-    entries: VecDeque<u64>,
-    /// Rotation cursor for [`FillBuffers::sample_rotating`].
+    ring: [u64; CAPACITY],
+    /// Slot of the oldest live entry.
+    head: usize,
+    /// Number of live entries.
+    len: usize,
+    /// Rotation cursor for [`FillBuffers::sample_rotating`]: an index
+    /// into the live entries, oldest first.
     cursor: usize,
 }
 
@@ -32,12 +36,17 @@ impl FillBuffers {
     }
 
     /// Records data movement through the core (every committed load/store
-    /// value passes through here).
+    /// value passes through here). A full ring overwrites its oldest
+    /// entry.
+    #[inline(always)]
     pub fn record(&mut self, value: u64) {
-        if self.entries.len() >= CAPACITY {
-            self.entries.pop_front();
+        if self.len == CAPACITY {
+            self.ring[self.head] = value;
+            self.head = (self.head + 1) % CAPACITY;
+        } else {
+            self.ring[(self.head + self.len) % CAPACITY] = value;
+            self.len += 1;
         }
-        self.entries.push_back(value);
     }
 
     /// Samples a stale value, as a transient faulting load does on an
@@ -48,26 +57,26 @@ impl FillBuffers {
     /// results (§3.3: the attacks "cannot be targeted"); this rotation is
     /// what makes that repetition meaningful in simulation.
     pub fn sample_rotating(&mut self) -> Option<u64> {
-        if self.entries.is_empty() {
+        if self.len == 0 {
             return None;
         }
-        self.cursor = (self.cursor + 1) % self.entries.len();
-        self.entries.get(self.cursor).copied()
+        self.cursor = (self.cursor + 1) % self.len;
+        Some(self.ring[(self.head + self.cursor) % CAPACITY])
     }
 
     /// Clears all buffers (the MD_CLEAR `verw` behaviour).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.len = 0;
     }
 
     /// Number of live entries (diagnostics).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the buffers are empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -109,5 +118,37 @@ mod tests {
         let mut seen: Vec<u64> = (0..CAPACITY).filter_map(|_| fb.sample_rotating()).collect();
         seen.sort_unstable();
         assert_eq!(seen, (100 - CAPACITY as u64..100).collect::<Vec<_>>());
+    }
+
+    /// The ring samples exactly what a queue of the last `CAPACITY`
+    /// values does, through wraps, clears and partial refills.
+    #[test]
+    fn ring_matches_a_bounded_queue() {
+        let mut fb = FillBuffers::new();
+        let mut queue = std::collections::VecDeque::new();
+        let mut cursor = 0;
+        for i in 0..500u64 {
+            match i % 37 {
+                0 => {
+                    fb.clear();
+                    queue.clear();
+                }
+                n if n % 3 == 0 => {
+                    let expected = (!queue.is_empty()).then(|| {
+                        cursor = (cursor + 1) % queue.len();
+                        queue[cursor]
+                    });
+                    assert_eq!(fb.sample_rotating(), expected, "step {i}");
+                }
+                _ => {
+                    if queue.len() == CAPACITY {
+                        queue.pop_front();
+                    }
+                    queue.push_back(i);
+                    fb.record(i);
+                }
+            }
+            assert_eq!(fb.len(), queue.len());
+        }
     }
 }

@@ -28,7 +28,7 @@ use crate::msr::{MsrEffect, MsrFile};
 use crate::pmc::PmcBank;
 use crate::predictor::{Bhb, Btb, CondPredictor, PrivMode, Rsb};
 use crate::program::{CodeMem, Program, INST_SIZE};
-use crate::store_buffer::{ForwardOutcome, StoreBuffer};
+use crate::store_buffer::{ForwardOutcome, StoreBuffer, Youngest};
 use crate::transient::{self, TransientStart};
 
 /// Why `Machine::run` returned.
@@ -340,7 +340,16 @@ impl Machine {
 
     /// Translates and performs a committed load, charging TLB/cache/SSBD
     /// costs. Returns the loaded value.
+    #[inline]
     pub fn read_virt(&mut self, vaddr: u64, width: Width) -> Result<u64, Fault> {
+        self.load_virt(vaddr, width).map(|(value, _)| value)
+    }
+
+    /// [`Machine::read_virt`], also returning the youngest in-flight store
+    /// the load overlaps, which the Speculative Store Bypass decision
+    /// reuses instead of scanning the store buffer again.
+    #[inline(always)]
+    fn load_virt(&mut self, vaddr: u64, width: Width) -> Result<(u64, Option<Youngest>), Fault> {
         let user = self.mode == PrivMode::User;
         let tr = self.mmu.translate(vaddr, Access::Read, user)?;
         if !tr.tlb_hit {
@@ -360,7 +369,8 @@ impl Machine {
             self.charge(self.model.lat.ssbd_forward_stall);
             self.last_ssbd_stall = self.cycles;
         }
-        let value = match self.store_buffer.check_load(vaddr, width, now) {
+        let (outcome, youngest) = self.store_buffer.check_load(vaddr, width, now);
+        let value = match outcome {
             ForwardOutcome::Forwarded { value } => {
                 self.charge(self.model.lat.l1_hit);
                 // The line is (or becomes) resident either way.
@@ -376,13 +386,7 @@ impl Machine {
             ForwardOutcome::NoConflict => {
                 let cost = match self.l1d.access(tr.paddr) {
                     CacheOutcome::Hit => self.model.lat.l1_hit,
-                    CacheOutcome::Miss => {
-                        self.pmc.incr(Pmc::L1dMiss);
-                        match self.l2.access(tr.paddr) {
-                            CacheOutcome::Hit => self.model.lat.l2_hit,
-                            CacheOutcome::Miss => self.model.lat.l1_miss,
-                        }
-                    }
+                    CacheOutcome::Miss => self.l1d_miss_cost(tr.paddr),
                 };
                 self.charge(cost);
                 self.mem.read(tr.paddr, width)
@@ -390,10 +394,22 @@ impl Machine {
         };
         self.fill_buffers.record(value);
         self.last_load_cycle = self.cycles;
-        Ok(value)
+        Ok((value, youngest))
+    }
+
+    /// A committed load missed L1D: counts the miss and returns the
+    /// latency of the level that holds the line.
+    #[cold]
+    fn l1d_miss_cost(&mut self, paddr: u64) -> u64 {
+        self.pmc.incr(Pmc::L1dMiss);
+        match self.l2.access(paddr) {
+            CacheOutcome::Hit => self.model.lat.l2_hit,
+            CacheOutcome::Miss => self.model.lat.l1_miss,
+        }
     }
 
     /// Translates and performs a committed store.
+    #[inline(always)]
     pub fn write_virt(&mut self, vaddr: u64, value: u64, width: Width) -> Result<(), Fault> {
         let user = self.mode == PrivMode::User;
         let tr = self.mmu.translate(vaddr, Access::Write, user)?;
@@ -416,13 +432,24 @@ impl Machine {
 
     /// Runs until `Halt`, `Vmcall`, an error, or the instruction budget is
     /// exhausted: [`Machine::step`] in a budgeted loop, publishing the
-    /// process-wide counters once when the run ends.
+    /// process-wide counters once when the run ends. `step` is inlined
+    /// here, so a committed instruction costs no call and its result
+    /// never goes through memory.
     pub fn run(&mut self, env: &mut dyn Env, budget: u64) -> Result<Stop, SimError> {
-        // `transpose` turns "keep going" (`Ok(None)`) into `None`, so the
-        // first stop or error ends the loop.
-        let result = (0..budget)
-            .find_map(|_| self.step(env).transpose())
-            .unwrap_or(Err(SimError::InstructionBudgetExhausted));
+        let mut result = Err(SimError::InstructionBudgetExhausted);
+        for _ in 0..budget {
+            match self.step(env) {
+                Ok(None) => {}
+                Ok(Some(stop)) => {
+                    result = Ok(stop);
+                    break;
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
         self.flush_global_counters();
         result
     }
@@ -466,14 +493,15 @@ impl Machine {
     /// Executes one committed instruction (handling any fault it raises).
     /// Returns `Some(stop)` when the machine should stop.
     ///
-    /// This is the one committed executor ([`Machine::run`] calls it in a
-    /// loop): a segment-hinted fetch from the pre-decoded stream, counted
-    /// before it executes, then a jump-table `match` on the dense [`Op`]
-    /// tag, with faults, transient windows and the rare system
+    /// This is the one committed executor ([`Machine::run`] inlines it in
+    /// its loop): a segment-hinted fetch from the pre-decoded stream,
+    /// counted before it executes, then a jump-table `match` on the dense
+    /// [`Op`] tag, with faults, transient windows and the rare system
     /// instructions out of line behind `#[cold]` helpers. The original
     /// `Inst`-matching interpreter is preserved in [`crate::reference`] as
     /// the semantics oracle; property tests pin the two equal on every
     /// counter.
+    #[inline(always)]
     pub fn step(&mut self, env: &mut dyn Env) -> Result<Option<Stop>, SimError> {
         let pc = self.pc;
         let d = match self.code.fetch_decoded(pc, &mut self.seg_hint) {
@@ -553,18 +581,13 @@ impl Machine {
             Op::Load => {
                 let width = Width::from_index((d.c & 3) as usize);
                 let vaddr = self.rv(d.b).wrapping_add(d.imm);
-                match self.read_virt(vaddr, width) {
-                    Ok(v) => {
+                match self.load_virt(vaddr, width) {
+                    Ok((v, youngest)) => {
                         self.set_rv(d.a, v);
                         // Speculative Store Bypass: if the load *forwarded*
                         // from an in-flight store, a vulnerable part may
                         // first have run ahead with the stale value.
-                        self.maybe_ssb_window(
-                            vaddr,
-                            width,
-                            Reg::from_index((d.a & 15) as usize),
-                            pc + INST_SIZE,
-                        );
+                        self.maybe_ssb_window(vaddr, width, youngest, d.a, pc + INST_SIZE);
                         self.pc += INST_SIZE;
                     }
                     Err(fault) => self.load_fault(fault, pc, vaddr, width, d.a)?,
@@ -1025,19 +1048,36 @@ impl Machine {
     /// Opens the Speculative Store Bypass transient window when a committed
     /// load forwarded from an in-flight store on a vulnerable part: the
     /// load's dependents first ran ahead with the *stale* pre-store value.
-    pub(crate) fn maybe_ssb_window(&mut self, vaddr: u64, width: Width, dst: Reg, next_pc: u64) {
+    /// `youngest` is what the load's own store-buffer check found, so the
+    /// decision usually needs no second scan.
+    #[inline(always)]
+    fn maybe_ssb_window(
+        &mut self,
+        vaddr: u64,
+        width: Width,
+        youngest: Option<Youngest>,
+        dst: u8,
+        next_pc: u64,
+    ) {
         if !self.model.vuln.ssb || self.ssbd_active() {
             return;
         }
-        let stale = match self.store_buffer.bypass_value(vaddr, width, self.cycles) {
+        let now = self.cycles;
+        let stale = match self.store_buffer.bypass_after_check(vaddr, width, youngest, now) {
             Some(stale) => stale,
             None => return,
         };
         // A stale value equal to the loaded one makes the bypass world
         // indistinguishable from the committed world: no window.
-        if stale != self.reg(dst) {
-            transient::run_window(self, TransientStart::StoreBypass { stale, dst, next_pc });
+        if stale != self.rv(dst) {
+            self.ssb_window(stale, Reg::from_index((dst & 15) as usize), next_pc);
         }
+    }
+
+    /// Runs the Speculative Store Bypass window.
+    #[cold]
+    fn ssb_window(&mut self, stale: u64, dst: Reg, next_pc: u64) {
+        transient::run_window(self, TransientStart::StoreBypass { stale, dst, next_pc });
     }
 
     /// Pushes a value on the simulated stack (SP convention register).

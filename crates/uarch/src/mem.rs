@@ -162,6 +162,16 @@ impl PhysMemory {
         self.frame_mut(page_number(paddr))[off] = v;
     }
 
+    /// The cached slab slot of frame `pfn` when a `width` access at page
+    /// offset `off` stays inside it: the inlined hit path of
+    /// [`PhysMemory::read`] and [`PhysMemory::write`].
+    #[inline(always)]
+    fn cached_slot(&self, pfn: u64, off: usize, width: Width) -> Option<usize> {
+        let (cached_pfn, slot) = self.recent[pfn as usize % FRAME_CACHE].get();
+        let inside = off + width.bytes() as usize <= PAGE_SIZE as usize;
+        (cached_pfn == pfn && inside).then_some(slot as usize)
+    }
+
     /// Reads `width` bytes (little-endian, zero-extended).
     ///
     /// An access that stays inside one frame — the overwhelmingly common
@@ -169,17 +179,24 @@ impl PhysMemory {
     /// frame cache) and moves the bytes as one little-endian word; only
     /// accesses that straddle a page boundary fall back to the bytewise
     /// path.
+    #[inline(always)]
     pub fn read(&self, paddr: u64, width: Width) -> u64 {
+        let off = page_offset(paddr) as usize;
+        match self.cached_slot(page_number(paddr), off, width) {
+            Some(slot) => load_width(&self.slabs[slot], off, width),
+            None => self.read_uncached(paddr, width),
+        }
+    }
+
+    /// [`PhysMemory::read`] past a frame-cache miss or across a page
+    /// boundary.
+    #[cold]
+    fn read_uncached(&self, paddr: u64, width: Width) -> u64 {
         let n = width.bytes();
         let off = page_offset(paddr) as usize;
         if off as u64 + n <= PAGE_SIZE {
             return match self.frame(page_number(paddr)) {
-                Some(f) => match width {
-                    Width::B1 => f[off] as u64,
-                    Width::B2 => load::<2>(f, off),
-                    Width::B4 => load::<4>(f, off),
-                    Width::B8 => load::<8>(f, off),
-                },
+                Some(f) => load_width(f, off, width),
                 None => 0,
             };
         }
@@ -191,17 +208,23 @@ impl PhysMemory {
     }
 
     /// Writes the low `width` bytes of `v` (little-endian).
+    #[inline(always)]
     pub fn write(&mut self, paddr: u64, v: u64, width: Width) {
+        let off = page_offset(paddr) as usize;
+        match self.cached_slot(page_number(paddr), off, width) {
+            Some(slot) => store_width(&mut self.slabs[slot], off, v, width),
+            None => self.write_uncached(paddr, v, width),
+        }
+    }
+
+    /// [`PhysMemory::write`] past a frame-cache miss or across a page
+    /// boundary.
+    #[cold]
+    fn write_uncached(&mut self, paddr: u64, v: u64, width: Width) {
         let n = width.bytes();
         let off = page_offset(paddr) as usize;
         if off as u64 + n <= PAGE_SIZE {
-            let f = self.frame_mut(page_number(paddr));
-            match width {
-                Width::B1 => f[off] = v as u8,
-                Width::B2 => store::<2>(f, off, v),
-                Width::B4 => store::<4>(f, off, v),
-                Width::B8 => store::<8>(f, off, v),
-            }
+            store_width(self.frame_mut(page_number(paddr)), off, v, width);
             return;
         }
         for i in 0..n {
@@ -272,6 +295,29 @@ impl PhysMemory {
     /// Reads `len` bytes starting at `paddr`.
     pub fn read_bytes(&self, paddr: u64, len: usize) -> Vec<u8> {
         (0..len as u64).map(|i| self.read_u8(paddr + i)).collect()
+    }
+}
+
+/// The `width` bytes at `off` of `f` as a little-endian word,
+/// zero-extended.
+#[inline(always)]
+fn load_width(f: &Frame, off: usize, width: Width) -> u64 {
+    match width {
+        Width::B1 => f[off] as u64,
+        Width::B2 => load::<2>(f, off),
+        Width::B4 => load::<4>(f, off),
+        Width::B8 => load::<8>(f, off),
+    }
+}
+
+/// Stores the low `width` bytes of `v` at `off` of `f`, little-endian.
+#[inline(always)]
+fn store_width(f: &mut Frame, off: usize, v: u64, width: Width) {
+    match width {
+        Width::B1 => f[off] = v as u8,
+        Width::B2 => store::<2>(f, off, v),
+        Width::B4 => store::<4>(f, off, v),
+        Width::B8 => store::<8>(f, off, v),
     }
 }
 

@@ -77,6 +77,21 @@ pub enum Access {
     Fetch,
 }
 
+/// The page fault a committed `access` to `vaddr` takes when `pte` (the
+/// walk's result) does not permit it, checked in the hardware's order.
+#[cold]
+fn page_fault(vaddr: u64, pte: Option<Pte>, access: Access, user_mode: bool) -> Fault {
+    let write = access == Access::Write;
+    let kind = match pte {
+        None => PageFaultKind::NotMapped,
+        Some(p) if !p.present => PageFaultKind::NotPresent,
+        Some(p) if user_mode && !p.user => PageFaultKind::Supervisor,
+        Some(p) if write && !p.writable => PageFaultKind::ReadOnly,
+        _ => PageFaultKind::NoExecute,
+    };
+    Fault::Page { vaddr, kind, write }
+}
+
 /// Identifier of a registered page table (the non-PCID bits of CR3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageTableId(pub u64);
@@ -325,15 +340,25 @@ impl Mmu {
     ///
     /// Used by both the committed path (which then checks permissions) and
     /// the transient path (which deliberately skips or defers them).
+    #[inline(always)]
     pub fn walk(&mut self, vaddr: u64) -> WalkResult {
-        let (table, pcid, _) = split_cr3(self.cr3);
+        let pcid = split_cr3(self.cr3).1;
         let vpn = page_number(vaddr);
-        let slot = vpn as usize % TRANSLATION_CACHE;
-        if let Some((lp, lv, pte)) = self.recent[slot] {
+        if let Some((lp, lv, pte)) = self.recent[vpn as usize % TRANSLATION_CACHE] {
             if lv == vpn && (!self.pcid_enabled || lp == pcid) {
                 return WalkResult { pte: Some(pte), tlb_hit: true };
             }
         }
+        self.walk_uncached(vaddr)
+    }
+
+    /// [`Mmu::walk`] past a translation-cache miss: the TLB scan, then
+    /// the page table.
+    #[cold]
+    fn walk_uncached(&mut self, vaddr: u64) -> WalkResult {
+        let (table, pcid, _) = split_cr3(self.cr3);
+        let vpn = page_number(vaddr);
+        let slot = vpn as usize % TRANSLATION_CACHE;
         if let Some(pte) = self.tlb_lookup(pcid, vpn) {
             self.recent[slot] = Some((pcid, vpn, pte));
             return WalkResult { pte: Some(pte), tlb_hit: true };
@@ -349,6 +374,7 @@ impl Mmu {
     }
 
     /// Translates `vaddr` for a committed access, enforcing permissions.
+    #[inline(always)]
     pub fn translate(
         &mut self,
         vaddr: u64,
@@ -356,40 +382,20 @@ impl Mmu {
         user_mode: bool,
     ) -> Result<Translation, Fault> {
         let walk = self.walk(vaddr);
-        let pte = match walk.pte {
-            None => {
-                return Err(Fault::Page {
-                    vaddr,
-                    kind: PageFaultKind::NotMapped,
-                    write: access == Access::Write,
+        match walk.pte {
+            Some(pte)
+                if pte.present
+                    && (pte.user || !user_mode)
+                    && (pte.writable || access != Access::Write)
+                    && (!pte.nx || access != Access::Fetch) =>
+            {
+                Ok(Translation {
+                    paddr: (pte.pfn << PAGE_SHIFT) | page_offset(vaddr),
+                    tlb_hit: walk.tlb_hit,
                 })
             }
-            Some(p) => p,
-        };
-        if !pte.present {
-            return Err(Fault::Page {
-                vaddr,
-                kind: PageFaultKind::NotPresent,
-                write: access == Access::Write,
-            });
+            pte => Err(page_fault(vaddr, pte, access, user_mode)),
         }
-        if user_mode && !pte.user {
-            return Err(Fault::Page {
-                vaddr,
-                kind: PageFaultKind::Supervisor,
-                write: access == Access::Write,
-            });
-        }
-        if access == Access::Write && !pte.writable {
-            return Err(Fault::Page { vaddr, kind: PageFaultKind::ReadOnly, write: true });
-        }
-        if access == Access::Fetch && pte.nx {
-            return Err(Fault::Page { vaddr, kind: PageFaultKind::NoExecute, write: false });
-        }
-        Ok(Translation {
-            paddr: (pte.pfn << PAGE_SHIFT) | page_offset(vaddr),
-            tlb_hit: walk.tlb_hit,
-        })
     }
 
     /// The seed's page walk, kept verbatim (no last-translation

@@ -293,27 +293,33 @@ impl CodeMem {
     /// (cross-segment branch, syscall entry) the binary search runs and the
     /// hint is refreshed. A stale or garbage hint is never incorrect — only
     /// slow — so callers may carry it across `load` calls.
-    #[inline]
+    #[inline(always)]
     pub fn fetch_decoded(&self, addr: u64, hint: &mut usize) -> Option<DecodedInst> {
-        if let Some(seg) = self.segments.get(*hint) {
-            if let Some(d) = seg.decoded.fetch(addr) {
-                return Some(d);
-            }
+        if let Some(d) = self.segment(*hint).fetch(addr) {
+            return Some(d);
         }
-        self.fetch_decoded_slow(addr, hint)
+        let (idx, seg) = self.find_segment(addr)?;
+        let d = seg.fetch(addr)?;
+        *hint = idx;
+        Some(d)
     }
 
-    /// The search path of [`CodeMem::fetch_decoded`], out of line so the
-    /// hinted fast path stays small.
+    /// The decoded stream of segment `idx`; an empty stream when there is
+    /// no such segment.
+    #[inline(always)]
+    pub(crate) fn segment(&self, idx: usize) -> &DecodedProgram {
+        static EMPTY: DecodedProgram = DecodedProgram::EMPTY;
+        self.segments.get(idx).map_or(&EMPTY, |p| &p.decoded)
+    }
+
+    /// The index and decoded stream of the segment whose range starts at
+    /// or below `addr` (the only one that can hold it), by binary search.
+    /// Out of line so the hinted fast paths stay small.
     #[cold]
-    fn fetch_decoded_slow(&self, addr: u64, hint: &mut usize) -> Option<DecodedInst> {
+    pub(crate) fn find_segment(&self, addr: u64) -> Option<(usize, &DecodedProgram)> {
         let pos = self.segments.partition_point(|s| s.base() <= addr);
-        if pos == 0 {
-            return None;
-        }
-        let d = self.segments[pos - 1].decoded.fetch(addr)?;
-        *hint = pos - 1;
-        Some(d)
+        let idx = pos.checked_sub(1)?;
+        Some((idx, &self.segments[idx].decoded))
     }
 
     /// Total instruction count across segments.

@@ -8,7 +8,9 @@
 //! * **Speculative Store Bypass** (§3.2, §5.5): while an older store's
 //!   address is still unresolved, the memory-disambiguation predictor may
 //!   let a younger load run ahead and read the *stale* value from memory.
-//!   The transient path consults [`StoreBuffer::bypass_value`] for this.
+//!   [`StoreBuffer::check_load`] reports the youngest overlapping store
+//!   with the load's outcome, and [`StoreBuffer::bypass_after_check`]
+//!   turns it into the stale value without a second scan.
 //! * **SSBD**: disabling the bypass means every load that could alias an
 //!   in-flight store must wait for it to resolve; the model charges
 //!   `ssbd_forward_stall` cycles per forwarding opportunity, which is what
@@ -42,14 +44,76 @@ pub struct BufferedStore {
 }
 
 impl BufferedStore {
+    /// Where a load of `width` at `vaddr` sits against this store's bytes.
+    #[inline]
+    fn overlap(&self, vaddr: u64, width: Width) -> Overlap {
+        overlap(self.vaddr, last_byte(self.vaddr, self.width), vaddr, last_byte(vaddr, width))
+    }
+
     /// Whether this store's bytes overlap a load of `width` at `vaddr`.
     fn overlaps(&self, vaddr: u64, width: Width) -> bool {
-        let a0 = self.vaddr;
-        let a1 = self.vaddr + self.width.bytes();
-        let b0 = vaddr;
-        let b1 = vaddr + width.bytes();
-        a0 < b1 && b0 < a1
+        self.overlap(vaddr, width) != Overlap::Disjoint
     }
+}
+
+/// How a load's bytes sit against a store's (see [`overlap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Overlap {
+    /// No byte in common.
+    Disjoint,
+    /// The store holds every byte of the load, starting `offset` bytes
+    /// into the store.
+    Covered {
+        /// Distance from the store's first byte to the load's.
+        offset: u64,
+    },
+    /// Some bytes in common, but not all of the load's.
+    Partial,
+}
+
+/// The last byte of a `width` access at `addr`, modulo 2^64.
+#[inline(always)]
+pub(crate) fn last_byte(addr: u64, width: Width) -> u64 {
+    addr.wrapping_add(width.bytes() - 1)
+}
+
+/// Where the load bytes `load..=load_last` sit against the store bytes
+/// `store..=store_last`. Both ranges are taken modulo 2^64, so either may
+/// wrap past the top of the address space; every forwarding, bypass and
+/// range-filter decision, the reference twins' included, goes through
+/// here. Two ranges on a circle share a byte exactly when one of them
+/// holds the other's first byte.
+#[inline(always)]
+pub(crate) fn overlap(store: u64, store_last: u64, load: u64, load_last: u64) -> Overlap {
+    let store_span = store_last.wrapping_sub(store);
+    let load_span = load_last.wrapping_sub(load);
+    let offset = load.wrapping_sub(store);
+    if offset <= store_span {
+        // Past the store's last byte the load can only come back into it
+        // by wrapping all the way round, which a whole-space range allows.
+        if load_span <= store_span - offset || store_span == u64::MAX {
+            Overlap::Covered { offset }
+        } else {
+            Overlap::Partial
+        }
+    } else if store.wrapping_sub(load) <= load_span {
+        Overlap::Partial
+    } else {
+        Overlap::Disjoint
+    }
+}
+
+/// The youngest in-flight store that overlaps a committed load, as
+/// [`StoreBuffer::check_load`] found it: what the Speculative Store
+/// Bypass decision needs, so it does not scan the buffer again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Youngest {
+    /// Cycle at which the store executed.
+    pub cycle: u64,
+    /// The stale bytes a load bypassing this store observes, truncated
+    /// to the load width; `None` when the store covers the load only
+    /// partly (no bypass is possible then).
+    pub stale: Option<u64>,
 }
 
 /// What the store buffer says about a load.
@@ -76,11 +140,13 @@ pub struct StoreBuffer {
     /// the SSBD cost model).
     pub forwards: u64,
     /// Conservative address-range superset of every buffered store:
-    /// `[lo, hi)` contains all entries' bytes. It only grows while the
-    /// buffer is non-empty (draining does not shrink it) and resets when
-    /// the buffer empties. A load disjoint from the superset provably
-    /// overlaps nothing, so the per-load reverse scan — the hot cost of
-    /// every committed load — is skipped without changing any outcome.
+    /// bytes `lo..=hi` (modulo 2^64) contain all entries' bytes. It only
+    /// grows while the buffer is non-empty (draining does not shrink it)
+    /// and is reset by the first push into an empty buffer; a store that
+    /// wraps past the top of the address space widens it to everything.
+    /// A load disjoint from the superset provably overlaps nothing, so
+    /// the per-load reverse scan — the hot cost of every committed load —
+    /// is skipped without changing any outcome.
     lo: u64,
     hi: u64,
 }
@@ -93,14 +159,17 @@ impl StoreBuffer {
 
     /// Records a committed store at the given cycle. `stale` is the memory
     /// value being overwritten (the SSB leak payload).
+    #[inline]
     pub fn push(&mut self, vaddr: u64, width: Width, value: u64, stale: u64, cycle: u64) {
-        if self.entries.is_empty() {
-            self.lo = vaddr;
-            self.hi = vaddr + width.bytes();
+        let last = last_byte(vaddr, width);
+        (self.lo, self.hi) = if self.entries.is_empty() {
+            (vaddr, last)
+        } else if last < vaddr || self.hi < self.lo {
+            // A range that wraps has no hull short of the whole space.
+            (0, u64::MAX)
         } else {
-            self.lo = self.lo.min(vaddr);
-            self.hi = self.hi.max(vaddr + width.bytes());
-        }
+            (self.lo.min(vaddr), self.hi.max(last))
+        };
         if self.entries.len() >= CAPACITY {
             self.entries.pop_front();
         }
@@ -114,6 +183,7 @@ impl StoreBuffer {
     }
 
     /// Drops stores older than the drain window relative to `now`.
+    #[inline]
     pub fn drain(&mut self, now: u64) {
         while let Some(front) = self.entries.front() {
             if now.saturating_sub(front.cycle) > DRAIN_WINDOW {
@@ -122,71 +192,112 @@ impl StoreBuffer {
                 break;
             }
         }
-        if self.entries.is_empty() {
-            self.lo = 0;
-            self.hi = 0;
-        }
     }
 
     /// Empties the buffer (mfence/sfence, serializing events).
     pub fn flush(&mut self) {
         self.entries.clear();
-        self.lo = 0;
-        self.hi = 0;
     }
 
     /// Whether a load of `width` at `vaddr` is disjoint from the range
     /// superset (and therefore from every buffered store).
-    #[inline]
+    #[inline(always)]
     fn disjoint(&self, vaddr: u64, width: Width) -> bool {
-        self.entries.is_empty() || vaddr + width.bytes() <= self.lo || vaddr >= self.hi
+        self.entries.is_empty()
+            || overlap(self.lo, self.hi, vaddr, last_byte(vaddr, width)) == Overlap::Disjoint
     }
 
     /// Checks whether a load at `vaddr` of `width` at cycle `now` hits an
-    /// in-flight store, and with what outcome.
+    /// in-flight store, and with what outcome; also returns the youngest
+    /// overlapping store for [`StoreBuffer::bypass_after_check`].
     ///
     /// The youngest overlapping store wins, as on hardware.
-    pub fn check_load(&mut self, vaddr: u64, width: Width, now: u64) -> ForwardOutcome {
+    #[inline]
+    pub fn check_load(
+        &mut self,
+        vaddr: u64,
+        width: Width,
+        now: u64,
+    ) -> (ForwardOutcome, Option<Youngest>) {
         self.drain(now);
         if self.disjoint(vaddr, width) {
-            return ForwardOutcome::NoConflict;
+            return (ForwardOutcome::NoConflict, None);
         }
+        self.scan_load(vaddr, width)
+    }
+
+    /// The reverse scan behind [`StoreBuffer::check_load`], out of line
+    /// so the range-filter exit stays small.
+    #[inline(never)]
+    fn scan_load(&mut self, vaddr: u64, width: Width) -> (ForwardOutcome, Option<Youngest>) {
         for st in self.entries.iter().rev() {
-            if !st.overlaps(vaddr, width) {
-                continue;
+            match st.overlap(vaddr, width) {
+                Overlap::Disjoint => continue,
+                Overlap::Covered { offset } => {
+                    let shift = offset * 8;
+                    self.forwards += 1;
+                    let youngest = Youngest {
+                        cycle: st.cycle,
+                        stale: Some(width.truncate(st.stale >> shift)),
+                    };
+                    let value = width.truncate(st.value >> shift);
+                    return (ForwardOutcome::Forwarded { value }, Some(youngest));
+                }
+                Overlap::Partial => {
+                    let youngest = Youngest { cycle: st.cycle, stale: None };
+                    return (ForwardOutcome::PartialOverlap, Some(youngest));
+                }
             }
-            // Full containment: st covers [vaddr, vaddr+width).
-            if st.vaddr <= vaddr && vaddr + width.bytes() <= st.vaddr + st.width.bytes() {
-                let shift = (vaddr - st.vaddr) * 8;
-                let value = width.truncate(st.value >> shift);
-                self.forwards += 1;
-                return ForwardOutcome::Forwarded { value };
-            }
-            return ForwardOutcome::PartialOverlap;
         }
-        ForwardOutcome::NoConflict
+        (ForwardOutcome::NoConflict, None)
     }
 
     /// The Speculative Store Bypass lever: the stale value a bypassing
     /// load observes, meaning a vulnerable CPU without SSBD may
     /// transiently read it instead of the store's value. It is the
     /// pre-store memory contents recorded by the youngest in-flight store
-    /// fully covering the load; `None` if no bypass is possible.
+    /// overlapping the load, if that store covers it; `None` if no
+    /// bypass is possible.
     pub fn bypass_value(&self, vaddr: u64, width: Width, now: u64) -> Option<u64> {
         if self.disjoint(vaddr, width) {
             return None;
         }
         for st in self.entries.iter().rev() {
-            if now.saturating_sub(st.cycle) > DRAIN_WINDOW || !st.overlaps(vaddr, width) {
+            if now.saturating_sub(st.cycle) > DRAIN_WINDOW {
                 continue;
             }
-            if st.vaddr <= vaddr && vaddr + width.bytes() <= st.vaddr + st.width.bytes() {
-                let shift = (vaddr - st.vaddr) * 8;
-                return Some(width.truncate(st.stale >> shift));
+            match st.overlap(vaddr, width) {
+                Overlap::Disjoint => continue,
+                Overlap::Covered { offset } => {
+                    return Some(width.truncate(st.stale >> (offset * 8)));
+                }
+                Overlap::Partial => return None,
             }
-            return None;
         }
         None
+    }
+
+    /// [`StoreBuffer::bypass_value`] at `now` for a load that
+    /// [`StoreBuffer::check_load`] just checked, with nothing pushed or
+    /// drained in between. While the youngest overlapping store it found
+    /// is still in flight at `now`, the bypass scan would stop at that
+    /// same store, so its result is reused. Once it has expired the scan
+    /// runs after all: cycles are not monotonic across the buffer
+    /// (`Machine::refund` can move the clock back between two stores),
+    /// so an older overlapping store may still be in flight.
+    #[inline]
+    pub fn bypass_after_check(
+        &self,
+        vaddr: u64,
+        width: Width,
+        youngest: Option<Youngest>,
+        now: u64,
+    ) -> Option<u64> {
+        match youngest {
+            None => None,
+            Some(y) if now.saturating_sub(y.cycle) <= DRAIN_WINDOW => y.stale,
+            Some(_) => self.bypass_value(vaddr, width, now),
+        }
     }
 
     /// The seed's [`StoreBuffer::check_load`], kept verbatim (the
@@ -199,8 +310,8 @@ impl StoreBuffer {
             if !st.overlaps(vaddr, width) {
                 continue;
             }
-            if st.vaddr <= vaddr && vaddr + width.bytes() <= st.vaddr + st.width.bytes() {
-                let shift = (vaddr - st.vaddr) * 8;
+            if let Overlap::Covered { offset } = st.overlap(vaddr, width) {
+                let shift = offset * 8;
                 let value = width.truncate(st.value >> shift);
                 self.forwards += 1;
                 return ForwardOutcome::Forwarded { value };
@@ -217,8 +328,8 @@ impl StoreBuffer {
             if now.saturating_sub(st.cycle) > DRAIN_WINDOW || !st.overlaps(vaddr, width) {
                 continue;
             }
-            if st.vaddr <= vaddr && vaddr + width.bytes() <= st.vaddr + st.width.bytes() {
-                let shift = (vaddr - st.vaddr) * 8;
+            if let Overlap::Covered { offset } = st.overlap(vaddr, width) {
+                let shift = offset * 8;
                 return Some(width.truncate(st.stale >> shift));
             }
             return None;
@@ -258,7 +369,7 @@ mod tests {
         let mut sb = StoreBuffer::new();
         sb.push(0x100, Width::B8, 1, 0xee, 0);
         sb.push(0x100, Width::B8, 2, 0xee, 5);
-        match sb.check_load(0x100, Width::B8, 10) {
+        match sb.check_load(0x100, Width::B8, 10).0 {
             ForwardOutcome::Forwarded { value } => assert_eq!(value, 2),
             other => panic!("expected forward, got {other:?}"),
         }
@@ -269,14 +380,14 @@ mod tests {
     fn no_conflict_when_disjoint() {
         let mut sb = StoreBuffer::new();
         sb.push(0x100, Width::B8, 1, 0xee, 0);
-        assert_eq!(sb.check_load(0x200, Width::B8, 1), ForwardOutcome::NoConflict);
+        assert_eq!(sb.check_load(0x200, Width::B8, 1), (ForwardOutcome::NoConflict, None));
     }
 
     #[test]
     fn subword_forwarding_extracts_bytes() {
         let mut sb = StoreBuffer::new();
         sb.push(0x100, Width::B8, 0x1122_3344_5566_7788, 0, 0);
-        match sb.check_load(0x101, Width::B1, 1) {
+        match sb.check_load(0x101, Width::B1, 1).0 {
             ForwardOutcome::Forwarded { value } => assert_eq!(value, 0x77),
             other => panic!("{other:?}"),
         }
@@ -287,14 +398,17 @@ mod tests {
         let mut sb = StoreBuffer::new();
         sb.push(0x100, Width::B2, 0xaaaa, 0, 0);
         // 8-byte load over a 2-byte store: not fully covered.
-        assert_eq!(sb.check_load(0x100, Width::B8, 1), ForwardOutcome::PartialOverlap);
+        let youngest = Youngest { cycle: 0, stale: None };
+        let partial = (ForwardOutcome::PartialOverlap, Some(youngest));
+        assert_eq!(sb.check_load(0x100, Width::B8, 1), partial);
     }
 
     #[test]
     fn stores_drain_after_window() {
         let mut sb = StoreBuffer::new();
         sb.push(0x100, Width::B8, 1, 0xee, 0);
-        assert_eq!(sb.check_load(0x100, Width::B8, DRAIN_WINDOW + 100), ForwardOutcome::NoConflict);
+        let late = DRAIN_WINDOW + 100;
+        assert_eq!(sb.check_load(0x100, Width::B8, late).0, ForwardOutcome::NoConflict);
         assert!(sb.is_empty());
     }
 
@@ -322,5 +436,127 @@ mod tests {
         sb.push(0x100, Width::B8, 1, 0xee, 0);
         sb.flush();
         assert!(sb.is_empty());
+    }
+
+    /// `overlap` against a byte-by-byte model in `u128`: every store and
+    /// load start within 12 bytes of 0 or of 2^64, every width, and
+    /// store spans from one byte up to the whole address space (the
+    /// range filter's hull).
+    #[test]
+    fn overlap_matches_a_byte_model_at_both_ends_of_the_address_space() {
+        const SPACE: u128 = 1 << 64;
+        let starts: Vec<u64> = (0..12).chain((1..=12).map(|k| u64::MAX - (k - 1))).collect();
+        let holds = |start: u64, span: u64, byte: u128| {
+            (byte + SPACE - start as u128) % SPACE <= span as u128
+        };
+        let spans = [0, 1, 3, 7, 15, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        for &store in &starts {
+            for span in spans {
+                for &load in &starts {
+                    for width in Width::ALL {
+                        let bytes: Vec<u128> = (0..width.bytes() as u128)
+                            .map(|i| (load as u128 + i) % SPACE)
+                            .collect();
+                        let inside = bytes.iter().filter(|&&b| holds(store, span, b)).count();
+                        let expected = if inside == bytes.len() {
+                            let offset = ((load as u128 + SPACE - store as u128) % SPACE) as u64;
+                            Overlap::Covered { offset }
+                        } else if inside > 0 {
+                            Overlap::Partial
+                        } else {
+                            Overlap::Disjoint
+                        };
+                        let last = last_byte(load, width);
+                        let got = overlap(store, store.wrapping_add(span), load, last);
+                        let what = format!("store {store:#x}+{span:#x}, {width:?} load {load:#x}");
+                        assert_eq!(got, expected, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A store that wraps past the top of the address space forwards to
+    /// the loads it covers on both sides of the wrap, widens the range
+    /// filter to everything, and answers like the reference scan.
+    #[test]
+    fn stores_that_wrap_the_address_space_forward_like_the_reference() {
+        let top = 0xffff_ffff_ffff_fffc;
+        let value = 0x8877_6655_4433_2211;
+        let loads = [
+            (top, Width::B8),
+            (0, Width::B2),
+            (u64::MAX, Width::B2),
+            (2, Width::B4),
+            (0x100, Width::B1),
+        ];
+        let mut fast = StoreBuffer::new();
+        let mut slow = StoreBuffer::new();
+        for sb in [&mut fast, &mut slow] {
+            sb.push(0x100, Width::B1, 0x5a, 0, 1);
+            sb.push(top, Width::B8, value, !value, 2);
+        }
+        for (vaddr, width) in loads {
+            let what = format!("{width:?} at {vaddr:#x}");
+            let (outcome, _) = fast.check_load(vaddr, width, 3);
+            assert_eq!(outcome, slow.check_load_reference(vaddr, width, 3), "{what}");
+            let bypass = fast.bypass_value(vaddr, width, 3);
+            assert_eq!(bypass, slow.bypass_value_reference(vaddr, width, 3), "{what}");
+        }
+        // Bytes 0..2 of the wrapped store are its value's bytes 4..6.
+        let (outcome, youngest) = fast.check_load(0, Width::B2, 3);
+        assert_eq!(outcome, ForwardOutcome::Forwarded { value: 0x6655 });
+        assert_eq!(youngest, Some(Youngest { cycle: 2, stale: Some(!value >> 32 & 0xffff) }));
+        // A load straddling the wrap's end is partial; the byte store
+        // far below the wrap is still found through the widened filter.
+        assert_eq!(fast.check_load(2, Width::B4, 3).0, ForwardOutcome::PartialOverlap);
+        let byte = fast.check_load(0x100, Width::B1, 3).0;
+        assert_eq!(byte, ForwardOutcome::Forwarded { value: 0x5a });
+    }
+
+    /// The single-scan bypass decision when the clock went backwards
+    /// between two stores (as `Machine::refund` can make it): the
+    /// youngest overlapping store may expire before an older one. At
+    /// every decision cycle from the check onwards, reusing the check's
+    /// scan must answer exactly as the reference bypass scan.
+    #[test]
+    fn the_reused_bypass_decision_matches_the_reference_when_cycles_go_backwards() {
+        // (older store: vaddr, width, cycle), (youngest: vaddr, width,
+        // cycle), the load, and the cycle of the check.
+        let cases = [
+            // The youngest covers the load fully but expires first.
+            ((0x100, Width::B8, 100), (0x100, Width::B8, 30), (0x100, Width::B8), 85),
+            // The youngest covers the load only partly and expires first.
+            ((0x100, Width::B8, 100), (0x104, Width::B2, 30), (0x100, Width::B8), 85),
+            // Partial youngest, expiring last (the order a monotonic
+            // clock gives).
+            ((0x100, Width::B8, 30), (0x102, Width::B2, 100), (0x100, Width::B4), 85),
+            // Full youngest over a disjoint older store.
+            ((0x200, Width::B8, 100), (0x100, Width::B4, 30), (0x102, Width::B2), 85),
+        ];
+        let mut fallbacks = 0;
+        for (i, (older, youngest, (vaddr, width), check)) in cases.into_iter().enumerate() {
+            let mut fast = StoreBuffer::new();
+            let mut slow = StoreBuffer::new();
+            for sb in [&mut fast, &mut slow] {
+                for (k, (addr, w, cycle)) in [older, youngest].into_iter().enumerate() {
+                    let k = k as u64;
+                    sb.push(addr, w, 0x1111 * (k + 1), 0xa0a0_a0a0_a0a0_a0a0 + k, cycle);
+                }
+            }
+            let (_, found) = fast.check_load(vaddr, width, check);
+            slow.check_load_reference(vaddr, width, check);
+            assert_eq!(found.map(|y| y.cycle), Some(youngest.2), "case {i}: the youngest is found");
+            for now in check..check + 2 * DRAIN_WINDOW {
+                let reused = fast.bypass_after_check(vaddr, width, found, now);
+                let reference = slow.bypass_value_reference(vaddr, width, now);
+                assert_eq!(reused, reference, "case {i}, cycle {now}");
+                let expired = now.saturating_sub(youngest.2) > DRAIN_WINDOW;
+                fallbacks += usize::from(expired && reused.is_some());
+            }
+        }
+        // Cases 0 and 1 answer from the older store once the youngest
+        // has expired: the fallback scan ran and found something.
+        assert!(fallbacks > 0, "no decision fell back to the older store");
     }
 }

@@ -18,9 +18,9 @@
 //! fill-buffer contents, and fixed parts see zeroes or stop the window.
 //!
 //! Every window, whatever opened it, runs through one executor:
-//! [`run_window`] fetches each wrong-path instruction from the
-//! pre-decoded stream ([`crate::decode`]) with the same segment-hinted
-//! [`crate::program::CodeMem::fetch_decoded`] the committed path uses,
+//! [`run_window`] borrows the machine's code memory for the window's
+//! length, fetches each wrong-path instruction from one segment of the
+//! pre-decoded stream ([`crate::decode`]) with a single bounds check,
 //! counts it, then hands it to `exec_transient`, just as
 //! [`Machine::step`] is the one committed executor.
 
@@ -29,8 +29,10 @@ use crate::fpu::FpuState;
 use crate::isa::{Cond, Flags, Inst, Pmc, Width};
 use crate::machine::Machine;
 use crate::mem::PAGE_SHIFT;
+use crate::mmu::Pte;
 use crate::predictor::PrivMode;
-use crate::program::INST_SIZE;
+use crate::program::{CodeMem, INST_SIZE};
+use crate::store_buffer::{last_byte, overlap, Overlap};
 
 /// How a transient window begins.
 #[derive(Debug, Clone)]
@@ -78,6 +80,8 @@ struct Shadow {
     regs: [u64; 16],
     flags: Flags,
     fregs: FpuState,
+    /// The reference executor's shadow pc; [`run_window`] keeps its own
+    /// in a local.
     pc: u64,
     /// Shadow return-address stack for calls made inside the window.
     ret_stack: Vec<u64>,
@@ -90,13 +94,15 @@ struct Shadow {
 }
 
 /// Runs a transient window on `m`: up to `spec.window` wrong-path
-/// instructions, each fetched with the segment hint, counted, then
-/// executed by `exec_transient`. Architectural state is untouched;
+/// instructions, each fetched, counted, then executed by
+/// `exec_transient`. Architectural state is untouched;
 /// microarchitectural state (cache, fill buffers, PMCs) is not.
 ///
 /// The shadow's store queue and return stack are the machine's, cleared
 /// and lent to the window, so windows stop allocating once those two
-/// buffers have grown to fit them.
+/// buffers have grown to fit them. The code memory is lent the same way,
+/// so the window fetches from it while it mutates the rest of the
+/// machine.
 pub fn run_window(m: &mut Machine, start: TransientStart) {
     m.transient_windows += 1;
     let mut sh = Shadow {
@@ -109,75 +115,119 @@ pub fn run_window(m: &mut Machine, start: TransientStart) {
     };
     sh.ret_stack.clear();
     sh.stores.clear();
-    run_shadow(m, &mut sh, start);
+    let code = std::mem::take(&mut m.code);
+    run_shadow(m, &code, &mut sh, start);
+    m.code = code;
     m.window_ret_stack = sh.ret_stack;
     m.window_stores = sh.stores;
 }
 
 /// The body of [`run_window`]: opens the window as `start` says, then
-/// runs it on `sh` until it ends.
-fn run_shadow(m: &mut Machine, sh: &mut Shadow, start: TransientStart) {
-    match start {
-        TransientStart::WrongPath { pc } => sh.pc = pc,
+/// runs it on `sh`, fetching from `code`, until it ends.
+fn run_shadow(m: &mut Machine, code: &CodeMem, sh: &mut Shadow, start: TransientStart) {
+    let mut pc = match start {
+        TransientStart::WrongPath { pc } => pc,
         TransientStart::FaultingLoad { vaddr, width, dst, next_pc } => {
             match transient_load(m, sh, vaddr, width) {
                 Some(v) => sh.regs[dst.index()] = v,
                 None => return,
             }
-            sh.pc = next_pc;
+            next_pc
         }
         TransientStart::StoreBypass { stale, dst, next_pc } => {
             sh.regs[dst.index()] = stale;
-            sh.pc = next_pc;
+            next_pc
         }
         TransientStart::StaleFpu { inst, next_pc } => {
             // Execute the trapping instruction itself on the stale state.
-            if exec_transient(m, sh, inst).is_none() {
-                return;
+            // It is not a wrong-path fetch, so it is not counted.
+            match exec_transient(m, sh, inst, next_pc - INST_SIZE, &mut 0) {
+                Some(next) => next,
+                None => return,
             }
-            sh.pc = next_pc;
         }
-    }
+    };
 
-    // Each instruction counts before it executes, so a `rdpmc` inside
-    // the window reads a count that includes itself. The machine's
-    // segment hint is the first guess: windows start near the committed
-    // pc.
-    let mut hint = m.seg_hint;
+    // The window fetches from one segment of `code` at a time, found
+    // through the machine's segment hint first (windows start near the
+    // committed pc), and searched for again only when the shadow pc
+    // leaves it. Each fetched instruction counts, but the counters are
+    // bumped once at the end; an in-window `rdpmc` flushes the pending
+    // count first, so it reads a count that includes itself.
+    let mut seg = code.segment(m.seg_hint);
+    let mut pending = 0;
     for _ in 0..m.model.spec.window {
-        let d = match m.code.fetch_decoded(sh.pc, &mut hint) {
+        let d = match seg.fetch(pc) {
             Some(d) => d,
-            None => return,
+            None => {
+                let Some((_, next)) = code.find_segment(pc) else { break };
+                seg = next;
+                let Some(d) = seg.fetch(pc) else { break };
+                d
+            }
         };
-        m.pmc.incr(Pmc::TransientInstructions);
-        m.transient_insts += 1;
-        if exec_transient(m, sh, d).is_none() {
-            return;
+        pending += 1;
+        match exec_transient(m, sh, d, pc, &mut pending) {
+            Some(next) => pc = next,
+            None => break,
         }
     }
+    count_transient(m, &mut pending);
+}
+
+/// Adds `pending` fetched window instructions to the machine's counters
+/// and clears it.
+#[inline(always)]
+fn count_transient(m: &mut Machine, pending: &mut u64) {
+    m.pmc.add(Pmc::TransientInstructions, *pending);
+    m.transient_insts += *pending;
+    *pending = 0;
 }
 
 /// Performs a transient load, applying vulnerability semantics: what a
 /// load that architecturally faults (the Meltdown/L1TF/MDS carriers)
 /// observes follows from its translation alone. Returns `None` when the
 /// window must end (the access stalls unresolvable), `Some(value)`
-/// otherwise.
+/// otherwise. The permitted load through a cached translation is inlined;
+/// the rest is [`faulting_transient_load`].
+#[inline(always)]
 fn transient_load(m: &mut Machine, sh: &Shadow, vaddr: u64, width: Width) -> Option<u64> {
     // Forwarding from the window's own (squashed) stores: youngest full
     // cover wins; partial overlap stalls the window.
-    for (sv, sw, value) in sh.stores.iter().rev() {
-        if *sv <= vaddr && vaddr + width.bytes() <= sv + sw.bytes() {
-            let shift = (vaddr - sv) * 8;
-            return Some(width.truncate(value >> shift));
-        }
-        let overlap = *sv < vaddr + width.bytes() && vaddr < sv + sw.bytes();
-        if overlap {
-            return None;
+    let last = last_byte(vaddr, width);
+    for &(sv, sw, value) in sh.stores.iter().rev() {
+        match overlap(sv, last_byte(sv, sw), vaddr, last) {
+            Overlap::Disjoint => {}
+            Overlap::Covered { offset } => return Some(width.truncate(value >> (offset * 8))),
+            Overlap::Partial => return None,
         }
     }
-    let user = m.mode == PrivMode::User;
-    let walk = m.mmu.walk(vaddr);
-    let pte = match walk.pte {
+    let pte = m.mmu.walk(vaddr).pte;
+    match pte {
+        // An ordinary, permitted transient load: this is the probe side
+        // of every attack (e.g. `array2[x * 256]`), whose cache fill is
+        // the side channel.
+        Some(p) if p.present && (p.user || m.mode != PrivMode::User) => {
+            let paddr = (p.pfn << PAGE_SHIFT) | (vaddr & ((1 << PAGE_SHIFT) - 1));
+            let v = m.mem.read(paddr, width);
+            m.l1d.access(paddr);
+            m.fill_buffers.record(v);
+            Some(v)
+        }
+        _ => faulting_transient_load(m, vaddr, width, pte),
+    }
+}
+
+/// A transient load whose translation `pte` would fault a committed one:
+/// what it observes is up to the part's vulnerabilities.
+#[cold]
+fn faulting_transient_load(
+    m: &mut Machine,
+    vaddr: u64,
+    width: Width,
+    pte: Option<Pte>,
+) -> Option<u64> {
+    let pte = match pte {
         None => {
             // No translation at all: an MDS part's load port hands over
             // stale fill-buffer data; fixed parts stall the window.
@@ -208,35 +258,33 @@ fn transient_load(m: &mut Machine, sh: &Shadow, vaddr: u64, width: Width) -> Opt
         }
         return None;
     }
-    if user && !pte.user {
-        // Meltdown: vulnerable parts forward the real supervisor data to
-        // dependents before the fault aborts them; fixed parts (RDCL_NO)
-        // forward zero.
-        if m.model.vuln.meltdown {
-            let v = m.mem.read(paddr, width);
-            m.l1d.access(paddr);
-            m.fill_buffers.record(v);
-            return Some(v);
-        }
-        return Some(0);
+    // Meltdown: a user-mode load of a supervisor page. Vulnerable parts
+    // forward the real supervisor data to dependents before the fault
+    // aborts them; fixed parts (RDCL_NO) forward zero.
+    if m.model.vuln.meltdown {
+        let v = m.mem.read(paddr, width);
+        m.l1d.access(paddr);
+        m.fill_buffers.record(v);
+        return Some(v);
     }
-    // An ordinary, permitted transient load: this is the probe side of
-    // every attack (e.g. `array2[x * 256]`), whose cache fill is the
-    // side channel.
-    let v = m.mem.read(paddr, width);
-    m.l1d.access(paddr);
-    m.fill_buffers.record(v);
-    Some(v)
+    Some(0)
 }
 
-/// Executes one instruction transiently. `Some(())` continues the window,
-/// `None` ends it. Inlined into [`run_window`]'s loop: out of line, the
-/// call cost figure3 about 13% more CPU time (4 alternating
+/// Executes the instruction `d` at shadow pc `pc` transiently.
+/// `Some(next_pc)` continues the window there, `None` ends it. `pending`
+/// is the window's not yet counted instructions, flushed before an
+/// `rdpmc` reads the counters. Inlined into [`run_window`]'s loop: out of
+/// line, the call cost figure3 about 13% more CPU time (4 alternating
 /// `regen --jobs 2 figure3` pairs on a 2-vCPU host).
 #[inline(always)]
-fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()> {
-    let pc = sh.pc;
-    sh.pc = pc + INST_SIZE;
+fn exec_transient(
+    m: &mut Machine,
+    sh: &mut Shadow,
+    d: DecodedInst,
+    pc: u64,
+    pending: &mut u64,
+) -> Option<u64> {
+    let mut next = pc + INST_SIZE;
     let a = (d.a & 15) as usize;
     let b = (d.b & 15) as usize;
     match d.op {
@@ -264,7 +312,10 @@ fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()
         Op::Mfence | Op::Sfence => {}
         Op::Clflush => {}
         Op::Rdtsc => sh.regs[a] = m.cycles(),
-        Op::Rdpmc => sh.regs[a] = m.pmc.read(Pmc::from_index((d.b & 7) as usize)),
+        Op::Rdpmc => {
+            count_transient(m, pending);
+            sh.regs[a] = m.pmc.read(Pmc::from_index((d.b & 7) as usize));
+        }
 
         Op::MovImm => sh.regs[a] = d.imm,
         Op::Mov => sh.regs[a] = sh.regs[b],
@@ -334,21 +385,21 @@ fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()
 
         Op::Jcc => {
             if sh.flags.eval(Cond::from_index(d.c as usize)) {
-                sh.pc = d.imm;
+                next = d.imm;
             }
         }
-        Op::Jmp => sh.pc = d.imm,
-        Op::JmpInd => sh.pc = sh.regs[a],
+        Op::Jmp => next = d.imm,
+        Op::JmpInd => next = sh.regs[a],
         Op::Call => {
             sh.ret_stack.push(pc + INST_SIZE);
-            sh.pc = d.imm;
+            next = d.imm;
         }
         Op::CallInd => {
             sh.ret_stack.push(pc + INST_SIZE);
-            sh.pc = sh.regs[a];
+            next = sh.regs[a];
         }
         Op::Ret => match sh.ret_stack.pop() {
-            Some(ra) => sh.pc = ra,
+            Some(ra) => next = ra,
             // Returning past the window's start: prediction state for it
             // is unknowable here, so the window ends.
             None => return None,
@@ -396,7 +447,7 @@ fn exec_transient(m: &mut Machine, sh: &mut Shadow, d: DecodedInst) -> Option<()
             sh.regs[a] = sh.fregs.regs[(d.b & 7) as usize].to_bits();
         }
     }
-    Some(())
+    Some(next)
 }
 
 // ---------------------------------------------------------------------------
@@ -466,12 +517,12 @@ fn transient_load_reference(
 ) -> Option<u64> {
     let _ = faulting;
     for (sv, sw, value) in sh.stores.iter().rev() {
-        if *sv <= vaddr && vaddr + width.bytes() <= sv + sw.bytes() {
-            let shift = (vaddr - sv) * 8;
+        let relation = overlap(*sv, last_byte(*sv, *sw), vaddr, last_byte(vaddr, width));
+        if let Overlap::Covered { offset } = relation {
+            let shift = offset * 8;
             return Some(width.truncate(value >> shift));
         }
-        let overlap = *sv < vaddr + width.bytes() && vaddr < sv + sw.bytes();
-        if overlap {
+        if relation == Overlap::Partial {
             return None;
         }
     }

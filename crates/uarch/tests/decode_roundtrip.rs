@@ -441,3 +441,41 @@ fn store_bypass_windows_match_reference_in_lockstep() {
     assert!(opened >= 100, "only {opened} store-bypass windows opened");
     assert!(capped * 4 >= opened * 3, "only {capped} of {opened} windows reached the cap");
 }
+
+/// An `rdpmc` of the transient-instruction counter inside a wrong-path
+/// window, its count fed through `AndImm`/`Shl`/`Add` into the index of
+/// a data-page load: the line that load fills names the count the
+/// window read. Windows count their instructions once at the end, so
+/// one that did not flush its pending count before the `rdpmc` would
+/// fill another line, and the lockstep L1D fingerprint would diverge.
+#[test]
+fn rdpmc_inside_a_window_reads_a_count_that_includes_itself() {
+    let mut program = vec![Inst::MovImm(Reg::R8, DATA_BASE), Inst::MovImm(Reg::R0, 0)];
+    for block in 0..8 {
+        // `CmpImm; Jcc` taken past the gadget, predicted not taken: the
+        // gadget runs on the wrong path, after `block` filler
+        // instructions.
+        let gadget = [
+            Inst::Rdpmc { pmc: Pmc::TransientInstructions, dst: Reg::R5 },
+            Inst::AndImm(Reg::R5, 63),
+            Inst::Shl(Reg::R5, 6),
+            Inst::Add(Reg::R5, Reg::R8),
+            Inst::Load { dst: Reg::R6, base: Reg::R5, offset: 0, width: Width::B8 },
+        ];
+        let after = program.len() as u64 + 2 + block + gadget.len() as u64;
+        program.push(Inst::CmpImm(Reg::R0, 0));
+        program.push(Inst::Jcc(Cond::Eq, CODE_BASE + after * 4));
+        program.extend((0..block).map(|_| Inst::AddImm(Reg::R1, 1)));
+        program.extend(gadget);
+    }
+    let model = CpuModel::test_model();
+    let mut fast = fresh_machine(model.clone(), &program, true);
+    let mut slow = fresh_machine(model, &program, true);
+    let (outcome, windows) = lockstep(&mut fast, &mut slow, 1_000, "rdpmc in a window");
+    assert_eq!(outcome, "Ok(Some(Halted))");
+    // A branch whose gshare counter another branch already trained
+    // predicts right and opens no window; most blocks must open one.
+    assert!(windows.len() >= 6, "only {} of 8 blocks opened a window", windows.len());
+    // The first window's `rdpmc` is its first instruction: it reads 1.
+    assert!(fast.l1d.probe(DATA_PADDR + 64), "the first window's count included its rdpmc");
+}

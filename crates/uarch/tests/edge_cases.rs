@@ -385,3 +385,58 @@ fn cycles_never_decrease_across_committed_instructions() {
     assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "{cycles:?}");
     assert_eq!(m.reg(Reg::R0), 3);
 }
+
+/// A wrong-path window that stores and loads at the top of the address
+/// space, where a byte range wraps past 2^64. An 8-byte store at
+/// `0xffff_ffff_ffff_fffc` covers its reload, and the forwarded value
+/// picks the data line a dependent load fills; a 2-byte load at
+/// `u64::MAX` after an 8-byte store at 0 shares only byte 0 with it, so
+/// it stalls the window instead of forwarding a garbage shift into a
+/// second line. Both engines must agree on every counter and on L1D,
+/// and neither may overflow.
+#[test]
+fn window_stores_and_loads_that_wrap_the_address_space_match_the_reference() {
+    let build = || {
+        let mut m = machine_with_pages();
+        load(&mut m, 0x1000, |b| {
+            let done = b.new_label();
+            b.mov_imm(Reg::R8, 0x10_0000);
+            b.mov_imm(Reg::R0, 0);
+            b.cmp_imm(Reg::R0, 0);
+            b.jcc(Cond::Eq, done); // taken, predicted not taken: a window
+            b.mov_imm(Reg::R1, 0xffff_ffff_ffff_fffc);
+            b.mov_imm(Reg::R2, 0x740);
+            b.push(Inst::Store { src: Reg::R2, base: Reg::R1, offset: 0, width: Width::B8 });
+            b.push(Inst::Load { dst: Reg::R3, base: Reg::R1, offset: 0, width: Width::B8 });
+            b.push(Inst::Add(Reg::R3, Reg::R8));
+            b.push(Inst::Load { dst: Reg::R4, base: Reg::R3, offset: 0, width: Width::B8 });
+            b.mov_imm(Reg::R5, 0);
+            b.mov_imm(Reg::R2, 0x0180_0000_0000_0000);
+            b.push(Inst::Store { src: Reg::R2, base: Reg::R5, offset: 0, width: Width::B8 });
+            b.mov_imm(Reg::R6, u64::MAX);
+            b.push(Inst::Load { dst: Reg::R7, base: Reg::R6, offset: 0, width: Width::B2 });
+            b.push(Inst::Shl(Reg::R7, 4));
+            b.push(Inst::Add(Reg::R7, Reg::R8));
+            b.push(Inst::Load { dst: Reg::R4, base: Reg::R7, offset: 0, width: Width::B8 });
+            b.bind(done);
+            b.push(Inst::Halt);
+        });
+        m
+    };
+    let state = |m: &Machine| {
+        let pmcs: Vec<u64> = Pmc::ALL.iter().map(|p| m.pmc.read(*p)).collect();
+        let lines: Vec<u64> = (0..16 * 64).filter(|l| m.l1d.probe(0x100 * 4096 + l * 64)).collect();
+        let windows = (m.transient_window_count(), m.transient_inst_count());
+        format!("{:?} {} {pmcs:?} {windows:?} {lines:?}", m.regs, m.cycles())
+    };
+    let (mut fast, mut slow) = (build(), build());
+    assert_eq!(fast.run(&mut NoEnv, 100).unwrap(), Stop::Halted);
+    assert_eq!(slow.run_reference(&mut NoEnv, 100).unwrap(), Stop::Halted);
+    assert_eq!(state(&fast), state(&slow));
+    assert_eq!(fast.transient_window_count(), 1);
+    // The wrapped store forwarded 0x740 to its reload: line 0x740 / 64
+    // of the data pages is resident. The partial overlap ended the
+    // window at the 2-byte load: its three dependents never ran.
+    assert!(fast.l1d.probe(0x100 * 4096 + 0x740), "the covered reload forwarded its store");
+    assert_eq!(fast.transient_inst_count(), 11);
+}
