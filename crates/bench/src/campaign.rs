@@ -143,14 +143,15 @@ struct SweepOutput {
 fn run_sweep(
     opts: &CampaignOptions,
     plan: spectrebench::FaultPlan,
-    journal: Journal,
+    journal: Option<Journal>,
 ) -> SweepOutput {
     let mut retry = RetryPolicy::standard();
     retry.max_attempts = opts.retries.max(1);
     let harness = Harness::new().with_plan(plan).with_retry(retry);
-    let exec = Executor::new(harness)
-        .with_jobs(opts.jobs.unwrap_or_else(default_jobs))
-        .with_journal(journal);
+    let mut exec = Executor::new(harness).with_jobs(opts.jobs.unwrap_or_else(default_jobs));
+    if let Some(journal) = journal {
+        exec = exec.with_journal(journal);
+    }
     let selected: &[Artifact] =
         if opts.artifacts.is_empty() { &Artifact::ALL } else { &opts.artifacts };
     let mut rendered = String::new();
@@ -165,7 +166,7 @@ fn run_sweep(
         }
         rendered.push_str(&a.block(outcome.as_ref().ok().map(|out| out.text.as_str())));
     }
-    let census = exec.journal().map(Journal::entries).unwrap_or_default();
+    let census = exec.cached_cells();
     SweepOutput { rendered, failed, degraded, stats: exec.stats(), census }
 }
 
@@ -203,9 +204,9 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
     };
     let mut stats = HarnessStats::default();
 
-    // Phase 1: the clean reference sweep (in-memory journal — we only
-    // need the cell census and the golden bytes, not a file).
-    let reference = run_sweep(opts, spectrebench::FaultPlan::new(), Journal::in_memory());
+    // Phase 1: the clean reference sweep (no journal — we only need the
+    // cell census and the golden bytes, not a file).
+    let reference = run_sweep(opts, spectrebench::FaultPlan::new(), None);
     stats.absorb(&reference.stats);
     if !reference.failed.is_empty() || !reference.degraded.is_empty() {
         return Err(CampaignError::ReferenceNotClean(format!(
@@ -259,7 +260,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignRun, CampaignError
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        let sweep = run_sweep(opts, coord.fault_plan(), Journal::open(&scratch)?);
+        let sweep = run_sweep(opts, coord.fault_plan(), Some(Journal::open(&scratch)?));
         stats.absorb(&sweep.stats);
 
         // Re-scan the scratch journal from disk: what would a resume

@@ -167,12 +167,6 @@ impl Executor {
         &self.harness
     }
 
-    /// The attached journal, if any — fault campaigns read the cell
-    /// census out of it after the reference sweep.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
     /// True once `experiment` has accumulated `panic_breaker`
     /// consecutive panic-failed cells.
     fn breaker_is_open(&self, experiment: &str) -> bool {
@@ -225,6 +219,18 @@ impl Executor {
     /// the cross-experiment cache (exposed by `regend /healthz`).
     pub fn cache_len(&self) -> usize {
         lock(&self.cache).len()
+    }
+
+    /// Every completed cell in the cache, sorted by `(content key,
+    /// seed)` — the deterministic cell census a fault campaign
+    /// enumerates its coordinate space from. Workers finish in
+    /// nondeterministic order; sorting here is what makes the
+    /// campaign's space stable.
+    pub fn cached_cells(&self) -> Vec<((String, u64), CellValue)> {
+        let mut cells: Vec<_> =
+            lock(&self.cache).iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        cells
     }
 
     /// Executes a plan and returns one outcome per cell, in plan order.

@@ -764,19 +764,18 @@ pub fn scan_journal_text(text: &str) -> (JournalScan, HashMap<(String, u64), Cel
 /// ([`Journal::record`]) and the file is fsynced at plan boundaries
 /// ([`Journal::sync`]), bounding loss after SIGKILL to the line in
 /// flight and after power loss to the current plan's appends.
-#[derive(Debug, Default)]
+///
+/// The journal holds the append handle and the entries it replayed on
+/// open, nothing else: a value recorded in this process lives in the
+/// executor's cache, which is consulted first.
+#[derive(Debug)]
 pub struct Journal {
-    entries: Mutex<HashMap<(String, u64), CellValue>>,
-    file: Option<JournalFile>,
+    replayed: HashMap<(String, u64), CellValue>,
+    file: JournalFile,
     scan: JournalScan,
 }
 
 impl Journal {
-    /// An in-memory journal (tests, or sweeps that only want dedup).
-    pub fn in_memory() -> Journal {
-        Journal::default()
-    }
-
     /// Opens (or creates) a journal file, loading any completed cells
     /// already recorded in it and classifying every line as valid /
     /// truncated-tail / corrupt. When anything other than valid
@@ -794,7 +793,7 @@ impl Journal {
                 scan.truncated
             );
         }
-        Ok(Journal { entries: Mutex::new(entries), file: Some(file), scan })
+        Ok(Journal { replayed: entries, file, scan })
     }
 
     /// The per-class line counts from open time.
@@ -802,49 +801,25 @@ impl Journal {
         &self.scan
     }
 
-    /// Number of completed cells on record.
-    pub fn len(&self) -> usize {
-        lock(&self.entries).len()
-    }
-
-    /// True if no cells are on record.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.entries).is_empty()
-    }
-
-    /// The recorded value for `key`, if the cell completed **under the
+    /// The value replayed for `key`, if the cell completed **under the
     /// same seed**. An entry journaled with a different seed is stale
     /// and never returned.
     pub fn lookup(&self, key: &str, seed: u64) -> Option<CellValue> {
-        lock(&self.entries).get(&(key.to_string(), seed)).cloned()
+        self.replayed.get(&(key.to_string(), seed)).cloned()
     }
 
-    /// Every completed cell on record, sorted by `(key, seed)` — the
-    /// deterministic cell census a fault campaign enumerates its
-    /// coordinate space from. Workers append in nondeterministic order;
-    /// sorting here is what makes the campaign's space stable.
-    pub fn entries(&self) -> Vec<((String, u64), CellValue)> {
-        let mut out: Vec<((String, u64), CellValue)> = lock(&self.entries)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Records a completed cell: inserts it in memory and appends a v2
-    /// line to the backing file (if any), straight to the OS, so a
-    /// subsequent SIGKILL cannot lose it. The caller
-    /// (the executor) counts and reports failures; losing a journal
-    /// line only costs a re-measurement, never the sweep.
+    /// Records a completed cell: appends a v2 line straight to the OS,
+    /// so a subsequent SIGKILL cannot lose it. The caller (the
+    /// executor) counts and reports failures; losing a journal line
+    /// only costs a re-measurement, never the sweep.
     pub fn record(&self, key: &str, seed: u64, v: &CellValue) -> std::io::Result<()> {
         self.record_damaged(key, seed, v, None)
     }
 
     /// [`Journal::record`] with an optional injected I/O fault applied
-    /// to the bytes that reach disk. The in-memory entry is stored
-    /// intact either way — only durability is damaged, exactly like a
-    /// real torn write.
+    /// to the bytes that reach disk. Only durability is damaged, exactly
+    /// like a real torn write: the executor's cache holds the value
+    /// intact either way.
     pub fn record_damaged(
         &self,
         key: &str,
@@ -852,22 +827,18 @@ impl Journal {
         v: &CellValue,
         damage: Option<WriteDamage>,
     ) -> std::io::Result<()> {
-        lock(&self.entries).insert((key.to_string(), seed), v.clone());
-        if let Some(file) = &self.file {
-            let line = encode_v2_line(key, seed, v);
-            match damage {
-                None => file.append(line.as_bytes())?,
-                Some(d) => file.append(&d.apply(&line))?,
-            }
+        let line = encode_v2_line(key, seed, v);
+        match damage {
+            None => self.file.append(line.as_bytes()),
+            Some(d) => self.file.append(&d.apply(&line)),
         }
-        Ok(())
     }
 
     /// Fsyncs the backing file — called by the executor at plan
     /// boundaries so a power loss cannot roll back past the last
     /// completed plan.
     pub fn sync(&self) -> std::io::Result<()> {
-        self.file.as_ref().map_or(Ok(()), JournalFile::sync)
+        self.file.sync()
     }
 }
 
@@ -1152,7 +1123,7 @@ mod tests {
             }
         }
         let j = Journal::open(&path).unwrap();
-        assert_eq!(j.len(), values.len());
+        assert_eq!(j.scan().valid, values.len() as u64);
         for (k, s, v) in &values {
             assert_eq!(j.lookup(k, *s).as_ref(), Some(v), "{k}");
         }
@@ -1177,10 +1148,16 @@ mod tests {
     fn journal_lookup_requires_a_matching_seed() {
         // Regression test: resume used to match cells by key alone, so a
         // sweep re-run under different seeding replayed stale values.
-        let j = Journal::in_memory();
-        j.record("Broadwell/lebench", 1, &CellValue::Num(10.0)).unwrap();
+        let dir = std::env::temp_dir().join(format!("spectrebench-seed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let recorded = Journal::open(&path).unwrap();
+        recorded.record("Broadwell/lebench", 1, &CellValue::Num(10.0)).unwrap();
+        let j = Journal::open(&path).unwrap();
         assert_eq!(j.lookup("Broadwell/lebench", 2), None, "stale seed is skipped");
         assert_eq!(j.lookup("Broadwell/lebench", 1), Some(CellValue::Num(10.0)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,6 +23,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::http::parse_header_lines;
+
 /// One parsed response.
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
@@ -44,11 +46,6 @@ impl HttpResponse {
     /// The body as UTF-8 (lossy).
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
-    }
-
-    /// The declared `Content-Length`, if present and numeric.
-    fn content_length(&self) -> Option<usize> {
-        self.header("content-length").and_then(|v| v.parse().ok())
     }
 }
 
@@ -135,29 +132,30 @@ fn head_end(raw: &[u8]) -> Option<usize> {
 }
 
 /// Parses a response head (status line and headers, without the
-/// terminating blank line) into a response with an empty body.
-fn parse_head(head: &[u8]) -> Result<HttpResponse, String> {
+/// terminating blank line) into a response with an empty body, plus its
+/// declared `Content-Length`. Header lines follow the grammar the
+/// server applies to requests ([`parse_header_lines`]), so a damaged
+/// head is refused at once instead of misframing the body.
+fn parse_head(head: &[u8]) -> Result<(HttpResponse, Option<usize>), String> {
     let head = std::str::from_utf8(head).map_err(|_| "non-UTF-8 response head".to_string())?;
-    let mut lines = head.split("\r\n");
+    let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let status_line = lines.next().unwrap_or_default();
     let status = status_line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| format!("bad status line: {status_line:?}"))?;
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Ok(HttpResponse { status, headers, body: Vec::new() })
+    let (headers, len) = parse_header_lines(lines)?;
+    let len = len.map(usize::try_from).transpose().map_err(|_| "content-length overflows")?;
+    Ok((HttpResponse { status, headers, body: Vec::new() }, len))
 }
 
 /// Parses a full wire response (head + body).
 pub fn parse_response(raw: &[u8]) -> Result<HttpResponse, String> {
     let end = head_end(raw).ok_or_else(|| "truncated response: no header terminator".to_string())?;
-    let mut resp = parse_head(&raw[..end])?;
+    let (mut resp, len) = parse_head(&raw[..end])?;
     let rest = &raw[end + 4..];
-    resp.body = match resp.content_length() {
+    resp.body = match len {
         Some(len) if len <= rest.len() => rest[..len].to_vec(),
         Some(len) => {
             return Err(format!("truncated body: {} of {len} byte(s)", rest.len()));
@@ -308,8 +306,8 @@ impl Connection {
                 ));
             }
         };
-        let mut resp = match parse_head(&self.carry[..end]) {
-            Ok(resp) => resp,
+        let (mut resp, len) = match parse_head(&self.carry[..end]) {
+            Ok(parsed) => parsed,
             Err(e) => {
                 self.poison();
                 return Err((false, e));
@@ -318,7 +316,7 @@ impl Connection {
 
         // 2. Buffer until the declared body is complete.
         let start = end + 4;
-        match resp.content_length() {
+        match len {
             Some(len) => {
                 while self.carry.len() < start + len {
                     if self.read_more()? == 0 {

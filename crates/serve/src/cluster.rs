@@ -1,7 +1,7 @@
 //! Booting a whole `regend` cluster inside one process.
 //!
 //! Production deployments run N shard processes plus a proxy process
-//! (see the CI `cluster-soak` job); tests and `regend --shards N` boot
+//! (as `tests/regend_processes.rs` does); tests and `regend --shards N` boot
 //! the same topology in-process: N [`Server`]s — each with its own
 //! epoll loop, executor, and journal — plus one proxy server whose
 //! [`ServerConfig::shard_addrs`] points at them. The shards are real

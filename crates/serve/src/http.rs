@@ -226,19 +226,6 @@ fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
     if !version.starts_with("HTTP/1.") {
         return Err(format!("unsupported version: {version:?}"));
     }
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err("too many headers".to_string());
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| format!("bad header line: {line:?}"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
     // Strict percent-encoding: every '%' in the target must introduce a
     // valid two-digit escape. (A lenient decode here would make two
     // differently-fragmented copies of a hostile target decode to the
@@ -246,6 +233,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
     if !percent_escapes_valid(&target) {
         return Err(format!("bad percent-encoding in target: {target:?}"));
     }
+    let (headers, body_len) = parse_header_lines(lines)?;
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target.as_str(), ""),
@@ -260,11 +248,44 @@ fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
     } else {
         !connection.eq_ignore_ascii_case("close")
     };
-    // Body framing is `Content-Length` alone. Anything that could make
-    // this parser and a client disagree on where the body ends (and so
-    // run body bytes as the next pipelined request) is refused: a
-    // `Transfer-Encoding`, a length that is not plain decimal, or two
-    // lengths that differ.
+    let request = Request {
+        method,
+        path: percent_decode(raw_path),
+        query: parse_query(raw_query),
+        headers,
+        keep_alive,
+    };
+    Ok((request, body_len.unwrap_or(0)))
+}
+
+/// `(lowercased-name, value)` pairs, in order.
+pub(crate) type Headers = Vec<(String, String)>;
+
+/// Parses the header lines of a head, up to its blank line, by the one
+/// grammar requests and responses share: every line is `name: value`
+/// (the name lowercased, both sides trimmed), at most [`MAX_HEADERS`]
+/// of them. Returns the headers and the declared body length.
+///
+/// Body framing is `Content-Length` alone. Anything that could make
+/// two parsers disagree on where a body ends (and so run body bytes as
+/// the next pipelined message) is refused: a `Transfer-Encoding`, a
+/// length that is not plain decimal, or two lengths that differ.
+pub(crate) fn parse_header_lines<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<(Headers, Option<u64>), String> {
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            break;
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err("too many headers".to_string());
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| format!("bad header line: {line:?}"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
     let mut body_len = None;
     for (name, value) in &headers {
         match name.as_str() {
@@ -286,15 +307,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
             _ => {}
         }
     }
-    let body_len = body_len.unwrap_or(0);
-    let request = Request {
-        method,
-        path: percent_decode(raw_path),
-        query: parse_query(raw_query),
-        headers,
-        keep_alive,
-    };
-    Ok((request, body_len))
+    Ok((headers, body_len))
 }
 
 /// True when every `%` in `s` is followed by two hex digits.

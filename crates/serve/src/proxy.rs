@@ -24,9 +24,10 @@
 //!    clients the cluster is degraded and when to try again.
 //!
 //! Silent corruption is structurally excluded: every shard 200 carries
-//! `X-Regend-Crc32`, verified on receipt — a damaged hop, or a 200
-//! without the header, is a *detected* transient failure that re-enters
-//! layer 1.
+//! `X-Regend-Crc32`, verified on receipt ([`crate::shard::verify_hop`])
+//! — a damaged hop, a 200 without the header, or a signed response that
+//! is not a 200 is a *detected* transient failure that re-enters layer
+//! 1.
 
 use spectrebench::obs::{EventKind, ShardState};
 use spectrebench::Artifact;

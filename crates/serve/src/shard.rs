@@ -14,10 +14,10 @@
 //!   outcomes.
 //! * [`Cluster`] — the fetch path: pooled keep-alive connections per
 //!   shard, deterministic network-fault injection on every hop
-//!   ([`NetFaultPlan`]), CRC verification of shard response bodies
-//!   (a truncated or corrupted hop becomes a *detected* transient
-//!   failure, never silent corruption), bounded retry with the
-//!   client's seeded backoff, and health accounting.
+//!   ([`NetFaultPlan`]), the hop check [`verify_hop`] on every shard
+//!   response (a truncated or corrupted hop becomes a *detected*
+//!   transient failure, never silent corruption), bounded retry with
+//!   the client's seeded backoff, and health accounting.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -140,6 +140,33 @@ impl ShardHealth {
         self.state = next;
         Some(next)
     }
+}
+
+/// The hop check: whether a shard response arrived as the shard sent
+/// it. A shard signs every 200 it serves, and only its 200s, with
+/// `X-Regend-Crc32` over the body and its marker headers (see
+/// `marked_crc32`). So a signed response must be a 200 whose checksum
+/// holds, and an unsigned one must carry an error status (4xx or 5xx):
+/// a flipped status digit or a lost signature fails here instead of
+/// passing another status, or unchecked bytes, on to the client.
+pub fn verify_hop(response: &HttpResponse) -> Result<(), String> {
+    let status = response.status;
+    let Some(declared) = response.header("x-regend-crc32") else {
+        return match status {
+            400..=599 => Ok(()),
+            _ => Err(format!("{status} without a body checksum")),
+        };
+    };
+    if status != 200 {
+        return Err(format!("checksummed {status} (a shard signs only 200s)"));
+    }
+    let degraded = response.header("x-regend-degraded").is_some();
+    let quick = response.header("x-regend-quick").is_some();
+    let actual = format!("{:08x}", marked_crc32(&response.body, degraded, quick));
+    if declared != actual {
+        return Err(format!("body checksum mismatch: got {actual}, declared {declared}"));
+    }
+    Ok(())
 }
 
 /// One shard as the proxy sees it: its address, health, and a pool of
@@ -296,34 +323,14 @@ impl Cluster {
             }
             _ => {}
         }
-        // Verify the body and the marker headers against the shard's
-        // checksum. Every 200 a shard serves carries one, so a 200
-        // without it is damage too. Damage on the wire (injected or
-        // real) becomes a detected transient failure here — by
-        // construction it can never reach a client. Other statuses pass
-        // through unchecked when unsigned.
-        let damage = match response.header("x-regend-crc32") {
-            Some(declared) => {
-                let degraded = response.header("x-regend-degraded").is_some();
-                let quick = response.header("x-regend-quick").is_some();
-                let actual = format!("{:08x}", marked_crc32(&response.body, degraded, quick));
-                (declared != actual).then(|| {
-                    format!(
-                        "shard {shard} body checksum mismatch on {path}: got {actual}, declared {declared}"
-                    )
-                })
-            }
-            None if response.status == 200 => Some(format!(
-                "shard {shard} 200 without a body checksum on {path}"
-            )),
-            None => None,
-        };
-        // The socket itself is clean (any damage is in our copy), so the
-        // connection is still poolable.
+        // Damage on the wire (injected or real) becomes a detected
+        // transient failure here — by construction it can never reach a
+        // client. The socket itself is clean (any damage is in our
+        // copy), so the connection is still poolable.
         lock(&ep.pool).push(conn);
-        match damage {
-            Some(e) => Err((true, e)),
-            None => Ok(response),
+        match verify_hop(&response) {
+            Ok(()) => Ok(response),
+            Err(e) => Err((true, format!("shard {shard} {e} on {path}"))),
         }
     }
 
@@ -442,7 +449,8 @@ mod tests {
     }
 
     /// One hop through `Cluster::fetch` to a loopback shard that answers
-    /// one request with `reply`.
+    /// one request with `reply`, then holds the socket open, as a live
+    /// keep-alive shard does, until the proxy closes it.
     fn fetch_from_fake_shard(reply: Vec<u8>) -> Result<HttpResponse, String> {
         use std::io::{Read as _, Write as _};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -455,6 +463,7 @@ mod tests {
                 head.push(byte[0]);
             }
             stream.write_all(&reply).unwrap();
+            while stream.read(&mut byte).is_ok_and(|n| n > 0) {}
         });
         let got = Cluster::new(&[addr], None, 1).fetch(&EventBus::new(), 0, "/cell/x");
         shard.join().unwrap();
@@ -477,6 +486,23 @@ mod tests {
         damaged[9] ^= 0x04;
         let err = fetch_from_fake_shard(reply(&[("X-Regend-Crc33", crc)], &damaged)).unwrap_err();
         assert!(err.contains("without a body checksum"), "{err}");
+    }
+
+    #[test]
+    fn a_head_damaged_on_the_hop_fails_at_once_on_a_held_open_socket() {
+        let body = b"{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1.5]}\n".to_vec();
+        let crc = format!("{:08x}", spectrebench::crc32(&body));
+        let mut damaged = reply(&[("X-Regend-Crc32", crc)], &body);
+        // One bit flipped in `Content-Length:` (`:` -> `;`): the line has
+        // no colon. Read-to-EOF framing would wait on the open socket
+        // until FETCH_TIMEOUT; the header grammar refuses it at once.
+        let colon = damaged.windows(15).position(|w| w == b"Content-Length:").unwrap() + 14;
+        damaged[colon] ^= 0x01;
+        let start = Instant::now();
+        let err = fetch_from_fake_shard(damaged).unwrap_err();
+        let line = format!("bad header line: \"Content-Length; {}\"", body.len());
+        assert!(err.contains(&line), "{err}");
+        assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
     }
 
     #[test]

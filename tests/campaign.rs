@@ -7,7 +7,6 @@
 //! starting over.
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,53 +18,8 @@ use spectrebench::campaign::{
 };
 use spectrebench::{EventBus, FaultKind};
 
-/// Locates the `regen` binary next to this test's own executable,
-/// building it if a partial build got here first (same contract as
-/// tests/crash_resume.rs).
-fn regen_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("test binary has a path");
-    let profile_dir = exe
-        .parent() // deps/
-        .and_then(Path::parent) // target/<profile>/
-        .expect("test binary lives under target/<profile>/deps");
-    let bin = profile_dir.join(format!("regen{}", std::env::consts::EXE_SUFFIX));
-    if !bin.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "bench", "--bin", "regen"])
-            .status()
-            .expect("spawn cargo build");
-        assert!(status.success(), "cargo build -p bench --bin regen failed");
-    }
-    assert!(bin.exists(), "regen binary at {}", bin.display());
-    bin
-}
-
-/// Scratch directory unique to (test, process).
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("regen-campaign-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The same xorshift64* generator the other property tests use.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
+mod support;
+use support::{binary, scratch, Rng};
 
 #[test]
 fn coordinate_space_is_duplicate_free_and_deterministic() {
@@ -264,7 +218,7 @@ fn sampled_campaign_is_seed_stable_and_exit_clean() {
 
 #[test]
 fn campaign_survives_sigkill_and_resumes_from_its_journal() {
-    let bin = regen_binary();
+    let bin = binary("regen");
     let dir = scratch("kill");
     let report_path = dir.join("report.json");
     let campaign_args = |resume: bool| {

@@ -5,105 +5,23 @@
 //! resumed from its journal.
 //!
 //! Everything here is in-process (threads + loopback TCP, ports
-//! chosen by the kernel) so drains are deterministic; the CI
-//! `cluster-soak` job covers the spawned-process path with a real
-//! SIGKILL.
+//! chosen by the kernel) so drains are deterministic;
+//! `tests/regend_processes.rs` covers the spawned-process path with a
+//! real SIGKILL. The last test flips every bit, and every pair of bits,
+//! of a signed shard reply on its way through the hop check.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::{render_artifact_block, run_regen, Artifact, RegenOptions};
-use serve::client::{http_get_retrying, HttpResponse};
-use serve::{
-    boot_shards, percent_encode_path, proxy_config, HashRing, Server, ServerConfig, ServerHandle,
-    ShardInstance,
-};
+use bench::{Artifact, RegenOptions};
+use serve::{boot_shards, proxy_config, HashRing, ServerConfig, ShardInstance};
 use serve::cluster_campaign::burst_paths;
 use spectrebench::json::{self, Value};
 use spectrebench::{enumerate_cluster_coordinates, FaultPoint, NetFaultKind, NetFaultPlan};
 
-/// Scratch directory unique to (test, process).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("regend-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Boots one server (shard, proxy, or plain) on a free port.
-fn boot(cfg: ServerConfig) -> (String, ServerHandle, std::thread::JoinHandle<serve::RunSummary>) {
-    let server = Server::bind(ServerConfig { addr: "127.0.0.1:0".to_string(), ..cfg })
-        .expect("bind to a free port");
-    let base = format!("http://{}", server.local_addr());
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("event loop"));
-    (base, handle, join)
-}
-
-/// GET with retries and a cold-compute-sized timeout.
-fn get(base: &str, path: &str) -> HttpResponse {
-    http_get_retrying(&format!("{base}{path}"), Duration::from_secs(300), 10)
-        .unwrap_or_else(|e| panic!("GET {path}: {e}"))
-}
-
-/// The serial oracle: one in-process sweep, rendered per artifact.
-fn serial_blocks(artifacts: &[Artifact], quick: bool) -> Vec<String> {
-    let report = run_regen(&RegenOptions {
-        artifacts: artifacts.to_vec(),
-        quick,
-        keep_going: true,
-        ..RegenOptions::default()
-    })
-    .expect("serial sweep");
-    report.results.iter().map(render_artifact_block).collect()
-}
-
-/// Reads one counter out of a Prometheus-style exposition, summed over
-/// labels.
-fn metric(text: &str, name: &str) -> f64 {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter_map(|l| l.split_once(' '))
-        .filter(|(k, _)| *k == name || k.starts_with(&format!("{name}{{")))
-        .map(|(_, v)| v.trim().parse::<f64>().unwrap_or(0.0))
-        .sum()
-}
-
-/// Polls a metric on `base` until it reaches `min` or the deadline.
-fn await_metric(base: &str, name: &str, min: f64, deadline: Duration) -> f64 {
-    let start = std::time::Instant::now();
-    loop {
-        let v = metric(&get(base, "/metrics").text(), name);
-        if v >= min || start.elapsed() > deadline {
-            return v;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// Table 1's per-CPU cell keys (one per catalog microarchitecture);
-/// routed across shards by content key, and computable on demand from
-/// either side of a failover.
-fn cell_keys() -> Vec<String> {
-    [
-        "Broadwell",
-        "Skylake Client",
-        "Cascade Lake",
-        "Ice Lake Client",
-        "Ice Lake Server",
-        "Zen",
-        "Zen 2",
-        "Zen 3",
-    ]
-    .iter()
-    .map(|m| format!("{m}/mitigations"))
-    .collect()
-}
-
-fn cell_path(key: &str) -> String {
-    format!("/cell/table1/{}?seed=0", percent_encode_path(key))
-}
+mod support;
+use support::{await_metric, boot, cell_keys, cell_path, get, metric, scratch, serial_blocks};
 
 fn drain_all(shards: Vec<ShardInstance>) {
     for s in shards {
@@ -121,7 +39,7 @@ fn drain_all(shards: Vec<ShardInstance>) {
 fn sixty_four_clients_against_four_shards_match_a_serial_sweep() {
     const CLIENTS: usize = 64;
     let artifacts = Artifact::ALL;
-    let expect = serial_blocks(&artifacts, true);
+    let expect = serial_blocks(&artifacts, true, RegenOptions::default());
     let expected_results: String = expect.concat();
 
     let base_cfg = ServerConfig {
@@ -198,7 +116,7 @@ fn sixty_four_clients_against_four_shards_match_a_serial_sweep() {
 fn bursts_under_net_faults_on_every_hop_stay_byte_identical() {
     const CLIENTS: usize = 16;
     let artifacts = [Artifact::Table1, Artifact::Table2, Artifact::Table9, Artifact::Table10];
-    let expect = serial_blocks(&artifacts, true);
+    let expect = serial_blocks(&artifacts, true, RegenOptions::default());
 
     // Ground truth for cell bodies: a plain single server (already
     // pinned against the sweep by tests/serve_determinism.rs).
@@ -478,4 +396,84 @@ fn committed_cluster_baseline_matches_the_campaign_shape() {
     assert_eq!(ids, space, "every coordinate, in enumeration order");
     let silent = report.get("summary").and_then(|s| s.get("silent-corruption"));
     assert_eq!(silent.and_then(Value::num::<u64>), Some(0));
+}
+
+/// Wire damage on the hop is detected or harmless: every single-bit
+/// and every two-bit flip of a signed shard `/cell` reply is either
+/// refused or passes with the status, body and markers the shard sent.
+/// Single flips cross the real hop (`Cluster::fetch` against a loopback
+/// shard that closes after each reply); pairs go through the same
+/// parser and hop check without a socket.
+#[test]
+fn bit_flips_in_a_shard_reply_never_pass_the_hop_changed() {
+    use std::io::{Read, Write};
+
+    use serve::client::{parse_response, HttpResponse};
+    use serve::shard::verify_hop;
+    use serve::{Cluster, Response};
+    use spectrebench::{cell_value_json, crc32, CellValue, EventBus};
+
+    // The reply a shard sends for a cached cell (`checksummed_json`).
+    let value = CellValue::Flags(vec![Some(true), Some(false), None]);
+    let body = format!("{}\n", cell_value_json("Broadwell/mitigations", 0, &value));
+    let signed = format!("{:08x}", crc32(body.as_bytes()));
+    let reply = Response::json(200, body.clone()).with_header("X-Regend-Crc32", signed);
+    let mut wire = reply.render_head(true);
+    wire.extend_from_slice(body.as_bytes());
+    // What the proxy relays of a reply.
+    let relayed = |r: &HttpResponse| {
+        let marked = |name| r.header(name).is_some();
+        (r.status, r.body.clone(), marked("x-regend-degraded"), marked("x-regend-quick"))
+    };
+    let intact = parse_response(&wire).expect("the intact reply parses");
+    assert_eq!(verify_hop(&intact), Ok(()));
+    let want = relayed(&intact);
+    let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+    let bits = wire.len() * 8;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addrs = [listener.local_addr().expect("addr").to_string()];
+    let mutants: Vec<Vec<u8>> = (0..bits)
+        .map(|bit| {
+            let mut m = wire.clone();
+            flip(&mut m, bit);
+            m
+        })
+        .collect();
+    let shard = std::thread::spawn(move || {
+        for mutant in mutants {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let (mut head, mut byte) = (Vec::new(), [0u8]);
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).expect("read") == 1 {
+                head.push(byte[0]);
+            }
+            stream.write_all(&mutant).expect("reply");
+        }
+    });
+    let bus = EventBus::new();
+    let mut changed = Vec::new();
+    for bit in 0..bits {
+        let hop = Cluster::new(&addrs, None, 1).fetch(&bus, 0, "/cell/table1/x");
+        if let Some(r) = hop.ok().filter(|r| relayed(r) != want) {
+            changed.push((vec![bit], r.status));
+        }
+    }
+    shard.join().expect("fake shard");
+
+    let mut mutant = wire.clone();
+    for i in 0..bits {
+        flip(&mut mutant, i);
+        for j in i + 1..bits {
+            flip(&mut mutant, j);
+            if let Ok(r) = parse_response(&mutant) {
+                if verify_hop(&r).is_ok() && relayed(&r) != want {
+                    changed.push((vec![i, j], r.status));
+                }
+            }
+            flip(&mut mutant, j);
+        }
+        flip(&mut mutant, i);
+    }
+    let first = &changed[..changed.len().min(20)];
+    assert!(changed.is_empty(), "{} accepted changed, first: {first:?}", changed.len());
 }

@@ -10,77 +10,33 @@
 //! compute closures panic permanently still renders every artifact
 //! (degraded, `†`-bridged) and exits 1 — never a process abort.
 //!
-//! Set `REGEN_CRASH_SEED` to vary the kill points (CI loops over
-//! several seeds).
+//! The test profile runs the kill chain under one seed; a release build
+//! (`cargo test --release`) runs it under five other seeds.
 
-use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-/// Locates the `regen` binary next to this test's own executable
-/// (`target/<profile>/deps/crash_resume-*` -> `target/<profile>/regen`),
-/// building it if a partial build got here first. Root-package tests
-/// don't get `CARGO_BIN_EXE_regen` — that env var only exists for the
-/// crate that owns the binary.
-fn regen_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("test binary has a path");
-    let profile_dir = exe
-        .parent() // deps/
-        .and_then(Path::parent) // target/<profile>/
-        .expect("test binary lives under target/<profile>/deps");
-    let bin = profile_dir.join(format!("regen{}", std::env::consts::EXE_SUFFIX));
-    if !bin.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "bench", "--bin", "regen"])
-            .status()
-            .expect("spawn cargo build");
-        assert!(status.success(), "cargo build -p bench --bin regen failed");
-    }
-    assert!(bin.exists(), "regen binary at {}", bin.display());
-    bin
-}
+mod support;
+use support::{binary, scratch, Rng};
 
-/// Scratch directory unique to (test, process).
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("regen-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The same xorshift64* generator the other property tests use.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-fn crash_seed() -> u64 {
-    std::env::var("REGEN_CRASH_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0xC0FF_EE00)
-}
+/// Seeds for the kill instants: one in the test profile, five in
+/// release builds, each on a fresh journal.
+const SEEDS: &[u64] =
+    if cfg!(debug_assertions) { &[0xC0FF_EE00] } else { &[17, 4242, 31337, 271828, 3141592] };
 
 #[test]
 fn sigkill_fsck_resume_reproduces_the_golden_file() {
-    let bin = regen_binary();
-    let dir = scratch("kill");
+    for &seed in SEEDS {
+        kill_fsck_resume(seed);
+    }
+}
+
+fn kill_fsck_resume(seed: u64) {
+    let bin = binary("regen");
+    let dir = scratch(&format!("crash-{seed}"));
     let journal = dir.join("run.jsonl");
     let out_path = dir.join("final.txt");
-    let mut rng = Rng::new(crash_seed());
+    let mut rng = Rng::new(seed);
 
     // Three progressive kills on ONE journal: each round the child
     // replays everything already journaled, gets a little further, and
@@ -107,7 +63,7 @@ fn sigkill_fsck_resume_reproduces_the_golden_file() {
         let status = child.wait().expect("reap regen");
         assert!(
             !status.success() || out_path.exists(),
-            "round {round}: a successful exit implies the artifact was written"
+            "seed {seed} round {round}: a successful exit implies the artifact was written"
         );
 
         // fsck whatever the kill left: any severity is legal (clean,
@@ -121,7 +77,7 @@ fn sigkill_fsck_resume_reproduces_the_golden_file() {
             .expect("spawn regen fsck");
         assert!(
             matches!(fsck.status.code(), Some(0) | Some(1) | Some(2)),
-            "round {round}: fsck exits by severity, got {:?}",
+            "seed {seed} round {round}: fsck exits by severity, got {:?}",
             fsck.status.code()
         );
         let refsck = Command::new(&bin)
@@ -132,7 +88,7 @@ fn sigkill_fsck_resume_reproduces_the_golden_file() {
         assert_eq!(
             refsck.status.code(),
             Some(0),
-            "round {round}: a compacted journal must verify clean: {}",
+            "seed {seed} round {round}: a compacted journal must verify clean: {}",
             String::from_utf8_lossy(&refsck.stderr)
         );
     }
@@ -148,7 +104,7 @@ fn sigkill_fsck_resume_reproduces_the_golden_file() {
         .output()
         .expect("spawn final regen");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "final resumed run is clean:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "seed {seed}: final resumed run is clean:\n{stderr}");
 
     // The acceptance bar: byte identity with the committed golden file.
     // Replayed journal values went through f64 Display/parse, so any
@@ -158,7 +114,7 @@ fn sigkill_fsck_resume_reproduces_the_golden_file() {
     let produced = std::fs::read(&out_path).expect("final artifact written");
     assert!(
         produced == golden,
-        "resumed artifact must be byte-identical to the golden file \
+        "seed {seed}: resumed artifact must be byte-identical to the golden file \
          (first divergence at byte {})",
         produced
             .iter()
@@ -172,7 +128,7 @@ fn sigkill_fsck_resume_reproduces_the_golden_file() {
 
 #[test]
 fn permanent_panics_degrade_under_the_breaker_but_every_artifact_renders() {
-    let bin = regen_binary();
+    let bin = binary("regen");
     // The first three middle cells of every successive-disable lattice
     // panic forever (bracket-exact config substrings, so the `default`
     // and `mitigations=off` anchors — and every other experiment's

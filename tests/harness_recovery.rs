@@ -134,6 +134,7 @@ fn journal_survives_truncation_mid_line() {
     std::fs::write(&log, &bytes[..bytes.len() - 10]).expect("truncate");
 
     let j = Journal::open(&log).expect("reopen tolerates torn line");
-    assert!(!j.is_empty(), "intact prefix survives");
+    assert!(j.scan().valid > 0, "intact prefix survives");
+    assert_eq!(j.scan().truncated, 1, "the torn line is skipped");
     let _ = std::fs::remove_file(&log);
 }

@@ -27,40 +27,8 @@ use uarch::predictor::PrivMode;
 use uarch::ProgramBuilder;
 use workloads::LeBenchOp;
 
-// ---------------------------------------------------------------------
-// A tiny deterministic generator (xorshift64*), replacing proptest.
-// ---------------------------------------------------------------------
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+mod support;
+use support::Rng;
 
 // ---------------------------------------------------------------------
 // Machine-level properties.

@@ -4,82 +4,21 @@
 //! underneath.
 //!
 //! The servers here are in-process (bound to port 0) so the tests can
-//! drain them deterministically via [`ServerHandle`]; the CI
-//! `serve-smoke` job covers the spawned-binary path (SIGTERM drain,
-//! release build, scripted overload).
+//! drain them deterministically via `ServerHandle`;
+//! `tests/regend_processes.rs` covers the spawned-binary path (the
+//! fetch client, open-loop load, the SIGTERM drain summary, resident
+//! memory).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::{render_artifact_block, run_regen, Artifact, RegenOptions};
-use serve::client::{http_get, http_get_retrying, Connection, HttpResponse};
-use serve::{Server, ServerConfig, ServerHandle};
+use bench::{Artifact, RegenOptions};
+use serve::client::{http_get, Connection};
+use serve::ServerConfig;
 use spectrebench::{FaultKind, FaultPlan};
 
-/// Scratch directory unique to (test, process).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("regend-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Boots a server on a free port and runs it on a background thread.
-fn boot(cfg: ServerConfig) -> (String, ServerHandle, std::thread::JoinHandle<serve::RunSummary>) {
-    let server = Server::bind(ServerConfig { addr: "127.0.0.1:0".to_string(), ..cfg })
-        .expect("bind to a free port");
-    let base = format!("http://{}", server.local_addr());
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("event loop"));
-    (base, handle, join)
-}
-
-/// GET that fails the test on transport errors, with a long timeout:
-/// cold artifacts compute a full quick sweep behind the first request.
-fn get(base: &str, path: &str) -> HttpResponse {
-    http_get_retrying(&format!("{base}{path}"), Duration::from_secs(300), 10)
-        .unwrap_or_else(|e| panic!("GET {path}: {e}"))
-}
-
-/// The serial oracle: one in-process sweep, rendered per artifact.
-fn serial_blocks(artifacts: &[Artifact], quick: bool, opts: RegenOptions) -> Vec<String> {
-    let report = run_regen(&RegenOptions {
-        artifacts: artifacts.to_vec(),
-        quick,
-        keep_going: true,
-        ..opts
-    })
-    .expect("serial sweep");
-    assert_eq!(report.results.len(), artifacts.len());
-    report.results.iter().map(render_artifact_block).collect()
-}
-
-/// Polls `/metrics` until `name` reaches `min` (or the deadline
-/// passes), returning the last value seen. Close-derived counters are
-/// updated when the event loop processes the close, a beat after the
-/// client observes it — polling absorbs that gap without sleeps sized
-/// by guesswork.
-fn await_metric(base: &str, name: &str, min: f64, deadline: Duration) -> f64 {
-    let start = std::time::Instant::now();
-    loop {
-        let v = metric(&get(base, "/metrics").text(), name);
-        if v >= min || start.elapsed() > deadline {
-            return v;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// Reads one counter out of a Prometheus-style exposition.
-fn metric(text: &str, name: &str) -> f64 {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter_map(|l| l.split_once(' '))
-        .filter(|(k, _)| *k == name || k.starts_with(&format!("{name}{{")))
-        .map(|(_, v)| v.trim().parse::<f64>().unwrap_or(0.0))
-        .sum()
-}
+mod support;
+use support::{await_metric, boot, get, metric, scratch, serial_blocks};
 
 /// The tentpole guarantee: 64 concurrent clients each fetching the
 /// full artifact set observe bytes identical to a serial in-process
