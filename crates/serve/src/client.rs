@@ -181,9 +181,9 @@ pub fn parse_response(raw: &[u8]) -> Result<HttpResponse, String> {
 ///   had a socket to poison; the next attempt simply connects again.
 ///
 /// `regend` answers every response with `Content-Length`, which is what
-/// keep-alive framing needs; a response without one falls back to
-/// read-to-EOF and poisons the connection (the server chose close
-/// framing).
+/// keep-alive framing needs; a response without one is refused at once
+/// and poisons the socket, rather than read to an EOF that a held-open
+/// socket never sends.
 #[derive(Debug)]
 pub struct Connection {
     authority: String,
@@ -306,7 +306,11 @@ impl Connection {
                 ));
             }
         };
-        let (mut resp, len) = match parse_head(&self.carry[..end]) {
+        let parsed = parse_head(&self.carry[..end]).and_then(|(resp, len)| {
+            let len = len.ok_or("no Content-Length: keep-alive framing needs one")?;
+            Ok((resp, len))
+        });
+        let (mut resp, len) = match parsed {
             Ok(parsed) => parsed,
             Err(e) => {
                 self.poison();
@@ -316,35 +320,20 @@ impl Connection {
 
         // 2. Buffer until the declared body is complete.
         let start = end + 4;
-        match len {
-            Some(len) => {
-                while self.carry.len() < start + len {
-                    if self.read_more()? == 0 {
-                        let got = self.carry.len() - start;
-                        self.poison();
-                        return Err((false, format!("truncated body: {got} of {len} byte(s)")));
-                    }
-                }
-                resp.body = self.carry[start..start + len].to_vec();
-                self.carry.drain(..start + len);
-            }
-            None => {
-                // No length: the server is using close framing. Read to
-                // EOF; this socket cannot carry another request.
-                while self.read_more()? > 0 {}
-                resp.body = self.carry[start..].to_vec();
+        while self.carry.len() < start + len {
+            if self.read_more()? == 0 {
+                let got = self.carry.len() - start;
                 self.poison();
+                return Err((false, format!("truncated body: {got} of {len} byte(s)")));
             }
         }
-        if self.stream.is_some() {
-            self.on_socket += 1;
-            let close = resp
-                .headers
-                .iter()
-                .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
-            if close {
-                self.poison();
-            }
+        resp.body = self.carry[start..start + len].to_vec();
+        self.carry.drain(..start + len);
+        self.on_socket += 1;
+        let close =
+            resp.headers.iter().any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
+        if close {
+            self.poison();
         }
         Ok(resp)
     }

@@ -281,27 +281,29 @@ impl Cluster {
     /// One fetch attempt against `shard`, with fault injection applied
     /// *before* the wire (drop/stall) or *after* it (truncate/
     /// corrupt-byte, which damage the received bytes so the CRC check
-    /// must catch them). On error the bool reports transience.
+    /// must catch them). Every failure is transient: whatever broke the
+    /// hop — a refused connect, a damaged head, a short body — the
+    /// retry layer bounds how often it is tried again.
     fn fetch_once(
         &self,
         bus: &EventBus,
         shard: usize,
         path: &str,
         attempt: u32,
-    ) -> Result<HttpResponse, (bool, String)> {
+    ) -> Result<HttpResponse, String> {
         let injected = self.net_inject.as_ref().and_then(|p| p.inject(shard, path, attempt));
         if let Some(kind) = injected {
             bus.emit("regend", path, "", attempt, EventKind::NetFaultInjected { fault: kind });
         }
         match injected {
             Some(NetFaultKind::Drop) => {
-                return Err((true, format!("injected drop on shard {shard} hop {path}")));
+                return Err(format!("injected drop on shard {shard} hop {path}"));
             }
             Some(NetFaultKind::Stall) => {
                 // A stalled peer looks like a timeout: burn a bounded
                 // wait, then fail transiently.
                 std::thread::sleep(Duration::from_millis(50));
-                return Err((true, format!("injected stall on shard {shard} hop {path}")));
+                return Err(format!("injected stall on shard {shard} hop {path}"));
             }
             _ => {}
         }
@@ -310,7 +312,7 @@ impl Cluster {
             .pop()
             .unwrap_or_else(|| Connection::new(&ep.addr, FETCH_TIMEOUT));
         // An errored connection is dropped here, not pooled.
-        let mut response = conn.get_classified(path)?;
+        let mut response = conn.get(path)?;
         match injected {
             Some(NetFaultKind::Truncate) => {
                 let cut = response.body.len() / 2;
@@ -328,16 +330,14 @@ impl Cluster {
         // client. The socket itself is clean (any damage is in our
         // copy), so the connection is still poolable.
         lock(&ep.pool).push(conn);
-        match verify_hop(&response) {
-            Ok(()) => Ok(response),
-            Err(e) => Err((true, format!("shard {shard} {e} on {path}"))),
-        }
+        verify_hop(&response).map_err(|e| format!("shard {shard} {e} on {path}"))?;
+        Ok(response)
     }
 
     /// Fetches `path` from `shard` with bounded retry + backoff.
     /// A shard already marked down is skipped outright (the caller
     /// fails over); otherwise up to `fetch_attempts` tries, sleeping
-    /// the client's seeded backoff between transient failures.
+    /// the client's seeded backoff between failures.
     pub fn fetch(&self, bus: &EventBus, shard: usize, path: &str) -> Result<HttpResponse, String> {
         if self.state(shard) == ShardState::Down {
             return Err(format!("shard {shard} is down"));
@@ -349,12 +349,9 @@ impl Cluster {
                     self.record(bus, shard, path, true);
                     return Ok(r);
                 }
-                Err((transient, e)) => {
+                Err(e) => {
                     self.record(bus, shard, path, false);
                     last = e;
-                    if !transient {
-                        break;
-                    }
                     if attempt + 1 < self.fetch_attempts {
                         let url = format!("http://{}{}", self.endpoints[shard].addr, path);
                         std::thread::sleep(backoff_delay(&url, attempt));
@@ -448,26 +445,60 @@ mod tests {
         r
     }
 
-    /// One hop through `Cluster::fetch` to a loopback shard that answers
-    /// one request with `reply`, then holds the socket open, as a live
-    /// keep-alive shard does, until the proxy closes it.
-    fn fetch_from_fake_shard(reply: Vec<u8>) -> Result<HttpResponse, String> {
+    /// `Cluster::fetch` against a loopback shard, one attempt per
+    /// reply: the shard answers each attempt's request with the next
+    /// reply, then holds the socket open, as a live keep-alive shard
+    /// does, until the proxy closes it. A shard still waiting for an
+    /// attempt after 5 s gives up, so a fetch that stops early fails
+    /// its test instead of hanging it.
+    fn fetch_from_fake_shard(
+        bus: &EventBus,
+        replies: Vec<Vec<u8>>,
+    ) -> Result<HttpResponse, String> {
         use std::io::{Read as _, Write as _};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        let attempts = replies.len() as u32;
         let shard = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut head = Vec::new();
-            let mut byte = [0u8];
-            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
-                head.push(byte[0]);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            for reply in replies {
+                let mut stream = loop {
+                    match listener.accept() {
+                        Ok((stream, _)) => break stream,
+                        Err(_) if Instant::now() < deadline => {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(_) => return,
+                    }
+                };
+                stream.set_nonblocking(false).unwrap();
+                let mut head = Vec::new();
+                let mut byte = [0u8];
+                while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+                    head.push(byte[0]);
+                }
+                stream.write_all(&reply).unwrap();
+                while stream.read(&mut byte).is_ok_and(|n| n > 0) {}
             }
-            stream.write_all(&reply).unwrap();
-            while stream.read(&mut byte).is_ok_and(|n| n > 0) {}
         });
-        let got = Cluster::new(&[addr], None, 1).fetch(&EventBus::new(), 0, "/cell/x");
+        let got = Cluster::new(&[addr], None, attempts).fetch(bus, 0, "/cell/x");
         shard.join().unwrap();
         got
+    }
+
+    /// A signed `/cell` reply, as `(body, intact reply, mutant)`, where
+    /// the mutant's `Content-Length:` reads `damaged`, one bit away.
+    fn reply_with_damaged_length(damaged: &[u8; 15]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let body = b"{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1.5]}\n".to_vec();
+        let crc = format!("{:08x}", spectrebench::crc32(&body));
+        let intact = reply(&[("X-Regend-Crc32", crc)], &body);
+        let at = intact.windows(15).position(|w| w == b"Content-Length:").unwrap();
+        let mut mutant = intact.clone();
+        mutant[at..at + 15].copy_from_slice(damaged);
+        let flipped = intact.iter().zip(&mutant).map(|(a, b)| (a ^ b).count_ones()).sum::<u32>();
+        assert_eq!(flipped, 1, "one bit flip");
+        (body, intact, mutant)
     }
 
     #[test]
@@ -477,32 +508,57 @@ mod tests {
         let crc = format!("{:08x}", spectrebench::crc32(&body));
 
         // Intact: the declared checksum holds over the body.
-        let ok = fetch_from_fake_shard(reply(&[("X-Regend-Crc32", crc.clone())], &body)).unwrap();
+        let intact = reply(&[("X-Regend-Crc32", crc.clone())], &body);
+        let ok = fetch_from_fake_shard(&EventBus::new(), vec![intact]).unwrap();
         assert_eq!((ok.status, ok.body.as_slice()), (200, body.as_slice()));
 
         // One bit flipped in the header's name (`Crc32` -> `Crc33`) and
         // one in the body: the checksum is gone, so is the pass.
         let mut damaged = body.clone();
         damaged[9] ^= 0x04;
-        let err = fetch_from_fake_shard(reply(&[("X-Regend-Crc33", crc)], &damaged)).unwrap_err();
+        let unsigned = reply(&[("X-Regend-Crc33", crc)], &damaged);
+        let err = fetch_from_fake_shard(&EventBus::new(), vec![unsigned]).unwrap_err();
         assert!(err.contains("without a body checksum"), "{err}");
     }
 
+    /// One bit flip in `Content-Length:` either removes the colon
+    /// (`;`), which the header grammar refuses, or renames the header
+    /// (`Content-Lengti`), which leaves a head without a length. Both
+    /// fail the hop at once on a socket the shard holds open, where
+    /// read-to-EOF framing would wait out `FETCH_TIMEOUT`.
     #[test]
     fn a_head_damaged_on_the_hop_fails_at_once_on_a_held_open_socket() {
-        let body = b"{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1.5]}\n".to_vec();
-        let crc = format!("{:08x}", spectrebench::crc32(&body));
-        let mut damaged = reply(&[("X-Regend-Crc32", crc)], &body);
-        // One bit flipped in `Content-Length:` (`:` -> `;`): the line has
-        // no colon. Read-to-EOF framing would wait on the open socket
-        // until FETCH_TIMEOUT; the header grammar refuses it at once.
-        let colon = damaged.windows(15).position(|w| w == b"Content-Length:").unwrap() + 14;
-        damaged[colon] ^= 0x01;
-        let start = Instant::now();
-        let err = fetch_from_fake_shard(damaged).unwrap_err();
-        let line = format!("bad header line: \"Content-Length; {}\"", body.len());
-        assert!(err.contains(&line), "{err}");
-        assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
+        for (damaged, error) in [
+            (b"Content-Length;", "bad header line: \"Content-Length; 47\""),
+            (b"Content-Lengti:", "no Content-Length"),
+        ] {
+            let (_, _, mutant) = reply_with_damaged_length(damaged);
+            let start = Instant::now();
+            let err = fetch_from_fake_shard(&EventBus::new(), vec![mutant]).unwrap_err();
+            assert!(err.contains(error), "{err}");
+            assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
+        }
+    }
+
+    /// Hop damage goes back to the retry layer: a damaged head on the
+    /// first attempt and an intact reply on the second is one failed
+    /// and one good fetch from the same shard, and `Ok`, so the proxy
+    /// does not fail over.
+    #[test]
+    fn a_head_damaged_on_the_hop_is_retried_on_the_same_shard() {
+        for damaged in [b"Content-Length;", b"Content-Lengti:"] {
+            let (body, intact, mutant) = reply_with_damaged_length(damaged);
+            let bus = EventBus::new();
+            assert_eq!(fetch_from_fake_shard(&bus, vec![mutant, intact]).unwrap().body, body);
+            let text = bus.metrics(|m| m.render(&Default::default()));
+            let fetches: Vec<&str> =
+                text.lines().filter(|l| l.starts_with("regend_shard_fetches_total{")).collect();
+            let expect = [
+                "regend_shard_fetches_total{shard=\"0\",ok=\"false\"} 1",
+                "regend_shard_fetches_total{shard=\"0\",ok=\"true\"} 1",
+            ];
+            assert_eq!(fetches, expect);
+        }
     }
 
     #[test]
@@ -515,7 +571,7 @@ mod tests {
                 (degraded, "true".to_string()),
                 (quick, "true".to_string()),
             ];
-            fetch_from_fake_shard(reply(&headers, &body))
+            fetch_from_fake_shard(&EventBus::new(), vec![reply(&headers, &body)])
         };
 
         // Intact: the checksum covers the body and both markers.

@@ -10,10 +10,9 @@
 //! (`cargo test --release --test regend_processes`); the rest is
 //! tier-1.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
-use bench::loadgen::{run_loadgen, LoadgenOptions};
 use bench::Artifact;
 use serve::client::Connection;
 use serve::HashRing;
@@ -21,23 +20,38 @@ use serve::HashRing;
 mod support;
 use support::{await_metric, binary, cell_keys, cell_path, get, metric, scratch, Daemon};
 
-/// `regend --quick` end to end: 2,000 open-loop keep-alive reads, the
-/// `regen` fetch client over every artifact and `/results`, and a
-/// SIGTERM drain whose summary repeats the last `/metrics`.
+/// `regen loadgen <args>` to completion: exit 0, and its summary line
+/// counts `requests` responses, every one a 200, and no errors.
+fn assert_loadgen_all_200(loadgen: Output, requests: usize) {
+    let stdout = String::from_utf8_lossy(&loadgen.stdout);
+    let stderr = String::from_utf8_lossy(&loadgen.stderr);
+    assert!(loadgen.status.success(), "regen loadgen: {}\n{stdout}{stderr}", loadgen.status);
+    let summary =
+        format!("loadgen: {requests} response(s) ({requests} x 200, 0 x 429), 0 error(s)");
+    assert!(stdout.contains(&summary), "no {summary:?} in:\n{stdout}");
+}
+
+/// `regend --quick` end to end: 2,000 open-loop keep-alive reads from
+/// `regen loadgen`, the `regen` fetch client over every artifact and
+/// `/results`, and a SIGTERM drain whose summary repeats the last
+/// `/metrics`.
 #[test]
 fn spawned_regend_serves_loadgen_and_fetch_then_drains_on_sigterm() {
     let regend = Daemon::spawn(&["--quick", "--workers", "2"]);
+    let regen = binary("regen");
 
-    let report = run_loadgen(&LoadgenOptions {
-        targets: vec![format!("{}/artifact/table2", regend.base)],
-        rate: 500.0,
-        requests: 2_000,
-        connections: 8,
-        ..LoadgenOptions::default()
-    })
-    .expect("loadgen");
-    let counts = (report.responses, report.responses_200, report.errors);
-    assert_eq!(counts, (2_000, 2_000, 0), "{}", report.render_text());
+    let dir = scratch("loadgen");
+    let loadgen = Command::new(&regen)
+        .args(["loadgen", "--rate", "500", "--requests", "2000", "--connections", "8"])
+        .arg("--histogram")
+        .arg(dir.join("histogram.txt"))
+        .arg(format!("{}/artifact/table2", regend.base))
+        .output()
+        .expect("regen loadgen");
+    assert_loadgen_all_200(loadgen, 2_000);
+    let histogram = std::fs::read_to_string(dir.join("histogram.txt")).expect("histogram");
+    assert!(histogram.starts_with("# loadgen latency histogram (2000 sample(s)"), "{histogram}");
+    let _ = std::fs::remove_dir_all(&dir);
     // The readiness poll is a served request too, so count the artifact
     // responses alone.
     let metrics = get(&regend.base, "/metrics").text();
@@ -46,7 +60,6 @@ fn spawned_regend_serves_loadgen_and_fetch_then_drains_on_sigterm() {
 
     // The fetch client, in `--list` order: `/results` is every block
     // in paper order, byte for byte.
-    let regen = binary("regen");
     let list = Command::new(&regen).arg("--list").output().expect("regen --list");
     let list = String::from_utf8(list.stdout).expect("UTF-8 list");
     let names: Vec<&str> = list.lines().filter_map(|l| l.split(' ').next()).collect();
@@ -111,11 +124,12 @@ fn spawned_regend_rss_stays_flat_over_a_hundred_thousand_cached_reads() {
 }
 
 /// Four shard processes behind a proxy process: `/results` equals what
-/// a plain `regend` serves; a burst over the table1 cells stays all
-/// 200 while the owner of the first key is SIGKILLed; the proxy counts
-/// the failover and marks the victim down; and a replacement started
-/// from the victim's journal, in its place behind a fresh proxy,
-/// replays cells and serves the same `/results`.
+/// a plain `regend` serves; a 64-connection `regen loadgen` burst over
+/// the table1 cells stays all 200 while the owner of the first key is
+/// SIGKILLed, about 900 requests in, so some 2,100 ride the failover;
+/// the proxy counts the failover and marks the victim down; and a
+/// replacement started from the victim's journal, in its place behind
+/// a fresh proxy, replays cells and serves the same `/results`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release builds only")]
 fn spawned_cluster_survives_a_sigkilled_shard_and_resumes_it_from_its_journal() {
@@ -140,26 +154,21 @@ fn spawned_cluster_survives_a_sigkilled_shard_and_resumes_it_from_its_journal() 
 
     let keys = cell_keys();
     let victim = HashRing::new(4).owner(&keys[0]);
-    let targets = keys.iter().map(|k| format!("{}{}", proxy.base, cell_path(k))).collect();
     let before = metric(&get(&proxy.base, "/metrics").text(), "regend_requests_total");
-    let burst = std::thread::spawn(move || {
-        run_loadgen(&LoadgenOptions {
-            targets,
-            rate: 400.0,
-            requests: 1_200,
-            connections: 16,
-            ..LoadgenOptions::default()
-        })
-    });
-    // Mid-burst: once the proxy has admitted 300 of its 1,200 requests.
-    let admitted = before + 300.0;
+    let mut loadgen = Command::new(binary("regen"));
+    loadgen.args(["loadgen", "--rate", "300", "--requests", "3000", "--connections", "64"]);
+    for key in &keys {
+        loadgen.args(["--target", &format!("{}{}", proxy.base, cell_path(key))]);
+    }
+    let burst = loadgen.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn();
+    let burst = burst.expect("spawn regen loadgen");
+    // Mid-burst: once the proxy has admitted 900 of its 3,000 requests.
+    let admitted = before + 900.0;
     let deadline = Duration::from_secs(30);
     let seen = await_metric(&proxy.base, "regend_requests_total", admitted, deadline);
     assert!(seen >= admitted, "the burst stalled at {} request(s)", seen - before);
     shards[victim].sigkill();
-    let report = burst.join().expect("loadgen thread").expect("loadgen");
-    let counts = (report.responses, report.responses_200, report.errors);
-    assert_eq!(counts, (1_200, 1_200, 0), "{}", report.render_text());
+    assert_loadgen_all_200(burst.wait_with_output().expect("regen loadgen"), 3_000);
     let failovers = metric(&get(&proxy.base, "/metrics").text(), "regend_shard_failovers_total");
     assert!(failovers >= 1.0, "failovers: {failovers}");
     let state = format!("regend_shard_state{{shard=\"{victim}\"}}");
