@@ -215,6 +215,16 @@ impl Executor {
         lock(&self.cache).get(&(content_key.to_string(), seed)).cloned()
     }
 
+    /// Puts a cell value obtained elsewhere into the cache, unless the
+    /// cache already holds `(content key, seed)`: an entry is never
+    /// overwritten. A value is a pure function of its key and seed, so
+    /// this is how the cluster proxy keeps the cells a shard sent it,
+    /// and later plans and [`Executor::cache_lookup`] read them like
+    /// cells computed here.
+    pub fn cache_fill(&self, content_key: &str, seed: u64, value: CellValue) {
+        lock(&self.cache).entry((content_key.to_string(), seed)).or_insert(value);
+    }
+
     /// Number of distinct `(content key, seed)` entries currently in
     /// the cross-experiment cache (exposed by `regend /healthz`).
     pub fn cache_len(&self) -> usize {

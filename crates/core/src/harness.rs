@@ -695,7 +695,7 @@ pub fn classify_line(line: &str, is_last: bool) -> LineClass {
         return LineClass::Corrupt;
     }
     match unframe_line(JOURNAL_TAG, trimmed, is_last) {
-        Unframed::Payload(payload) => parse_journal_line(payload)
+        Unframed::Payload(payload) => parse_cell_json(payload)
             .map_or(LineClass::Corrupt, |(key, seed, v)| LineClass::Valid(key, seed, v)),
         Unframed::Torn => LineClass::TruncatedTail,
         // A line without the `v2` framing carries no checksum, so it
@@ -964,8 +964,12 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Parses one journal payload; `None` for malformed input.
-fn parse_journal_line(line: &str) -> Option<(String, u64, CellValue)> {
+/// Parses one cell's payload JSON, the inverse of [`cell_value_json`]:
+/// `(content key, seed, value)`, or `None` for malformed input or a
+/// degenerate value. Journal resume reads each checksummed line's
+/// payload with it, and the cluster proxy each verified `/cell` body a
+/// shard sends.
+pub fn parse_cell_json(line: &str) -> Option<(String, u64, CellValue)> {
     // `null` marks a not-applicable entry.
     fn nullable<T: std::str::FromStr>(x: &Value) -> Option<Option<T>> {
         if *x == Value::Null { Some(None) } else { x.num().map(Some) }
@@ -1144,6 +1148,98 @@ mod tests {
         );
     }
 
+    /// Every float a value holds, as bits (`None` for an absent entry).
+    fn float_bits(v: &CellValue) -> Vec<Option<u64>> {
+        match v {
+            CellValue::Measurement(m) => vec![Some(m.mean.to_bits()), Some(m.ci95.to_bits())],
+            CellValue::Num(x) => vec![Some(x.to_bits())],
+            CellValue::Nums(xs) => xs.iter().map(|x| Some(x.to_bits())).collect(),
+            CellValue::OptNums(xs) => xs.iter().map(|x| x.map(f64::to_bits)).collect(),
+            CellValue::Ints(_) | CellValue::Flags(_) => Vec::new(),
+        }
+    }
+
+    /// Journal resume and the cluster proxy's cell fill both rely on
+    /// `cell_value_json(parse_cell_json(cell_value_json(k, s, v)))`
+    /// giving back the same bytes, with every float bit for bit: `==` on
+    /// values holds between `-0.0` and `0.0`, so it would pass a codec
+    /// that dropped the sign, and the proxy would then fail over on every
+    /// read of such a cell. Seeded over every value kind, hostile keys,
+    /// and integers up to `u64::MAX`.
+    #[test]
+    fn cell_json_re_renders_byte_for_byte() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let special = [
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0 / 3.0,
+        ];
+        let float = |next: &mut dyn FnMut() -> u64| loop {
+            let bits = next();
+            let x = if bits.is_multiple_of(4) {
+                special[(bits >> 8) as usize % special.len()]
+            } else {
+                f64::from_bits(next())
+            };
+            if x.is_finite() {
+                return x;
+            }
+        };
+        let int = |next: &mut dyn FnMut() -> u64| match next() % 4 {
+            0 => [0, 1, (1 << 53) + 1, u64::MAX][(next() % 4) as usize],
+            _ => next() >> (next() % 64),
+        };
+        let alphabet = [
+            "a", "/", " ", "[", "=", "\"", "\\", "\0", "\n", "\t", "\u{1f}", "\u{7f}", "\u{2028}",
+            "\u{2029}", "é", "日", "🦀",
+        ];
+        let mut seen_negative_zero = false;
+        for i in 0..3000u64 {
+            let len = (next() % 8) as usize;
+            let xs: Vec<f64> = (0..len).map(|_| float(&mut next)).collect();
+            let value = match i % 6 {
+                0 => CellValue::Measurement(Measurement {
+                    mean: float(&mut next),
+                    ci95: float(&mut next),
+                    n: int(&mut next),
+                    retries: int(&mut next) as u32,
+                }),
+                1 => CellValue::Num(float(&mut next)),
+                2 => CellValue::Nums(xs),
+                3 => CellValue::OptNums(
+                    xs.into_iter().map(|x| (next() % 3 != 0).then_some(x)).collect(),
+                ),
+                4 => CellValue::Ints((0..len).map(|_| int(&mut next)).collect()),
+                _ => {
+                    let flag = |bits: u64| [Some(true), Some(false), None][(bits % 3) as usize];
+                    CellValue::Flags((0..len).map(|_| flag(next())).collect())
+                }
+            };
+            let pick = |bits: u64| alphabet[(bits % alphabet.len() as u64) as usize];
+            let key: String = (0..next() % 12).map(|_| pick(next())).collect();
+            let seed = int(&mut next);
+            seen_negative_zero |= float_bits(&value).contains(&Some((-0.0f64).to_bits()));
+
+            let json = cell_value_json(&key, seed, &value);
+            let (k, s, v) = parse_cell_json(&json).unwrap_or_else(|| panic!("undecodable: {json}"));
+            assert_eq!((k.as_str(), s), (key.as_str(), seed), "{json}");
+            assert_eq!(cell_value_json(&k, s, &v), json, "re-render differs");
+            assert_eq!(float_bits(&v), float_bits(&value), "{json}");
+        }
+        assert!(seen_negative_zero, "the draw covers -0.0");
+    }
+
     #[test]
     fn journal_lookup_requires_a_matching_seed() {
         // Regression test: resume used to match cells by key alone, so a
@@ -1162,14 +1258,14 @@ mod tests {
 
     #[test]
     fn journal_skips_truncated_and_legacy_lines() {
-        assert!(parse_journal_line("{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1").is_none());
-        assert!(parse_journal_line("").is_none());
+        assert!(parse_cell_json("{\"cell\":\"a/b\",\"seed\":0,\"kind\":\"num\",\"v\":[1").is_none());
+        assert!(parse_cell_json("").is_none());
         // A payload without seed or kind is refused.
         assert!(
-            parse_journal_line("{\"cell\":\"a/b/c\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}")
+            parse_cell_json("{\"cell\":\"a/b/c\",\"mean\":1.0,\"ci95\":0.1,\"n\":7,\"retries\":0}")
                 .is_none()
         );
-        let (key, seed, v) = parse_journal_line(
+        let (key, seed, v) = parse_cell_json(
             "{\"cell\":\"a/b \\\"q\\\"\",\"seed\":4,\"kind\":\"meas\",\"mean\":2.5,\"ci95\":0.1,\"n\":7,\"retries\":3}",
         )
         .unwrap();

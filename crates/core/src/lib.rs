@@ -73,9 +73,9 @@ pub use campaign::{
 pub use executor::{default_jobs, jobs_from_env, parse_jobs, Executor, DEFAULT_PANIC_BREAKER};
 pub use faultplan::{FaultKind, FaultPlan, NetFaultKind, NetFaultPlan};
 pub use harness::{
-    cell_value_json, classify_line, escape_json, fsck_journal, scan_journal_text, ExperimentError,
-    FsckReport, Harness, HarnessStats, Journal, JournalScan, LineClass, RetryPolicy, RunContext,
-    Watchdog, JOURNAL_HEADER_V2,
+    cell_value_json, classify_line, escape_json, fsck_journal, parse_cell_json, scan_journal_text,
+    ExperimentError, FsckReport, Harness, HarnessStats, Journal, JournalScan, LineClass,
+    RetryPolicy, RunContext, Watchdog, JOURNAL_HEADER_V2,
 };
 pub use singleflight::{FlightOutcome, SingleFlight};
 pub use obs::{Clock, Event, EventBus, EventKind, ShardState, SystemClock, VirtualClock};

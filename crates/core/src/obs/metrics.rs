@@ -114,6 +114,7 @@ pub struct Metrics {
     requests: u64,
     rejected: u64,
     artifact_cache_hits: u64,
+    cell_cache_hits: u64,
     coalesced: u64,
     deadlines_expired: u64,
     completed: u64,
@@ -173,6 +174,7 @@ impl Default for Metrics {
             requests: 0,
             rejected: 0,
             artifact_cache_hits: 0,
+            cell_cache_hits: 0,
             coalesced: 0,
             deadlines_expired: 0,
             completed: 0,
@@ -244,6 +246,7 @@ impl Metrics {
                 self.request_hist.observe(*micros as f64 / 1e6);
             }
             EventKind::ArtifactCacheHit => self.artifact_cache_hits += 1,
+            EventKind::CellCacheHit => self.cell_cache_hits += 1,
             EventKind::FlightCoalesced => self.coalesced += 1,
             EventKind::DeadlineExpired => self.deadlines_expired += 1,
             EventKind::ConnectionOpened => self.connections_opened += 1,
@@ -463,6 +466,12 @@ impl Metrics {
             "regend_artifact_cache_hits_total",
             "Artifact requests served from the rendered-artifact memory cache.",
             self.artifact_cache_hits,
+        );
+        counter(
+            &mut out,
+            "regend_cell_cache_hits_total",
+            "Cell requests answered on the event loop from the executor's cell cache.",
+            self.cell_cache_hits,
         );
         counter(
             &mut out,

@@ -131,6 +131,10 @@ pub enum EventKind {
     /// An artifact request was served from the rendered-artifact memory
     /// cache without touching the executor.
     ArtifactCacheHit,
+    /// A `/cell` request was answered on the event loop from the
+    /// executor's cell cache, with no dispatch and, on a proxy, no shard
+    /// hop.
+    CellCacheHit,
     /// A request was coalesced onto a concurrent identical computation
     /// (single-flight follower: it waited, computed nothing).
     FlightCoalesced,
@@ -243,6 +247,7 @@ impl EventKind {
             EventKind::RequestRejected => "request_rejected",
             EventKind::RequestCompleted { .. } => "request_completed",
             EventKind::ArtifactCacheHit => "artifact_cache_hit",
+            EventKind::CellCacheHit => "cell_cache_hit",
             EventKind::FlightCoalesced => "flight_coalesced",
             EventKind::DeadlineExpired => "deadline_expired",
             EventKind::ConnectionOpened => "connection_opened",

@@ -122,6 +122,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             | EventKind::RequestRejected
             | EventKind::RequestCompleted { .. }
             | EventKind::ArtifactCacheHit
+            | EventKind::CellCacheHit
             | EventKind::FlightCoalesced
             | EventKind::DeadlineExpired
             | EventKind::ConnectionOpened

@@ -502,6 +502,7 @@ impl Core {
             Err(resp) => return Action::Done(resp),
         };
         if let Some(v) = self.exec.cache_lookup(content_key, seed) {
+            self.bus.emit(artifact.name(), &request.path, content_key, 0, EventKind::CellCacheHit);
             return Action::Done(checksummed_json(format!(
                 "{}\n",
                 cell_value_json(content_key, seed, &v)

@@ -8,9 +8,15 @@
 //! the consistent-hash ring ([`crate::shard::HashRing`]): artifacts
 //! hash by name, cells by content key, and `/results` fans out one
 //! fetch per artifact in paper order and reassembles the document.
-//! Fetched renderings land in the proxy's own rendered cache, so a
-//! cross-shard cache miss is filled from the shard that already
-//! journalled the work instead of being recomputed.
+//! What the proxy fetches it keeps: renderings in its rendered cache,
+//! and cells in its executor's cell cache ([`Executor::cache_fill`]),
+//! so a cross-shard cache miss is filled from the shard that already
+//! journalled the work instead of being recomputed, and a cell read
+//! once is answered on the event loop after that, with no hop. A cell
+//! is a pure function of its content key and seed, so a kept cell
+//! never goes stale, and it survives the loss of its owner.
+//!
+//! [`Executor::cache_fill`]: spectrebench::Executor::cache_fill
 //!
 //! Failure handling is layered, worst case last:
 //!
@@ -26,15 +32,15 @@
 //! Silent corruption is structurally excluded: every shard 200 carries
 //! `X-Regend-Crc32`, verified on receipt ([`crate::shard::verify_hop`])
 //! — a damaged hop, a 200 without the header, or a signed response that
-//! is not a 200 is a *detected* transient failure that re-enters layer
-//! 1.
+//! is not a 200 is a *detected* transient failure that re-enters the
+//! first layer. A signed `/cell` 200 that is not the cell asked for
+//! fails over (the second layer), and is neither kept nor passed on.
 
 use spectrebench::obs::{EventKind, ShardState};
-use spectrebench::Artifact;
+use spectrebench::{cell_value_json, parse_cell_json, Artifact};
 
-use crate::core::{
-    artifact_response, checksummed_json, lock, ArtifactEntry, Core, Rendered, SlowWork,
-};
+use crate::client::HttpResponse;
+use crate::core::{artifact_response, lock, ArtifactEntry, Core, Rendered, SlowWork};
 use crate::http::{percent_encode_path, Response};
 use crate::shard::Cluster;
 
@@ -106,8 +112,9 @@ fn fill_artifact(
     }
 }
 
-/// `/cell/...` on the proxy: fetch from the content key's owner, pass
-/// the answer through; recompute locally on a broken hop.
+/// `/cell/...` on the proxy: fetch from the content key's owner and
+/// keep the cell it sends ([`fill_cell`]); recompute locally on a
+/// broken hop, or on a signed 200 that is not the requested cell.
 #[allow(clippy::too_many_arguments)]
 fn cell(
     core: &Core,
@@ -126,21 +133,43 @@ fn cell(
         percent_encode_path(content_key),
         u32::from(quick)
     );
-    match cluster.fetch(&core.bus, shard, &hop) {
-        Ok(resp) if resp.status == 200 => {
-            checksummed_json(String::from_utf8_lossy(&resp.body).into_owned())
-        }
+    let answer = match cluster.fetch(&core.bus, shard, &hop) {
+        Ok(resp) if resp.status == 200 => fill_cell(core, content_key, seed, resp),
         // Client-side errors (bad seed, unknown key) are the shard's
         // verdict on the request, not a shard failure — pass them
         // through verbatim.
         Ok(resp) if resp.status < 500 => {
-            Response::text(resp.status, String::from_utf8_lossy(&resp.body).into_owned())
+            Some(Response::text(resp.status, String::from_utf8_lossy(&resp.body).into_owned()))
         }
-        Ok(_) | Err(_) => {
-            core.bus.emit(experiment, path, content_key, 0, EventKind::ShardFailover { shard });
-            degrade(core.execute_local(work, path), cluster, &[shard])
-        }
+        Ok(_) | Err(_) => None,
+    };
+    answer.unwrap_or_else(|| {
+        core.bus.emit(experiment, path, content_key, 0, EventKind::ShardFailover { shard });
+        degrade(core.execute_local(work, path), cluster, &[shard])
+    })
+}
+
+/// Keeps a verified shard `/cell` 200 in the proxy's executor cache and
+/// answers it as the shard signed it. `None` unless the reply is the
+/// cell asked for: unmarked (a shard never marks a cell), strict UTF-8,
+/// decoded by the journal's own parser to `content_key` at `seed`, and
+/// rendered back to the same bytes, which every later event-loop hit
+/// then serves.
+fn fill_cell(core: &Core, content_key: &str, seed: u64, resp: HttpResponse) -> Option<Response> {
+    if resp.header("x-regend-degraded").is_some() || resp.header("x-regend-quick").is_some() {
+        return None;
     }
+    let signature = resp.header("x-regend-crc32")?.to_string();
+    let body = String::from_utf8(resp.body).ok()?;
+    let (key, cell_seed, value) = parse_cell_json(&body)?;
+    let same = key == content_key
+        && cell_seed == seed
+        && format!("{}\n", cell_value_json(&key, seed, &value)) == body;
+    if !same {
+        return None;
+    }
+    core.exec.cache_fill(content_key, seed, value);
+    Some(Response::json(200, body).with_header("X-Regend-Crc32", signature))
 }
 
 /// Stamps degraded-mode accounting onto a response that needed
@@ -158,4 +187,48 @@ fn degrade(resp: Response, cluster: &Cluster, failovers: &[usize]) -> Response {
         resp = resp.with_header("Retry-After", "1");
     }
     resp
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::ServerConfig;
+    use spectrebench::{crc32, CellValue};
+
+    /// A signed shard 200 carrying `body` and `markers` (header names).
+    fn reply(body: &str, markers: &[&str]) -> HttpResponse {
+        let signature = format!("{:08x}", crc32(body.as_bytes()));
+        let mut headers = vec![("x-regend-crc32".to_string(), signature)];
+        headers.extend(markers.iter().map(|m| (m.to_string(), "true".to_string())));
+        HttpResponse { status: 200, headers, body: body.as_bytes().to_vec() }
+    }
+
+    /// Every guard of the fill: a marked reply, another key or seed, a
+    /// rendering that decodes but is not the canonical one, and a body
+    /// that is not UTF-8 are refused and kept nowhere; the cell asked for
+    /// is kept and answered with the shard's own signature.
+    #[test]
+    fn only_the_cell_asked_for_is_kept() {
+        let core = Core::new(ServerConfig::default()).expect("a core without a journal");
+        let body = format!("{}\n", cell_value_json("a/b", 0, &CellValue::Num(1.5)));
+        let spaced = body.replace(',', ", ");
+        assert!(parse_cell_json(&spaced).is_some(), "decodes, but is not the canonical rendering");
+        for (key, seed, resp) in [
+            ("a/b", 0, reply(&body, &["x-regend-quick"])),
+            ("a/b", 0, reply(&body, &["x-regend-degraded"])),
+            ("a/c", 0, reply(&body, &[])),
+            ("a/b", 1, reply(&body, &[])),
+            ("a/b", 0, reply(&spaced, &[])),
+            ("a/b", 0, HttpResponse { body: vec![0xff], ..reply(&body, &[]) }),
+        ] {
+            assert!(fill_cell(&core, key, seed, resp).is_none(), "{key} {seed}");
+        }
+        assert_eq!(core.exec.cache_len(), 0, "nothing was kept");
+
+        let kept = fill_cell(&core, "a/b", 0, reply(&body, &[])).expect("the cell asked for");
+        assert_eq!(kept.body.as_bytes(), body.as_bytes());
+        let signed = ("X-Regend-Crc32".to_string(), format!("{:08x}", crc32(body.as_bytes())));
+        assert!(kept.extra_headers.contains(&signed), "{:?}", kept.extra_headers);
+        assert_eq!(core.exec.cache_lookup("a/b", 0), Some(CellValue::Num(1.5)));
+    }
 }

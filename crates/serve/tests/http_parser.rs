@@ -333,3 +333,101 @@ fn a_pipelined_burst_equals_its_requests_parsed_one_at_a_time() {
     }
     assert_eq!(parse_fragmented(&burst, |rest| rest), individually);
 }
+
+/// Where the first head of `wire` ends by the grammar: the byte after
+/// its first empty line (`\n` or `\r\n`).
+fn head_end(wire: &[u8]) -> Option<usize> {
+    let mut line_start = 0;
+    for (i, &b) in wire.iter().enumerate() {
+        if b == b'\n' {
+            if matches!(&wire[line_start..i], b"" | b"\r") {
+                return Some(i + 1);
+            }
+            line_start = i + 1;
+        }
+    }
+    None
+}
+
+/// What the parser made of one mutant, judged against the grammar: its
+/// sticky error, a wait for bytes the sample lacks (an unfinished head
+/// buffers everything; an unfinished declared body, nothing), or a
+/// first request after which exactly its accepted `Content-Length` was
+/// skipped.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Refused,
+    Waiting,
+    Parsed,
+}
+
+fn judge(wire: &[u8]) -> Result<Verdict, String> {
+    let mut parser = RequestParser::new();
+    parser.push(wire);
+    match parser.next_request() {
+        Err(HttpError::Malformed(first)) => match parser.next_request() {
+            Err(HttpError::Malformed(again)) if again == first => Ok(Verdict::Refused),
+            other => Err(format!("error {first:?} was not sticky: {other:?}")),
+        },
+        Ok(None) => {
+            let want = if head_end(wire).is_some() { 0 } else { wire.len() };
+            match parser.buffered() {
+                n if n == want => Ok(Verdict::Waiting),
+                n => Err(format!("waiting with {n} byte(s) buffered, not {want}")),
+            }
+        }
+        Ok(Some(request)) => {
+            let end = head_end(wire).ok_or("a request without a blank line")?;
+            let declared = request.header("content-length").map_or(Some(0), |v| v.parse().ok());
+            let declared: usize = declared.ok_or("an accepted Content-Length that is no number")?;
+            let want = wire.len().checked_sub(end + declared).ok_or("a body past the sample")?;
+            if parser.buffered() != want {
+                return Err(format!("resumed with {} byte(s) left, not {want}", parser.buffered()));
+            }
+            while let Ok(Some(_)) = parser.next_request() {}
+            Ok(Verdict::Parsed)
+        }
+    }
+}
+
+/// A bit-flip sweep over one pipelined sample: a `GET` whose declared
+/// body is itself a complete request, then a second request. Every
+/// single and every double bit flip must leave the parser without a
+/// panic (the test profile traps overflow), refusing the mutant with
+/// its sticky error or parsing it, and a parsed first request must
+/// resume exactly its accepted `Content-Length` after its head: a byte
+/// inside a declared body never comes out as a request.
+#[test]
+fn bit_flips_in_a_pipelined_request_never_run_a_declared_body() {
+    let sample: &[u8] = b"GET /a HTTP/1.1\r\nContent-Length: 26\r\n\r\n\
+        GET /smuggled HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
+    let paths: Vec<String> = {
+        let mut parser = RequestParser::new();
+        parser.push(sample);
+        std::iter::from_fn(|| parser.next_request().ok().flatten()).map(|r| r.path).collect()
+    };
+    assert_eq!(paths, ["/a", "/b"], "the intact sample skips its body");
+    assert_eq!(judge(sample), Ok(Verdict::Parsed));
+
+    let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+    let bits = sample.len() * 8;
+    let mut mutant = sample.to_vec();
+    let mut seen = [0usize; 3];
+    let mut check = |mutant: &[u8], flipped: &[usize]| match judge(mutant) {
+        Ok(verdict) => seen[verdict as usize] += 1,
+        Err(e) => panic!("bits {flipped:?}: {e}\n{:?}", String::from_utf8_lossy(mutant)),
+    };
+    for i in 0..bits {
+        flip(&mut mutant, i);
+        check(&mutant, &[i]);
+        for j in i + 1..bits {
+            flip(&mut mutant, j);
+            check(&mutant, &[i, j]);
+            flip(&mut mutant, j);
+        }
+        flip(&mut mutant, i);
+    }
+    let [refused, waiting, parsed] = seen;
+    assert_eq!(refused + waiting + parsed, bits + bits * (bits - 1) / 2);
+    assert!(refused > 0 && waiting > 0 && parsed > 0, "{seen:?}");
+}

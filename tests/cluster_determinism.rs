@@ -11,23 +11,41 @@
 //! of a signed shard reply on its way through the hop check.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bench::{Artifact, RegenOptions};
-use serve::{boot_shards, proxy_config, HashRing, ServerConfig, ShardInstance};
 use serve::cluster_campaign::burst_paths;
+use serve::{
+    boot_shards, proxy_config, HashRing, Response, RunSummary, ServerConfig, ServerHandle,
+    ShardInstance,
+};
 use spectrebench::json::{self, Value};
-use spectrebench::{enumerate_cluster_coordinates, FaultPoint, NetFaultKind, NetFaultPlan};
+use spectrebench::{
+    crc32, enumerate_cluster_coordinates, FaultKind, FaultPlan, FaultPoint, NetFaultKind,
+    NetFaultPlan,
+};
 
 mod support;
-use support::{await_metric, boot, cell_keys, cell_path, get, metric, scratch, serial_blocks};
+use support::{
+    await_metric, boot, cell_keys, cell_path, get, metric, scratch, serial_blocks, table_cells,
+};
 
 fn drain_all(shards: Vec<ShardInstance>) {
     for s in shards {
         s.handle.drain();
         let _ = s.join.join();
     }
+}
+
+/// Each table1 cell's body, read from the shard that owns its key (not
+/// through a proxy, which would keep it).
+fn read_from_owners(addrs: &[String], keys: &[String]) -> Vec<String> {
+    let ring = HashRing::new(addrs.len());
+    let owner = |key: &str| format!("http://{}", addrs[ring.owner(key)]);
+    keys.iter().map(|k| get(&owner(k), &cell_path(k)).text()).collect()
 }
 
 /// The tentpole guarantee: 64 concurrent clients bursting against a
@@ -163,8 +181,9 @@ fn bursts_under_net_faults_on_every_hop_stay_byte_identical() {
                         mismatches.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                // Cells are never cached on the proxy, so every one of
-                // these crosses the faulted wire.
+                // A cell's first reads cross the faulted wire; once one
+                // is verified (or recomputed on failover) the proxy keeps
+                // it, and later reads of it are proxy cache hits.
                 for (i, key) in keys.iter().enumerate() {
                     let r = get(proxy, &cell_path(key));
                     assert_eq!(r.status, 200, "client {client}: cell {key}");
@@ -218,10 +237,11 @@ fn shard_loss_mid_burst_fails_over_and_resumes_from_the_journal() {
     let addrs: Vec<String> = shards.iter().map(|s| s.addr.clone()).collect();
     let (proxy, handle, join) = boot(proxy_config(&base_cfg, addrs.clone()));
 
-    // Phase 1: warm pass. Each cell computes on its owning shard (and
-    // lands in that shard's journal); the bodies are the ground truth
-    // for everything after.
-    let expect: Vec<String> = keys.iter().map(|k| get(&proxy, &cell_path(k)).text()).collect();
+    // Phase 1: warm pass, straight to each key's owner. Each cell
+    // computes on its owning shard (and lands in that shard's journal);
+    // the bodies are the ground truth for everything after. The proxy
+    // keeps every cell it reads, so it stays cold until after the loss.
+    let expect = read_from_owners(&addrs, &keys);
 
     // Kill the shard that owns the first key, so the burst is
     // guaranteed to cross the hole. (In-process stand-in for SIGKILL;
@@ -327,11 +347,12 @@ fn cell_failover_still_computes_after_results_warmed_the_rendered_cache() {
     };
     let mut shards = boot_shards(&base_cfg, 2).expect("boot shard tier");
     let addrs: Vec<String> = shards.iter().map(|s| s.addr.clone()).collect();
-    let (proxy, handle, join) = boot(proxy_config(&base_cfg, addrs));
+    let (proxy, handle, join) = boot(proxy_config(&base_cfg, addrs.clone()));
 
-    // Ground truth for the cells, fetched through the healthy cluster
-    // (these hops warm nothing on the proxy: cells pass through).
-    let expect: Vec<String> = keys.iter().map(|k| get(&proxy, &cell_path(k)).text()).collect();
+    // Ground truth for the cells, read straight from their owners: a
+    // read through the proxy would keep the cell there, and the loss
+    // below would then need no failover.
+    let expect = read_from_owners(&addrs, &keys);
     // THE trigger: /results fills the proxy's rendered cache for every
     // artifact from shard bytes, without a single local cell value.
     assert_eq!(get(&proxy, "/results").status, 200);
@@ -355,6 +376,281 @@ fn cell_failover_still_computes_after_results_warmed_the_rendered_cache() {
     handle.drain();
     join.join().expect("proxy thread");
     drain_all(shards);
+}
+
+/// A probe interval long enough that the prober makes only its first
+/// round during a test, so `regend_shard_fetches_total` then counts
+/// data hops alone.
+const PROBES_OFF: Duration = Duration::from_secs(3600);
+
+/// A cluster whose prober is effectively off: `n` shards and a proxy
+/// whose config `tune` adjusts, returned once the prober's one round
+/// has reached every shard.
+fn quiet_cluster(
+    n: usize,
+    tune: impl FnOnce(&mut ServerConfig),
+) -> (Vec<ShardInstance>, String, ServerHandle, JoinHandle<RunSummary>) {
+    let base_cfg = ServerConfig {
+        quick: true,
+        workers: 2,
+        probe_interval: PROBES_OFF,
+        ..ServerConfig::default()
+    };
+    let shards = boot_shards(&base_cfg, n).expect("boot shard tier");
+    let mut cfg = proxy_config(&base_cfg, shards.iter().map(|s| s.addr.clone()).collect());
+    tune(&mut cfg);
+    let (proxy, handle, join) = boot(cfg);
+    let probes = Duration::from_secs(10);
+    let probed = await_metric(&proxy, "regend_shard_fetches_total", n as f64, probes);
+    assert_eq!(probed, n as f64, "one probe per shard, then none");
+    (shards, proxy, handle, join)
+}
+
+/// The `cache_cells` count a server's `/healthz` reports: the cells its
+/// executor holds.
+fn cache_cells(base: &str) -> usize {
+    let health = json::parse(&get(base, "/healthz").text()).expect("/healthz is JSON");
+    health.get("cache_cells").and_then(Value::num).expect("cache_cells")
+}
+
+/// The proxy keeps every cell a shard sends it: a second read of a cell
+/// is answered on the proxy's event loop, with the same bytes and
+/// signature, no shard hop, and one cell cache hit.
+#[test]
+fn a_second_cell_read_is_a_proxy_cache_hit_with_no_hop() {
+    let keys = cell_keys();
+    let (shards, proxy, handle, join) = quiet_cluster(2, |_| {});
+    let first: Vec<_> = keys.iter().map(|k| get(&proxy, &cell_path(k))).collect();
+    let before = get(&proxy, "/metrics").text();
+    for (key, first) in keys.iter().zip(&first) {
+        let second = get(&proxy, &cell_path(key));
+        assert_eq!((first.status, second.status), (200, 200), "{key}");
+        assert_eq!(second.body, first.body, "{key}");
+        assert_eq!(second.header("x-regend-crc32"), first.header("x-regend-crc32"), "{key}");
+    }
+    let after = get(&proxy, "/metrics").text();
+    let delta = |name| metric(&after, name) - metric(&before, name);
+    assert_eq!(delta("regend_shard_fetches_total"), 0.0, "no second read hopped");
+    assert_eq!(delta("regend_cell_cache_hits_total"), keys.len() as f64);
+    assert_eq!(cache_cells(&proxy), keys.len());
+
+    handle.drain();
+    join.join().expect("proxy thread");
+    drain_all(shards);
+}
+
+/// After one read of each table1 cell, losing a shard changes nothing a
+/// client sees: every read is a 200 with the same bytes, none is marked
+/// degraded, and the proxy counts no failover and makes no hop.
+#[test]
+fn a_warm_cell_survives_the_loss_of_its_owner_without_failover() {
+    const CLIENTS: usize = 4;
+    let keys = cell_keys();
+    let (mut shards, proxy, handle, join) = quiet_cluster(2, |_| {});
+    let expect: Vec<String> = keys.iter().map(|k| get(&proxy, &cell_path(k)).text()).collect();
+    let before = get(&proxy, "/metrics").text();
+
+    let lost = shards.remove(HashRing::new(2).owner(&keys[0]));
+    lost.handle.drain();
+    let _ = lost.join.join();
+
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            let (proxy, keys, expect) = (&proxy, &keys, &expect);
+            s.spawn(move || {
+                for (key, expect) in keys.iter().zip(expect) {
+                    let r = get(proxy, &cell_path(key));
+                    assert_eq!(r.status, 200, "client {client}: cell {key}");
+                    assert_eq!(&r.text(), expect, "client {client}: bytes changed after loss");
+                    let degraded = r.header("x-regend-shard-degraded");
+                    assert_eq!(degraded, None, "client {client}: {key} failed over");
+                }
+            });
+        }
+    });
+    let after = get(&proxy, "/metrics").text();
+    let delta = |name| metric(&after, name) - metric(&before, name);
+    assert_eq!(delta("regend_shard_failovers_total"), 0.0);
+    assert_eq!(delta("regend_shard_fetches_total"), 0.0);
+    assert_eq!(delta("regend_cell_cache_hits_total"), (CLIENTS * keys.len()) as f64);
+
+    handle.drain();
+    join.join().expect("proxy thread");
+    drain_all(shards);
+}
+
+/// A loopback stand-in for one shard, on keep-alive sockets: it answers
+/// `/healthz` with a signed 200 and any other path with a 200 signed
+/// over `reply(path)`, and logs every path it is asked for.
+struct FakeShard {
+    addr: String,
+    log: Arc<Mutex<Vec<String>>>,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl FakeShard {
+    fn spawn(reply: impl Fn(&str) -> String + Send + Sync + 'static) -> FakeShard {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking listener");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (log, stop) = (Arc::new(Mutex::new(Vec::new())), Arc::new(AtomicBool::new(false)));
+        let (served, stopped, reply) = (Arc::clone(&log), Arc::clone(&stop), Arc::new(reply));
+        let thread = std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            while !stopped.load(Ordering::SeqCst) {
+                let Ok((stream, _)) = listener.accept() else {
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
+                };
+                let (reply, served) = (Arc::clone(&reply), Arc::clone(&served));
+                conns.push(std::thread::spawn(move || serve_fake(stream, &*reply, &served)));
+            }
+            for conn in conns {
+                conn.join().expect("fake shard connection");
+            }
+        });
+        FakeShard { addr, log, stop, thread }
+    }
+
+    /// How many requests have asked for a path starting with `prefix`.
+    fn hops(&self, prefix: &str) -> usize {
+        self.log.lock().expect("log").iter().filter(|p| p.starts_with(prefix)).count()
+    }
+
+    /// Stops accepting and joins every connection, each of which ends
+    /// when its client closes it.
+    fn join(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.thread.join().expect("fake shard");
+    }
+}
+
+/// One connection of a [`FakeShard`], until its client closes it.
+fn serve_fake(
+    mut stream: std::net::TcpStream,
+    reply: &dyn Fn(&str) -> String,
+    log: &Mutex<Vec<String>>,
+) {
+    use std::io::{Read, Write};
+
+    stream.set_nonblocking(false).expect("blocking socket");
+    loop {
+        let (mut head, mut byte) = (Vec::new(), [0u8]);
+        while !head.ends_with(b"\r\n\r\n") {
+            match stream.read(&mut byte) {
+                Ok(1) => head.push(byte[0]),
+                _ => return,
+            }
+        }
+        let head = String::from_utf8_lossy(&head);
+        let path = head.split(' ').nth(1).unwrap_or_default().to_string();
+        let body = if path == "/healthz" { "{}\n".to_string() } else { reply(&path) };
+        log.lock().expect("log").push(path);
+        let signed = format!("{:08x}", crc32(body.as_bytes()));
+        let resp = Response::json(200, body.clone()).with_header("X-Regend-Crc32", signed);
+        let mut wire = resp.render_head(true);
+        wire.extend_from_slice(body.as_bytes());
+        if stream.write_all(&wire).is_err() {
+            return;
+        }
+    }
+}
+
+/// A signed 200 is kept only if it is the cell asked for. A shard that
+/// signs another cell's bytes, then a body that does not decode, gets
+/// each read failed over to the right bytes, marked degraded; nothing
+/// is filled from either, so the next read hops again; and a genuine
+/// reply after them is kept like any other.
+#[test]
+fn a_signed_200_for_another_cell_or_an_undecodable_one_fails_over_and_fills_nothing() {
+    // Cells of three artifacts (table1, table3, table4): a failover
+    // sweeps one artifact locally, which must not cover the next read.
+    let tables = table_cells();
+    let (a, b, c) = (cell_path(&cell_keys()[0]), tables[0].1.clone(), tables[8].1.clone());
+    let (plain, plain_handle, plain_join) =
+        boot(ServerConfig { quick: true, workers: 2, ..ServerConfig::default() });
+    let (a_body, b_body) = (get(&plain, &a).text(), get(&plain, &b).text());
+    // What a proxy that swept table1 and table3 itself holds.
+    let swept = cache_cells(&plain);
+    let c_body = get(&plain, &c).text();
+    plain_handle.drain();
+    plain_join.join().expect("plain server");
+
+    let (b_reply, c_reply) = (b_body.clone(), c_body.clone());
+    let shard = FakeShard::spawn(move |path| {
+        if path.starts_with("/cell/table1/") {
+            b_reply.clone() // another cell's genuine bytes, signed
+        } else if path.starts_with("/cell/table3/") {
+            b_reply[..b_reply.len() / 2].to_string() // a body cut short, signed
+        } else {
+            c_reply.clone()
+        }
+    });
+    let cfg = ServerConfig {
+        quick: true,
+        workers: 2,
+        probe_interval: PROBES_OFF,
+        shard_addrs: vec![shard.addr.clone()],
+        ..ServerConfig::default()
+    };
+    let (proxy, handle, join) = boot(cfg);
+
+    for (path, body, table) in [(&a, &a_body, "/cell/table1/"), (&b, &b_body, "/cell/table3/")] {
+        let r = get(&proxy, path);
+        assert_eq!((r.status, &r.text()), (200, body), "{path}: the right bytes");
+        assert_eq!(r.header("x-regend-shard-degraded"), Some("0"), "{path}: by failover");
+        assert_eq!(shard.hops(table), 1, "{path}: hopped once, as nothing held it");
+    }
+    assert_eq!(cache_cells(&proxy), swept, "only what its own two sweeps made");
+
+    let r = get(&proxy, &c);
+    assert_eq!((r.status, r.header("x-regend-shard-degraded")), (200, None));
+    assert_eq!(r.text(), c_body);
+    assert_eq!(cache_cells(&proxy), swept + 1, "the genuine reply was kept");
+    assert_eq!(get(&proxy, &c).text(), c_body);
+    assert_eq!(shard.hops("/cell/"), 3, "a kept cell's second read makes no hop");
+
+    handle.drain();
+    join.join().expect("proxy thread");
+    drop(handle); // the last owner of the proxy's pooled shard connections
+    shard.join();
+}
+
+/// A hop damaged on its only attempt fills nothing. The proxy's own
+/// executor is made to fail every cell, so only a fill could put one in
+/// its cache: after the damaged read the cache is empty; the next read,
+/// on a clean hop, fills the cell; the third is a hit with no hop.
+#[test]
+fn a_hop_damaged_on_its_only_attempt_fills_nothing() {
+    let key = &cell_keys()[0];
+    for kind in [NetFaultKind::CorruptByte, NetFaultKind::Truncate] {
+        let (shards, proxy, handle, join) = quiet_cluster(1, |cfg| {
+            cfg.fetch_attempts = 1;
+            // Only the first hop to each cell path is damaged.
+            cfg.net_inject = Some(NetFaultPlan::new().fail_hop(None, "/cell/", kind, Some(1)));
+            cfg.inject = Some(FaultPlan::new().fail_cell("", FaultKind::SimFault, None));
+            cfg.retries = Some(1);
+        });
+        let expect = get(&format!("http://{}", shards[0].addr), &cell_path(key)).text();
+
+        let damaged = get(&proxy, &cell_path(key));
+        assert_ne!(damaged.status, 200, "{kind:?}: the failover cannot compute");
+        assert_eq!(damaged.header("x-regend-shard-degraded"), Some("0"), "{kind:?}");
+        assert_eq!(cache_cells(&proxy), 0, "{kind:?}: nothing filled");
+        let fetches = || metric(&get(&proxy, "/metrics").text(), "regend_shard_fetches_total");
+        let before = fetches();
+        let clean = get(&proxy, &cell_path(key));
+        assert_eq!((clean.status, clean.text()), (200, expect.clone()), "{kind:?}");
+        assert_eq!(clean.header("x-regend-shard-degraded"), None, "{kind:?}");
+        assert_eq!(cache_cells(&proxy), 1, "{kind:?}");
+        assert_eq!(get(&proxy, &cell_path(key)).text(), expect, "{kind:?}");
+        assert_eq!(fetches() - before, 1.0, "{kind:?}: one clean hop, then a hit");
+
+        handle.drain();
+        join.join().expect("proxy thread");
+        drain_all(shards);
+    }
 }
 
 /// The seeded net-fault plan itself is deterministic: the same (seed,

@@ -11,6 +11,7 @@
 //! tier-1.
 
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use bench::Artifact;
@@ -18,7 +19,9 @@ use serve::client::Connection;
 use serve::HashRing;
 
 mod support;
-use support::{await_metric, binary, cell_keys, cell_path, get, metric, scratch, Daemon};
+use support::{
+    await_metric, binary, cell_keys, cell_path, get, metric, scratch, table_cells, Daemon,
+};
 
 /// `regen loadgen <args>` to completion: exit 0, and its summary line
 /// counts `requests` responses, every one a 200, and no errors.
@@ -126,17 +129,31 @@ fn spawned_regend_rss_stays_flat_over_a_hundred_thousand_cached_reads() {
 /// Four shard processes behind a proxy process: `/results` equals what
 /// a plain `regend` serves; a 64-connection `regen loadgen` burst over
 /// the table1 cells stays all 200 while the owner of the first key is
-/// SIGKILLed, about 900 requests in, so some 2,100 ride the failover;
-/// the proxy counts the failover and marks the victim down; and a
-/// replacement started from the victim's journal, in its place behind
-/// a fresh proxy, replays cells and serves the same `/results`.
+/// SIGKILLed, about 900 requests in. The proxy keeps every cell it
+/// reads, so after their first reads the burst's cells are proxy cache
+/// hits and survive the kill; test threads meanwhile read cells of
+/// tables 3 to 8 that the victim owns and the proxy has not read yet,
+/// from before the kill to after it, so hops to the victim are in
+/// flight when it dies. Every read stays a 200 with the plain bytes, the
+/// proxy counts the failover and marks the victim down, and a
+/// replacement started from the victim's journal, in its place behind a
+/// fresh proxy, replays cells and serves the same `/results`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release builds only")]
 fn spawned_cluster_survives_a_sigkilled_shard_and_resumes_it_from_its_journal() {
+    const READERS: usize = 2;
     let dir = scratch("cluster-soak");
+    let keys = cell_keys();
+    let ring = HashRing::new(4);
+    let victim = ring.owner(&keys[0]);
+    let late: Vec<(String, String)> =
+        table_cells().into_iter().filter(|(key, _)| ring.owner(key) == victim).collect();
+    assert!(late.len() >= 2 * READERS, "the victim owns {} late cell(s)", late.len());
     let serial = Daemon::spawn(&["--quick", "--workers", "2"]);
     let expect = get(&serial.base, "/results");
     assert_eq!(expect.status, 200);
+    let late_bodies: Vec<Vec<u8>> =
+        late.iter().map(|(_, path)| get(&serial.base, path).body).collect();
     assert!(serial.terminate().0.success());
 
     let journal = |i: usize| dir.join(format!("shard{i}.jsonl")).to_string_lossy().into_owned();
@@ -152,8 +169,6 @@ fn spawned_cluster_survives_a_sigkilled_shard_and_resumes_it_from_its_journal() 
     assert!(get(&proxy.base, "/healthz").text().contains("\"shards\":["));
     assert_eq!(get(&proxy.base, "/results").body, expect.body, "cluster /results");
 
-    let keys = cell_keys();
-    let victim = HashRing::new(4).owner(&keys[0]);
     let before = metric(&get(&proxy.base, "/metrics").text(), "regend_requests_total");
     let mut loadgen = Command::new(binary("regen"));
     loadgen.args(["loadgen", "--rate", "300", "--requests", "3000", "--connections", "64"]);
@@ -162,12 +177,36 @@ fn spawned_cluster_survives_a_sigkilled_shard_and_resumes_it_from_its_journal() 
     }
     let burst = loadgen.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn();
     let burst = burst.expect("spawn regen loadgen");
-    // Mid-burst: once the proxy has admitted 900 of its 3,000 requests.
-    let admitted = before + 900.0;
-    let deadline = Duration::from_secs(30);
-    let seen = await_metric(&proxy.base, "regend_requests_total", admitted, deadline);
-    assert!(seen >= admitted, "the burst stalled at {} request(s)", seen - before);
-    shards[victim].sigkill();
+    let (killed, base) = (AtomicBool::new(false), proxy.base.as_str());
+    std::thread::scope(|s| {
+        // Each reader takes every READERS-th late cell, one every 100 ms,
+        // and holds its second half back until the victim is dead.
+        for reader in 0..READERS {
+            let (late, late_bodies, killed) = (&late, &late_bodies, &killed);
+            s.spawn(move || {
+                let mine: Vec<usize> = (reader..late.len()).step_by(READERS).collect();
+                for (n, &i) in mine.iter().enumerate() {
+                    while n >= mine.len() / 2 && !killed.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    let r = get(base, &late[i].1);
+                    assert_eq!(r.status, 200, "late cell {}", late[i].0);
+                    assert_eq!(r.body, late_bodies[i], "late cell {}", late[i].0);
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            });
+        }
+        // Mid-burst: once the proxy has admitted 900 of its 3,000 requests.
+        let admitted = before + 900.0;
+        let seen = await_metric(base, "regend_requests_total", admitted, Duration::from_secs(30));
+        if seen >= admitted {
+            shards[victim].sigkill();
+        }
+        // Released even if the burst stalled, so the readers finish and
+        // the assertion below reports it instead of the test hanging.
+        killed.store(true, Ordering::SeqCst);
+        assert!(seen >= admitted, "the burst stalled at {} request(s)", seen - before);
+    });
     assert_loadgen_all_200(burst.wait_with_output().expect("regen loadgen"), 3_000);
     let failovers = metric(&get(&proxy.base, "/metrics").text(), "regend_shard_failovers_total");
     assert!(failovers >= 1.0, "failovers: {failovers}");

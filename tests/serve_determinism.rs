@@ -182,6 +182,10 @@ fn cell_queries_and_name_suggestions() {
     assert!(body.contains("\"cell\":\"Broadwell/mitigations\""), "{body}");
     assert!(body.contains("\"seed\":0"), "{body}");
     assert!(body.contains("\"kind\":"), "{body}");
+    // A second read is answered on the event loop, from the cell cache.
+    assert_eq!(get(&base, "/cell/table1/Broadwell/mitigations?seed=0").text(), body);
+    let hits = metric(&get(&base, "/metrics").text(), "regend_cell_cache_hits_total");
+    assert_eq!(hits, 1.0, "the first read computed, the second hit");
 
     // Unknown cell under a real experiment: 404 with a hint, not 500.
     let r = get(&base, "/cell/table1/NoSuchCpu/mitigations");

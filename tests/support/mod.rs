@@ -116,28 +116,51 @@ pub fn await_metric(base: &str, name: &str, min: f64, deadline: Duration) -> f64
     }
 }
 
+/// The catalog microarchitectures, in Table 2 order.
+const CPUS: [&str; 8] = [
+    "Broadwell",
+    "Skylake Client",
+    "Cascade Lake",
+    "Ice Lake Client",
+    "Ice Lake Server",
+    "Zen",
+    "Zen 2",
+    "Zen 3",
+];
+
 /// Table 1's per-CPU cell keys (one per catalog microarchitecture):
 /// routed across shards by content key, and computable on demand from
 /// either side of a failover.
 pub fn cell_keys() -> Vec<String> {
-    [
-        "Broadwell",
-        "Skylake Client",
-        "Cascade Lake",
-        "Ice Lake Client",
-        "Ice Lake Server",
-        "Zen",
-        "Zen 2",
-        "Zen 3",
-    ]
-    .iter()
-    .map(|m| format!("{m}/mitigations"))
-    .collect()
+    CPUS.iter().map(|m| format!("{m}/mitigations")).collect()
 }
 
 /// The `/cell` path of a table1 content key, at the pinned seed.
 pub fn cell_path(key: &str) -> String {
     format!("/cell/table1/{}?seed=0", percent_encode_path(key))
+}
+
+/// The cells of tables 3 to 8, one per CPU and table, as `(content
+/// key, /cell path)`, in table order: cheap sweeps whose keys differ
+/// from table1's and from each other's.
+pub fn table_cells() -> Vec<(String, String)> {
+    let tables = [
+        ("table3", "entry-exit"),
+        ("table4", "verw"),
+        ("table5", "indirect-call"),
+        ("table6", "ibpb"),
+        ("table7", "rsb-fill"),
+        ("table8", "lfence"),
+    ];
+    let cell = |table: &str, workload: &str, cpu: &str| {
+        let key = format!("{cpu}/{workload}");
+        let path = format!("/cell/{table}/{}?seed=0", percent_encode_path(&key));
+        (key, path)
+    };
+    tables
+        .iter()
+        .flat_map(|(table, workload)| CPUS.iter().map(move |cpu| cell(table, workload, cpu)))
+        .collect()
 }
 
 /// The workspace binary `name` (`regen` or `regend`) in the profile
