@@ -31,9 +31,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bench::campaign::{run_campaign, CampaignError, CampaignOptions};
+use bench::loadgen::LoadgenOptions;
 use bench::{Artifact, RegenOptions, run_regen};
 use spectrebench::campaign::FaultPoint;
-use spectrebench::{fsck_journal, jobs_from_env, parse_jobs, FaultKind, FaultPlan};
+use spectrebench::Arg::{Flag, Positional};
+use spectrebench::{fsck_journal, jobs_from_env, Args, FaultKind, FaultPlan};
 
 fn usage(to_stdout: bool) {
     // The kind lists come from FaultKind::ALL so --help can never
@@ -141,58 +143,90 @@ fn usage(to_stdout: bool) {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<RegenOptions, String> {
-    let mut opts = RegenOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |flag: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--keep-going" => opts.keep_going = true,
-            "--retries" => {
-                let v = value("--retries")?;
-                opts.retries =
-                    Some(v.parse().map_err(|_| format!("bad --retries value: {v}"))?);
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                opts.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
-            }
-            "--resume" => opts.resume = Some(PathBuf::from(value("--resume")?)),
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
-            "--inject" => {
-                let spec = value("--inject")?;
-                opts.inject =
-                    Some(FaultPlan::parse_spec(&spec).map_err(|e| format!("bad --inject: {e}"))?);
-            }
-            name if !name.starts_with("--") => match Artifact::parse(name) {
-                Some(a) => opts.artifacts.push(a),
-                None => return Err(unknown_artifact(name)),
-            },
-            other => return Err(format!("unknown flag: {other}")),
+/// What a `regen` command line asks for.
+enum Cmd {
+    Help,
+    List,
+    Sweep(RegenOptions),
+    Fetch(String, String),
+    Fsck(PathBuf),
+    Campaign(CampaignOptions),
+    Loadgen(LoadgenOptions, Option<PathBuf>),
+}
+
+/// Parses a whole `regen` command line; the first word picks the
+/// subcommand. Returns the usage-error prefix with the result.
+fn parse(args: &[String]) -> (&'static str, Result<Cmd, String>) {
+    match args.first().map(String::as_str) {
+        Some("fetch") => ("regen", parse_words(&args[1..], |words| match *words {
+            [base, what] => Ok(Cmd::Fetch(base.to_string(), what.to_string())),
+            _ => Err("fetch takes exactly two arguments: <base-url> <artifact|results>".into()),
+        })),
+        Some("fsck") => ("regen", parse_words(&args[1..], |words| match *words {
+            [path] => Ok(Cmd::Fsck(PathBuf::from(path))),
+            _ => Err("fsck takes exactly one argument: the journal path".into()),
+        })),
+        Some("campaign") => ("regen campaign", parse_campaign_args(&args[1..])),
+        Some("loadgen") => ("regen loadgen", parse_loadgen_args(&args[1..])),
+        _ => ("regen", parse_args(args)),
+    }
+}
+
+/// `fetch` and `fsck` take positional words and no flag but `--help`.
+fn parse_words(
+    args: &[String],
+    cmd: impl FnOnce(&[&str]) -> Result<Cmd, String>,
+) -> Result<Cmd, String> {
+    let mut words = Vec::new();
+    for arg in Args::new(args) {
+        match arg {
+            Flag("--help" | "-h") => return Ok(Cmd::Help),
+            Flag(other) => return Err(format!("unknown flag: {other}")),
+            Positional(word) => words.push(word),
         }
-        i += 1;
+    }
+    cmd(&words)
+}
+
+/// Parses the sweep's arguments: options and artifact names.
+fn parse_args(args: &[String]) -> Result<Cmd, String> {
+    let mut opts = RegenOptions::default();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Flag("--help" | "-h") => return Ok(Cmd::Help),
+            Flag("--list") => return Ok(Cmd::List),
+            Flag("--quick") => opts.quick = true,
+            Flag("--keep-going") => opts.keep_going = true,
+            Flag("--retries") => opts.retries = Some(args.positive()?),
+            Flag("--jobs") => opts.jobs = Some(args.positive()?),
+            Flag("--resume") => opts.resume = Some(args.value()?.into()),
+            Flag("--trace-out") => opts.trace_out = Some(args.value()?.into()),
+            Flag("--metrics-out") => opts.metrics_out = Some(args.value()?.into()),
+            Flag("--out") => opts.out = Some(args.value()?.into()),
+            Flag("--inject") => {
+                let plan = FaultPlan::parse_spec(args.value()?);
+                opts.inject = Some(plan.map_err(|e| format!("bad --inject: {e}"))?);
+            }
+            Flag(other) => return Err(format!("unknown flag: {other}")),
+            Positional(name) => opts.artifacts.push(parse_artifact(name)?),
+        }
     }
     // A malformed REGEN_JOBS is a usage error like a bad --jobs, not a
     // silent fallback to machine parallelism.
     if opts.jobs.is_none() {
         opts.jobs = jobs_from_env()?;
     }
-    Ok(opts)
+    Ok(Cmd::Sweep(opts))
 }
 
-/// "unknown artifact" with a nearest-name hint when one is close.
-fn unknown_artifact(name: &str) -> String {
-    match Artifact::suggest(name) {
+/// An artifact by name, or "unknown artifact" with a nearest-name hint
+/// when one is close.
+fn parse_artifact(name: &str) -> Result<Artifact, String> {
+    Artifact::parse(name).ok_or_else(|| match Artifact::suggest(name) {
         Some(s) => format!("unknown artifact: {name} (did you mean: {s}?)"),
         None => format!("unknown artifact: {name} (see --list)"),
-    }
+    })
 }
 
 /// `regen fetch <base-url> <artifact|results>`: pull a rendering off a
@@ -202,10 +236,10 @@ fn unknown_artifact(name: &str) -> String {
 fn run_fetch(base: &str, what: &str) -> ExitCode {
     let path = match what {
         "results" => "/results".to_string(),
-        name => match Artifact::parse(name) {
-            Some(a) => format!("/artifact/{}", a.name()),
-            None => {
-                eprintln!("regen: {}", unknown_artifact(name));
+        name => match parse_artifact(name) {
+            Ok(a) => format!("/artifact/{}", a.name()),
+            Err(msg) => {
+                eprintln!("regen: {msg}");
                 return ExitCode::from(2);
             }
         },
@@ -239,72 +273,38 @@ fn run_fetch(base: &str, what: &str) -> ExitCode {
 
 /// Parses `regen campaign` arguments (everything after the subcommand
 /// word).
-fn parse_campaign_args(args: &[String]) -> Result<CampaignOptions, String> {
+fn parse_campaign_args(args: &[String]) -> Result<Cmd, String> {
     let mut opts = CampaignOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |flag: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--retries" => {
-                let v = value("--retries")?;
-                let n: u32 = v.parse().map_err(|_| format!("bad --retries value: {v}"))?;
-                if n == 0 {
-                    return Err("--retries must be at least 1".to_string());
-                }
-                opts.retries = n;
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                opts.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
-            }
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --sample value: {v}"))?;
-                if n == 0 {
-                    return Err("--sample must be at least 1".to_string());
-                }
-                opts.sample = Some(n);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Flag("--help" | "-h") => return Ok(Cmd::Help),
+            Flag("--quick") => opts.quick = true,
+            Flag("--retries") => opts.retries = args.positive()?,
+            Flag("--jobs") => opts.jobs = Some(args.positive()?),
+            Flag("--sample") => opts.sample = Some(args.positive()?),
+            Flag("--seed") => {
+                let v = args.value()?;
                 opts.seed = v.parse().map_err(|_| format!("bad --seed value: {v}"))?;
             }
-            "--dir" => opts.dir = PathBuf::from(value("--dir")?),
-            "--resume" => opts.resume = true,
-            "--report" => opts.report_out = Some(PathBuf::from(value("--report")?)),
-            name if !name.starts_with("--") => match Artifact::parse(name) {
-                Some(a) => opts.artifacts.push(a),
-                None => return Err(unknown_artifact(name)),
-            },
-            other => return Err(format!("unknown campaign flag: {other}")),
+            Flag("--dir") => opts.dir = args.value()?.into(),
+            Flag("--resume") => opts.resume = true,
+            Flag("--report") => opts.report_out = Some(args.value()?.into()),
+            Flag(other) => return Err(format!("unknown campaign flag: {other}")),
+            Positional(name) => opts.artifacts.push(parse_artifact(name)?),
         }
-        i += 1;
     }
     if opts.jobs.is_none() {
         opts.jobs = jobs_from_env()?;
     }
-    Ok(opts)
+    Ok(Cmd::Campaign(opts))
 }
 
 /// `regen campaign`: the three-phase fault-space exploration. Prints
 /// the survivability matrix to stdout; exit 2 on any silent-corruption
 /// verdict, exit 1 when the reference sweep could not baseline.
-fn run_campaign_cmd(args: &[String]) -> ExitCode {
-    let opts = match parse_campaign_args(args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("regen campaign: {msg}");
-            eprintln!();
-            usage(false);
-            return ExitCode::from(2);
-        }
-    };
-    let run = match run_campaign(&opts) {
+fn run_campaign_cmd(opts: &CampaignOptions) -> ExitCode {
+    let run = match run_campaign(opts) {
         Ok(run) => run,
         Err(e @ CampaignError::ReferenceNotClean(_)) => {
             eprintln!("regen campaign: {e}");
@@ -347,74 +347,41 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
 }
 
 /// Parses `regen loadgen` arguments (everything after the subcommand
-/// word; the first bare argument is the URL).
-fn parse_loadgen_args(args: &[String]) -> Result<(bench::loadgen::LoadgenOptions, Option<PathBuf>), String> {
-    let mut opts = bench::loadgen::LoadgenOptions::default();
+/// word; a bare argument is a target URL).
+fn parse_loadgen_args(args: &[String]) -> Result<Cmd, String> {
+    let mut opts = LoadgenOptions::default();
     let mut histogram = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |flag: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--rate" => {
-                let v = value("--rate")?;
-                let r: f64 = v.parse().map_err(|_| format!("bad --rate value: {v}"))?;
-                if !r.is_finite() || r <= 0.0 {
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Flag("--help" | "-h") => return Ok(Cmd::Help),
+            Flag("--rate") => {
+                let v = args.value()?;
+                opts.rate = v.parse().map_err(|_| format!("bad --rate value: {v}"))?;
+                if !opts.rate.is_finite() || opts.rate <= 0.0 {
                     return Err("--rate must be positive".to_string());
                 }
-                opts.rate = r;
             }
-            "--requests" => {
-                let v = value("--requests")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad --requests value: {v}"))?;
-                if n == 0 {
-                    return Err("--requests must be at least 1".to_string());
-                }
-                opts.requests = n;
-            }
-            "--connections" => {
-                let v = value("--connections")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --connections value: {v}"))?;
-                if n == 0 {
-                    return Err("--connections must be at least 1".to_string());
-                }
-                opts.connections = n;
-            }
-            "--timeout-ms" => {
-                let v = value("--timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms value: {v}"))?;
-                opts.timeout = Duration::from_millis(ms.max(1));
-            }
-            "--histogram" => histogram = Some(PathBuf::from(value("--histogram")?)),
-            "--target" => opts.targets.push(value("--target")?),
-            url if !url.starts_with("--") => opts.targets.push(url.to_string()),
-            other => return Err(format!("unknown loadgen flag: {other}")),
+            Flag("--requests") => opts.requests = args.positive()?,
+            Flag("--connections") => opts.connections = args.positive()?,
+            Flag("--timeout-ms") => opts.timeout = args.millis()?,
+            Flag("--histogram") => histogram = Some(args.value()?.into()),
+            Flag("--target") => opts.targets.push(args.value()?.to_string()),
+            Flag(other) => return Err(format!("unknown loadgen flag: {other}")),
+            Positional(url) => opts.targets.push(url.to_string()),
         }
-        i += 1;
     }
     if opts.targets.is_empty() {
         return Err("loadgen needs a target URL (bare or --target)".to_string());
     }
-    Ok((opts, histogram))
+    Ok(Cmd::Loadgen(opts, histogram))
 }
 
 /// `regen loadgen <url>`: open-loop load against a running regend.
 /// Exit 1 when any request failed outright (429s are responses, not
 /// errors: they are the server keeping its overload contract).
-fn run_loadgen_cmd(args: &[String]) -> ExitCode {
-    let (opts, histogram) = match parse_loadgen_args(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("regen loadgen: {msg}");
-            eprintln!();
-            usage(false);
-            return ExitCode::from(2);
-        }
-    };
-    let report = match bench::loadgen::run_loadgen(&opts) {
+fn run_loadgen_cmd(opts: &LoadgenOptions, histogram: Option<&Path>) -> ExitCode {
+    let report = match bench::loadgen::run_loadgen(opts) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("regen loadgen: {msg}");
@@ -422,7 +389,7 @@ fn run_loadgen_cmd(args: &[String]) -> ExitCode {
         }
     };
     print!("{}", report.render_text());
-    if let Some(path) = &histogram {
+    if let Some(path) = histogram {
         if let Err(e) = spectrebench::atomic_write(path, report.render_histogram().as_bytes()) {
             eprintln!("regen loadgen: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -466,55 +433,36 @@ fn run_fsck(path: &Path) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage(true);
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--list") {
-        for a in Artifact::ALL {
-            println!("{:14} {}", a.name(), a.caption());
+    let (what, parsed) = parse(&args);
+    match parsed {
+        Ok(Cmd::Help) => {
+            usage(true);
+            ExitCode::SUCCESS
         }
-        return ExitCode::SUCCESS;
-    }
-    if args.first().map(String::as_str) == Some("fetch") {
-        return match (args.get(1), args.get(2)) {
-            (Some(base), Some(what)) if args.len() == 3 => run_fetch(base, what),
-            _ => {
-                eprintln!("regen: fetch takes exactly two arguments: <base-url> <artifact|results>");
-                eprintln!();
-                usage(false);
-                ExitCode::from(2)
+        Ok(Cmd::List) => {
+            for a in Artifact::ALL {
+                println!("{:14} {}", a.name(), a.caption());
             }
-        };
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        return run_campaign_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("loadgen") {
-        return run_loadgen_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fsck") {
-        return match args.get(1) {
-            Some(path) if args.len() == 2 => run_fsck(Path::new(path)),
-            _ => {
-                eprintln!("regen: fsck takes exactly one argument: the journal path");
-                eprintln!();
-                usage(false);
-                ExitCode::from(2)
-            }
-        };
-    }
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
+            ExitCode::SUCCESS
+        }
+        Ok(Cmd::Sweep(opts)) => run_sweep(&opts),
+        Ok(Cmd::Fetch(base, what)) => run_fetch(&base, &what),
+        Ok(Cmd::Fsck(path)) => run_fsck(&path),
+        Ok(Cmd::Campaign(opts)) => run_campaign_cmd(&opts),
+        Ok(Cmd::Loadgen(opts, histogram)) => run_loadgen_cmd(&opts, histogram.as_deref()),
         Err(msg) => {
-            eprintln!("regen: {msg}");
+            eprintln!("{what}: {msg}");
             eprintln!();
             usage(false);
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
+    }
+}
 
-    let report = match run_regen(&opts) {
+/// `regen [options] [artifact ...]`: the sweep. Prints each artifact's
+/// rendering to stdout and the run's counters to stderr.
+fn run_sweep(opts: &RegenOptions) -> ExitCode {
+    let report = match run_regen(opts) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("regen: cannot open resume journal: {e}");

@@ -20,6 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::cli::jobs_from_env;
 use crate::harness::{lock, ExperimentError, Harness, HarnessStats, Journal, RunContext};
 use crate::obs::{set_current_worker, EventBus, EventKind};
 use crate::persist::WriteDamage;
@@ -31,39 +32,6 @@ use crate::plan::{CellOutcome, CellSource, CellValue, ExperimentPlan};
 /// (bridged with `†` by the drivers) instead of burning retry budgets
 /// on a closure that is evidently broken.
 pub const DEFAULT_PANIC_BREAKER: u32 = 3;
-
-/// The one rule for a worker count, whether it comes from a `--jobs`
-/// flag or from `REGEN_JOBS`: a positive integer. The error completes
-/// a sentence whose subject is the source, e.g.
-/// `format!("--jobs {e}")`.
-pub fn parse_jobs(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(0) => Err("must be at least 1".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("must be a positive integer, got {v:?}")),
-    }
-}
-
-/// Strictly validates the `REGEN_JOBS` environment variable with
-/// [`parse_jobs`]: `Ok(None)` when unset or empty, `Ok(Some(n))` for a
-/// positive integer, and a one-line error message for anything else
-/// (`0`, non-numeric, noise).
-///
-/// The binaries (`regen`, `regend`) call this at startup and exit 2 on
-/// `Err`, so a typo'd environment fails loudly instead of silently
-/// falling back to the machine default and skewing a sweep's worker
-/// count.
-pub fn jobs_from_env() -> Result<Option<usize>, String> {
-    let v = match std::env::var("REGEN_JOBS") {
-        Ok(v) => v,
-        Err(_) => return Ok(None),
-    };
-    let v = v.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    parse_jobs(v).map(Some).map_err(|e| format!("REGEN_JOBS {e}"))
-}
 
 /// Resolves the default worker count: a valid `REGEN_JOBS` environment
 /// variable, else the machine's available parallelism, else 1. Invalid
@@ -467,15 +435,6 @@ mod tests {
             0,
             move |_| Ok(CellValue::Num(value)),
         )
-    }
-
-    #[test]
-    fn job_counts_are_positive_integers() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert_eq!(parse_jobs("0"), Err("must be at least 1".to_string()));
-        assert_eq!(parse_jobs("x"), Err("must be a positive integer, got \"x\"".to_string()));
-        assert!(parse_jobs("-1").is_err());
-        assert!(parse_jobs("").is_err());
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! * [`cells`] — canonical cell constructors for the workloads several
 //!   experiments share (so their cache keys agree).
 //! * [`faultplan`] — deterministic fault injection for testing recovery.
+//! * [`cli`] — the one command-line grammar of `regen` and `regend`: an
+//!   in-order argument reader and the positive-integer rule for counts
+//!   and millisecond values.
 //! * [`attribution`] — successive-disable attribution (the stacked bars
 //!   of Figures 2 and 3).
 //! * [`micro`] — per-mitigation instruction microbenchmarks (Tables 3–8).
@@ -49,6 +52,7 @@ pub mod artifact;
 pub mod attribution;
 pub mod campaign;
 pub mod cells;
+pub mod cli;
 pub mod executor;
 pub mod experiments;
 pub mod faultplan;
@@ -70,7 +74,8 @@ pub use campaign::{
     CampaignJournal, ClusterCoordinate, Coordinate, FaultPoint, FaultTiming, Observation, Outcome,
     Report, SurvivalClass, CAMPAIGN_JOURNAL_HEADER,
 };
-pub use executor::{default_jobs, jobs_from_env, parse_jobs, Executor, DEFAULT_PANIC_BREAKER};
+pub use cli::{jobs_from_env, Arg, Args};
+pub use executor::{default_jobs, Executor, DEFAULT_PANIC_BREAKER};
 pub use faultplan::{FaultKind, FaultPlan, NetFaultKind, NetFaultPlan};
 pub use harness::{
     cell_value_json, classify_line, escape_json, fsck_journal, parse_cell_json, scan_journal_text,

@@ -13,14 +13,15 @@
 //! queue, prints the run's counters, and exits 0. Exit code 2 means
 //! bad usage.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
 
 use serve::{
     boot_shards, install_sigterm_hook, proxy_config, run_cluster_campaign, Server, ServerConfig,
     ClusterCampaignConfig,
 };
-use spectrebench::{atomic_write, jobs_from_env, parse_jobs, FaultPlan, FaultPoint, NetFaultPlan};
+use spectrebench::Arg::{Flag, Positional};
+use spectrebench::{atomic_write, jobs_from_env, Args, FaultPlan, FaultPoint, NetFaultPlan};
 
 fn usage(to_stdout: bool) {
     let text = "usage: regend [options]\n\
@@ -72,73 +73,40 @@ fn usage(to_stdout: bool) {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<(ServerConfig, Option<usize>), String> {
+/// What a `regend` command line asks for.
+enum Cmd {
+    Help,
+    /// Serve, booting `shards` in-process shards behind the proxy first.
+    Serve { cfg: Box<ServerConfig>, shards: Option<usize> },
+    /// `regend campaign`, with its report and baseline paths.
+    Campaign { cfg: ClusterCampaignConfig, report: Option<PathBuf>, check: Option<PathBuf> },
+}
+
+/// Parses the daemon's arguments.
+fn parse_args(args: &[String]) -> Result<Cmd, String> {
     let mut cfg = ServerConfig::default();
     let mut shards: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |flag: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--quick" => cfg.quick = true,
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --workers value: {v}"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-                cfg.workers = n;
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Flag("--help" | "-h") => return Ok(Cmd::Help),
+            Flag("--addr") => cfg.addr = args.value()?.to_string(),
+            Flag("--quick") => cfg.quick = true,
+            Flag("--workers") => cfg.workers = args.positive()?,
+            Flag("--queue") => cfg.queue_capacity = args.positive()?,
+            Flag("--jobs") => cfg.jobs = Some(args.positive()?),
+            Flag("--retries") => cfg.retries = Some(args.positive()?),
+            Flag("--deadline-ms") => cfg.default_deadline = Some(args.millis()?),
+            Flag("--idle-timeout-ms") => cfg.idle_timeout = args.millis()?,
+            Flag("--journal") => cfg.journal = Some(args.value()?.into()),
+            Flag("--inject") => {
+                let plan = FaultPlan::parse_spec(args.value()?);
+                cfg.inject = Some(plan.map_err(|e| format!("bad --inject: {e}"))?);
             }
-            "--queue" => {
-                let v = value("--queue")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --queue value: {v}"))?;
-                if n == 0 {
-                    return Err("--queue must be at least 1".to_string());
-                }
-                cfg.queue_capacity = n;
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                cfg.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
-            }
-            "--retries" => {
-                let v = value("--retries")?;
-                cfg.retries = Some(v.parse().map_err(|_| format!("bad --retries value: {v}"))?);
-            }
-            "--deadline-ms" => {
-                let v = value("--deadline-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --deadline-ms value: {v}"))?;
-                cfg.default_deadline = Some(Duration::from_millis(ms));
-            }
-            "--idle-timeout-ms" => {
-                let v = value("--idle-timeout-ms")?;
-                let ms: u64 =
-                    v.parse().map_err(|_| format!("bad --idle-timeout-ms value: {v}"))?;
-                if ms == 0 {
-                    return Err("--idle-timeout-ms must be at least 1".to_string());
-                }
-                cfg.idle_timeout = Duration::from_millis(ms);
-            }
-            "--journal" => cfg.journal = Some(value("--journal")?.into()),
-            "--inject" => {
-                let spec = value("--inject")?;
-                cfg.inject =
-                    Some(FaultPlan::parse_spec(&spec).map_err(|e| format!("bad --inject: {e}"))?);
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                shards = Some(n);
-            }
-            "--shard-addrs" => {
-                cfg.shard_addrs = value("--shard-addrs")?
+            Flag("--shards") => shards = Some(args.positive()?),
+            Flag("--shard-addrs") => {
+                cfg.shard_addrs = args
+                    .value()?
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
@@ -147,25 +115,14 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Option<usize>), String> 
                     return Err("--shard-addrs needs at least one address".to_string());
                 }
             }
-            "--net-inject" => {
-                let spec = value("--net-inject")?;
-                cfg.net_inject = Some(
-                    NetFaultPlan::parse_spec(&spec)
-                        .map_err(|e| format!("bad --net-inject: {e}"))?,
-                );
+            Flag("--net-inject") => {
+                let plan = NetFaultPlan::parse_spec(args.value()?);
+                cfg.net_inject = Some(plan.map_err(|e| format!("bad --net-inject: {e}"))?);
             }
-            "--probe-interval-ms" => {
-                let v = value("--probe-interval-ms")?;
-                let ms: u64 =
-                    v.parse().map_err(|_| format!("bad --probe-interval-ms value: {v}"))?;
-                if ms == 0 {
-                    return Err("--probe-interval-ms must be at least 1".to_string());
-                }
-                cfg.probe_interval = Duration::from_millis(ms);
-            }
-            other => return Err(format!("unknown flag: {other}")),
+            Flag("--probe-interval-ms") => cfg.probe_interval = args.millis()?,
+            Flag(other) => return Err(format!("unknown flag: {other}")),
+            Positional(other) => return Err(format!("unexpected argument: {other}")),
         }
-        i += 1;
     }
     if shards.is_some() && !cfg.shard_addrs.is_empty() {
         return Err("--shards and --shard-addrs are mutually exclusive".to_string());
@@ -175,59 +132,41 @@ fn parse_args(args: &[String]) -> Result<(ServerConfig, Option<usize>), String> 
     if cfg.jobs.is_none() {
         cfg.jobs = jobs_from_env()?;
     }
-    Ok((cfg, shards))
+    Ok(Cmd::Serve { cfg: Box::new(cfg), shards })
 }
 
-/// Parses and runs `regend campaign`: the serving-tier fault-space
-/// sweep. Exits 1 on silent corruption or baseline drift, 2 on usage.
-fn run_campaign_cmd(args: &[String]) -> ExitCode {
+/// Parses `regend campaign` arguments (everything after the subcommand
+/// word).
+fn parse_campaign_args(args: &[String]) -> Result<Cmd, String> {
     let mut cfg = ClusterCampaignConfig::default();
-    let mut report_path: Option<std::path::PathBuf> = None;
-    let mut check_path: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |flag: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--shards" => {
-                    let v = value("--shards")?;
-                    cfg.shards =
-                        v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                    if cfg.shards == 0 {
-                        return Err("--shards must be at least 1".to_string());
-                    }
-                }
-                "--full" => cfg.quick = false,
-                "--jobs" => {
-                    let v = value("--jobs")?;
-                    cfg.jobs = Some(parse_jobs(&v).map_err(|e| format!("--jobs {e}"))?);
-                }
-                "--report" => report_path = Some(value("--report")?.into()),
-                "--check" => check_path = Some(value("--check")?.into()),
-                other => return Err(format!("unknown campaign flag: {other}")),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = parsed {
-            eprintln!("regend campaign: {msg}");
-            return ExitCode::from(2);
+    let (mut report, mut check) = (None, None);
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            Flag("--help" | "-h") => return Ok(Cmd::Help),
+            Flag("--shards") => cfg.shards = args.positive()?,
+            Flag("--full") => cfg.quick = false,
+            Flag("--jobs") => cfg.jobs = Some(args.positive()?),
+            Flag("--report") => report = Some(args.value()?.into()),
+            Flag("--check") => check = Some(args.value()?.into()),
+            Flag(other) => return Err(format!("unknown campaign flag: {other}")),
+            Positional(other) => return Err(format!("unexpected argument: {other}")),
         }
-        i += 1;
     }
     if cfg.jobs.is_none() {
-        match jobs_from_env() {
-            Ok(n) => cfg.jobs = n,
-            Err(msg) => {
-                eprintln!("regend campaign: {msg}");
-                return ExitCode::from(2);
-            }
-        }
+        cfg.jobs = jobs_from_env()?;
     }
-    let report = match run_cluster_campaign(&cfg) {
+    Ok(Cmd::Campaign { cfg, report, check })
+}
+
+/// Runs `regend campaign`: the serving-tier fault-space sweep. Exits 1
+/// on silent corruption or baseline drift, 2 when it cannot run.
+fn run_campaign_cmd(
+    cfg: &ClusterCampaignConfig,
+    report_path: Option<&Path>,
+    check_path: Option<&Path>,
+) -> ExitCode {
+    let report = match run_cluster_campaign(cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("regend campaign: {e}");
@@ -236,7 +175,7 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
     };
     print!("{}", report.render_matrix());
     let json = report.to_json();
-    if let Some(path) = &report_path {
+    if let Some(path) = report_path {
         if let Err(e) = atomic_write(path, json.as_bytes()) {
             eprintln!("regend campaign: cannot write report: {e}");
             return ExitCode::from(2);
@@ -248,7 +187,7 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
         eprintln!("regend campaign: SILENT CORRUPTION at {} ({})", o.coord.id(), o.detail);
         failed = true;
     }
-    if let Some(path) = &check_path {
+    if let Some(path) = check_path {
         match std::fs::read(path) {
             Ok(baseline) if baseline == json.as_bytes() => {
                 eprintln!("regend campaign: matches baseline {}", path.display());
@@ -276,23 +215,31 @@ fn run_campaign_cmd(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage(true);
-        return ExitCode::SUCCESS;
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        return run_campaign_cmd(&args[1..]);
-    }
-    let (mut cfg, shards) = match parse_args(&args) {
-        Ok(parsed) => parsed,
+    let (what, parsed) = match args.first().map(String::as_str) {
+        Some("campaign") => ("regend campaign", parse_campaign_args(&args[1..])),
+        _ => ("regend", parse_args(&args)),
+    };
+    match parsed {
+        Ok(Cmd::Help) => {
+            usage(true);
+            ExitCode::SUCCESS
+        }
+        Ok(Cmd::Serve { cfg, shards }) => serve(*cfg, shards),
+        Ok(Cmd::Campaign { cfg, report, check }) => {
+            run_campaign_cmd(&cfg, report.as_deref(), check.as_deref())
+        }
         Err(msg) => {
-            eprintln!("regend: {msg}");
+            eprintln!("{what}: {msg}");
             eprintln!();
             usage(false);
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
+    }
+}
 
+/// Serves until SIGTERM or `POST /shutdown`, then prints the run's
+/// counters.
+fn serve(mut cfg: ServerConfig, shards: Option<usize>) -> ExitCode {
     // --shards N: boot the shard tier in-process, then serve as its
     // proxy. Each shard is a full regend server on its own ephemeral
     // port with its own executor and journal (<journal>-shard<i>).

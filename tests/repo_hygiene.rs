@@ -1,8 +1,8 @@
 //! Repository hygiene, checked by `cargo test`: no `pub fn` goes
-//! uncalled, and the crates layer one way (`serve` never reaches
-//! `bench`).
+//! uncalled, no binary hand-rolls its own flag-value checks, and the
+//! crates layer one way (`serve` never reaches `bench`).
 //!
-//! Both read the checkout's sources and manifests, so they need no
+//! They read the checkout's sources and manifests, so they need no
 //! tool beyond the test binary.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -98,6 +98,45 @@ fn no_pub_fn_goes_uncalled() {
     let path = Path::new(ROOT).join("crates/core/src/hygiene_probe.rs");
     sources.push((path, format!("/// A probe.\npub fn {probe}() {{}}\n").into_bytes()));
     assert_eq!(uncalled_pub_fns(&sources), [probe]);
+}
+
+/// The messages only `spectrebench::cli::Args` may spell: a binary that
+/// spells one checks flag values with a loop of its own.
+const READER_MESSAGES: [&str; 2] = ["needs a value", "must be at least 1"];
+
+/// The sources under `crates/*/src/bin/` that spell one of
+/// [`READER_MESSAGES`].
+fn hand_rolled_flag_checks(sources: &[(PathBuf, Vec<u8>)]) -> Vec<PathBuf> {
+    let crates = Path::new(ROOT).join("crates");
+    let in_bin = |path: &Path| {
+        let parts: Vec<_> = path.strip_prefix(&crates).into_iter().flat_map(Path::iter).collect();
+        parts.len() > 3 && parts[1] == "src" && parts[2] == "bin"
+    };
+    let spells = |text: &[u8]| {
+        READER_MESSAGES.iter().any(|m| text.windows(m.len()).any(|w| w == m.as_bytes()))
+    };
+    let found = sources.iter().filter(|(path, text)| in_bin(path) && spells(text));
+    found.map(|(path, _)| path.clone()).collect()
+}
+
+/// One command-line grammar: the binaries read their flags through
+/// `spectrebench::cli::Args`, so the value checks and their wording live
+/// there alone and a sixth hand-rolled argv loop cannot creep back.
+#[test]
+fn binaries_leave_flag_values_to_the_one_reader() {
+    let mut sources = workspace_sources();
+    assert!(sources.iter().any(|(path, _)| path.ends_with("crates/bench/src/bin/regen.rs")));
+    assert_eq!(hand_rolled_flag_checks(&sources), Vec::<PathBuf>::new());
+
+    // A probe binary with a check of its own is named; the same text
+    // outside `src/bin/` is not.
+    for (dir, named) in [("src/bin", true), ("src", false)] {
+        let path = Path::new(ROOT).join(format!("crates/serve/{dir}/probe.rs"));
+        let text = format!("fn main() {{ eprintln!(\"--queue {}\"); }}\n", READER_MESSAGES[1]);
+        sources.push((path.clone(), text.into_bytes()));
+        assert_eq!(hand_rolled_flag_checks(&sources), if named { vec![path] } else { vec![] });
+        sources.pop();
+    }
 }
 
 /// The `[section]` table of a manifest, as its keys (a dependency's key
