@@ -128,6 +128,7 @@ pub struct Metrics {
     connections_opened: u64,
     connections_closed: u64,
     keepalive_requests: u64,
+    keepalive_writes: u64,
     disconnects: u64,
     idle_timeouts: u64,
     pipeline_hist: Histogram,
@@ -184,6 +185,7 @@ impl Default for Metrics {
             connections_opened: 0,
             connections_closed: 0,
             keepalive_requests: 0,
+            keepalive_writes: 0,
             disconnects: 0,
             idle_timeouts: 0,
             pipeline_hist: Histogram::new(&PIPELINE_BUCKETS),
@@ -250,9 +252,10 @@ impl Metrics {
             EventKind::FlightCoalesced => self.coalesced += 1,
             EventKind::DeadlineExpired => self.deadlines_expired += 1,
             EventKind::ConnectionOpened => self.connections_opened += 1,
-            EventKind::ConnectionClosed { requests } => {
+            EventKind::ConnectionClosed { requests, writes } => {
                 self.connections_closed += 1;
                 self.keepalive_requests += requests;
+                self.keepalive_writes += writes;
             }
             EventKind::ClientDisconnected => self.disconnects += 1,
             EventKind::IdleTimeout => self.idle_timeouts += 1,
@@ -544,6 +547,12 @@ impl Metrics {
         );
         counter(
             &mut out,
+            "regend_keepalive_writes_total",
+            "Write calls that carried those responses.",
+            self.keepalive_writes,
+        );
+        counter(
+            &mut out,
             "regend_disconnects_total",
             "Peers that vanished mid-request or mid-response.",
             self.disconnects,
@@ -742,12 +751,13 @@ mod tests {
         bus.emit("regend", "/b", "", 0, EventKind::PipelineObserved { depth: 3 });
         bus.emit("regend", "", "", 0, EventKind::ClientDisconnected);
         bus.emit("regend", "", "", 0, EventKind::IdleTimeout);
-        bus.emit("regend", "", "", 0, EventKind::ConnectionClosed { requests: 5 });
-        bus.emit("regend", "", "", 0, EventKind::ConnectionClosed { requests: 2 });
+        bus.emit("regend", "", "", 0, EventKind::ConnectionClosed { requests: 5, writes: 2 });
+        bus.emit("regend", "", "", 0, EventKind::ConnectionClosed { requests: 2, writes: 2 });
         let text = prometheus_text(&bus.snapshot(), &HarnessStats::default());
         assert_eq!(metric_value(&text, "regend_keepalive_connections_total"), Some(2.0));
         assert_eq!(metric_value(&text, "regend_keepalive_closed_total"), Some(2.0));
         assert_eq!(metric_value(&text, "regend_keepalive_requests_total"), Some(7.0));
+        assert_eq!(metric_value(&text, "regend_keepalive_writes_total"), Some(4.0));
         assert_eq!(metric_value(&text, "regend_disconnects_total"), Some(1.0));
         assert_eq!(metric_value(&text, "regend_idle_timeouts_total"), Some(1.0));
         assert_eq!(metric_value(&text, "regend_pipeline_depth_count"), Some(2.0));

@@ -145,10 +145,13 @@ pub enum EventKind {
     /// (keep-alive: one connection now carries many requests).
     ConnectionOpened,
     /// A connection was closed (any reason); `requests` is how many
-    /// responses it carried — the keep-alive reuse factor.
+    /// responses it carried — the keep-alive reuse factor — and
+    /// `writes` how many write calls carried them.
     ConnectionClosed {
         /// Responses completed on this connection over its lifetime.
         requests: u64,
+        /// Write calls its flushes made over its lifetime.
+        writes: u64,
     },
     /// A peer vanished mid-request or mid-response (reset, or EOF with
     /// work still owed); its slot was freed immediately.

@@ -20,28 +20,39 @@
 //! The PR 5 server spent a TCP handshake and a dedicated thread on
 //! every request. Here one thread owns every socket through raw
 //! `epoll` syscalls ([`crate::sys`]); each connection is a small state
-//! machine — an incremental [`RequestParser`], an ordered queue of
-//! response *slots*, and a write cursor. Requests that only need a
-//! `HashMap` probe (rendered-cache hits, `/healthz`, `/metrics`) are
-//! answered on the loop thread, bodies written zero-copy from shared
-//! `Arc<[u8]>` buffers. Cold work is classified by [`Core::route`]
-//! into [`SlowWork`], admission-checked against the bounded dispatch
-//! queue (full ⇒ immediate 429 + `Retry-After`), and executed on the
-//! worker pool; completions come back over a mutex queue plus an
-//! `eventfd` wakeup, and are flushed strictly in request order so
-//! pipelined clients see HTTP/1.1 ordering.
+//! machine — an incremental [`RequestParser`] and an ordered queue of
+//! response *slots* that is also its write queue. Requests that only
+//! need a `HashMap` probe (rendered-cache hits, `/healthz`, `/metrics`)
+//! are answered on the loop thread. Cold work is classified by
+//! [`Core::route`] into [`SlowWork`], admission-checked against the
+//! bounded dispatch queue (full ⇒ immediate 429 + `Retry-After`), and
+//! executed on the worker pool; completions come back over a mutex
+//! queue plus an `eventfd` wakeup and fill their waiting slot in place.
+//!
+//! A ready slot holds its serialized head, its body (a shared
+//! `Arc<[u8]>` from the cache, never copied) and a byte cursor. A
+//! flush hands the unsent bytes of every leading ready slot to one
+//! vectored write (`writev(2)`) of up to `MAX_SLICES` (128) slices and
+//! advances the cursors by what the kernel accepted: a pipelined batch
+//! of cache hits costs one kernel crossing, not two per response.
+//! Slots flush strictly in request order, and a waiting slot ends the
+//! batch, so pipelined clients see HTTP/1.1 ordering.
 //!
 //! Hygiene: a connection that stops making progress — half a request
 //! then silence, or a reader that never drains its responses — is
-//! reaped at `idle_timeout` without touching any other connection; a
-//! peer that vanishes mid-response is counted in
-//! `regend_disconnects_total` and its slot freed immediately. Drain
-//! (SIGTERM, `POST /shutdown`, [`ServerHandle::drain`]) closes the
-//! listener, finishes every admitted request, flushes, and returns
-//! from [`Server::run`] with the run's counters.
+//! reaped at `idle_timeout` without touching any other connection. The
+//! loop stops reading a connection that owes `MAX_OWED` (256)
+//! responses, so a client that pipelines without reading stalls
+//! instead of growing the server, and it processes nothing pipelined
+//! after a request that closes the connection (RFC 9112 §9.6). A peer
+//! that vanishes mid-response is counted in `regend_disconnects_total`
+//! and its slots freed immediately. Drain (SIGTERM, `POST /shutdown`,
+//! [`ServerHandle::drain`]) closes the listener, finishes every
+//! admitted request, flushes, and returns from [`Server::run`] with the
+//! run's counters.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,6 +71,19 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 /// First connection token.
 const TOKEN_CONN0: u64 = 2;
+
+/// Responses one connection may owe before the loop stops reading it:
+/// above every pipeline depth this repo's clients use (perfbench
+/// pipelines 40, the memory soak 100), so only a client that pipelines
+/// without reading its responses ever reaches it. Such a client then
+/// stalls in both directions and is reaped at the idle timeout, instead
+/// of growing the server by every response it will never read.
+const MAX_OWED: usize = 256;
+
+/// Most slices one write call carries: a head and a shared body per
+/// response, so a 64-deep pipelined batch of cache hits leaves in one
+/// `writev(2)`. The kernel's limit (`IOV_MAX`) is 1024.
+const MAX_SLICES: usize = 128;
 
 // SIGTERM handling without a libc crate: libc itself is always linked
 // on the targets std supports, so declaring `signal` suffices. The
@@ -145,47 +169,57 @@ struct SlotMeta {
 }
 
 /// One response slot: pipelined requests each get a slot in arrival
-/// order, and slots flush strictly in that order.
-enum Slot {
-    /// Dispatched to the worker pool; the response is on its way.
-    Waiting(SlotMeta),
-    /// Response known, waiting its turn on the wire.
-    Ready(SlotMeta, Response),
+/// order. The queue of slots is also the write queue: a flush writes
+/// the leading ready slots strictly in that order.
+struct Slot {
+    meta: SlotMeta,
+    /// The response, serialized for the wire; `None` while the request
+    /// waits on the worker pool.
+    wire: Option<Wire>,
 }
 
 impl Slot {
-    fn meta(&self) -> &SlotMeta {
-        match self {
-            Slot::Waiting(m) | Slot::Ready(m, _) => m,
-        }
+    fn ready(meta: SlotMeta, response: Response) -> Slot {
+        let wire = Wire::new(response, meta.keep_alive);
+        Slot { meta, wire: Some(wire) }
     }
 }
 
-/// The response currently being written: serialized head (plus any
-/// owned body), then an optional shared body written zero-copy.
-struct Writing {
-    meta: SlotMeta,
+/// A response serialized for the wire: its head (with an owned body
+/// appended), then a shared body written zero-copy from the cache's
+/// buffer. `sent` counts the bytes of both the kernel has accepted.
+struct Wire {
     status: u16,
     head: Vec<u8>,
-    pos: usize,
     body: Option<Arc<[u8]>>,
-    body_pos: usize,
+    sent: usize,
 }
 
-fn start_writing(meta: SlotMeta, response: Response) -> Writing {
-    let status = response.status;
-    let head = {
-        let mut head = response.render_head(meta.keep_alive);
-        if let Body::Text(s) = &response.body {
-            head.extend_from_slice(s.as_bytes());
+impl Wire {
+    fn new(response: Response, keep_alive: bool) -> Wire {
+        let mut head = response.render_head(keep_alive);
+        let body = match response.body {
+            Body::Text(s) => {
+                head.extend_from_slice(s.as_bytes());
+                None
+            }
+            Body::Shared(b) => Some(b),
+        };
+        Wire { status: response.status, head, body, sent: 0 }
+    }
+
+    /// The bytes the kernel has not accepted yet, in wire order.
+    fn unsent(&self) -> [&[u8]; 2] {
+        let body = self.body.as_deref().unwrap_or_default();
+        match self.sent.checked_sub(self.head.len()) {
+            None => [&self.head[self.sent..], body],
+            Some(into_body) => [&[], &body[into_body..]],
         }
-        head
-    };
-    let body = match response.body {
-        Body::Text(_) => None,
-        Body::Shared(b) => Some(b),
-    };
-    Writing { meta, status, head, pos: 0, body, body_pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.head.len() + self.body.as_ref().map_or(0, |b| b.len()) - self.sent
+    }
 }
 
 /// Why a connection is being closed (decides the hygiene counters).
@@ -205,10 +239,11 @@ struct Conn {
     fd: i32,
     parser: RequestParser,
     slots: VecDeque<Slot>,
-    writing: Option<Writing>,
     next_slot: u64,
     /// Responses completed on this connection.
     requests: u64,
+    /// Write calls its flushes made.
+    writes: u64,
     last_activity: Instant,
     close_after_flush: bool,
     /// Peer half-closed its sending side (we may still owe responses).
@@ -226,9 +261,9 @@ impl Conn {
             fd,
             parser: RequestParser::new(),
             slots: VecDeque::new(),
-            writing: None,
             next_slot: 0,
             requests: 0,
+            writes: 0,
             last_activity: Instant::now(),
             close_after_flush: false,
             peer_eof: false,
@@ -238,17 +273,27 @@ impl Conn {
     }
 
     fn has_waiting(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, Slot::Waiting(_)))
+        self.slots.iter().any(|s| s.wire.is_none())
     }
 
     fn write_pending(&self) -> bool {
-        self.writing.is_some() || matches!(self.slots.front(), Some(Slot::Ready(..)))
+        self.slots.front().is_some_and(|s| s.wire.is_some())
+    }
+
+    /// Whether the loop reads this connection: not after a parse error,
+    /// a closing request or the peer's EOF, and not while it owes
+    /// [`MAX_OWED`] responses.
+    fn reading(&self) -> bool {
+        !self.stop_reading
+            && !self.close_after_flush
+            && !self.peer_eof
+            && self.slots.len() < MAX_OWED
     }
 
     /// Once everything owed is flushed, should this connection close —
     /// and how should the close be classified?
     fn finished(&self) -> Option<CloseReason> {
-        if self.writing.is_some() || !self.slots.is_empty() {
+        if !self.slots.is_empty() {
             return None;
         }
         if self.close_after_flush {
@@ -531,7 +576,7 @@ impl EventLoop<'_> {
             mark_dead(conn);
             return;
         }
-        if bits & (EPOLLIN | EPOLLRDHUP) != 0 && !conn.stop_reading && !conn.close_after_flush {
+        if bits & (EPOLLIN | EPOLLRDHUP) != 0 && conn.reading() {
             read_ready(core, dispatch, jobs_in_flight, id, conn);
         }
         if conn.write_pending() {
@@ -552,14 +597,9 @@ impl EventLoop<'_> {
                 // accounted at close time.
                 continue;
             };
-            let pos = conn
-                .slots
-                .iter()
-                .position(|s| s.meta().id == c.slot && matches!(s, Slot::Waiting(_)));
-            if let Some(pos) = pos {
-                if let Some(Slot::Waiting(meta)) = conn.slots.remove(pos) {
-                    conn.slots.insert(pos, Slot::Ready(meta, c.response));
-                }
+            let waiting = conn.slots.iter_mut().find(|s| s.meta.id == c.slot && s.wire.is_none());
+            if let Some(slot) = waiting {
+                slot.wire = Some(Wire::new(c.response, slot.meta.keep_alive));
             }
             conn.last_activity = Instant::now();
             if let FlushOutcome::Dead = try_flush(self.core, conn) {
@@ -583,9 +623,12 @@ impl EventLoop<'_> {
             self.close_conn(id, reason);
             return;
         }
-        let mut want = EPOLLRDHUP;
-        if !conn.stop_reading && !conn.close_after_flush && !conn.peer_eof {
-            want |= EPOLLIN;
+        let mut want = 0;
+        if conn.reading() {
+            // EPOLLRDHUP stays raised once the peer half-closes, so
+            // registered while the loop does not read it would wake
+            // every wait until the connection closes.
+            want |= EPOLLIN | EPOLLRDHUP;
         }
         if conn.write_pending() {
             want |= EPOLLOUT;
@@ -605,13 +648,8 @@ impl EventLoop<'_> {
     fn close_conn(&mut self, id: u64, reason: CloseReason) {
         let Some(conn) = self.conns.remove(&id) else { return };
         let _ = self.epoll.delete(conn.fd);
-        let unanswered = conn
-            .writing
-            .iter()
-            .map(|w| &w.meta)
-            .chain(conn.slots.iter().map(|s| s.meta()));
-        for meta in unanswered {
-            finish(self.core, meta, 499);
+        for slot in &conn.slots {
+            finish(self.core, &slot.meta, 499);
         }
         match reason {
             CloseReason::Normal => {}
@@ -622,9 +660,8 @@ impl EventLoop<'_> {
                 self.core.bus.emit("regend", "", "", 0, EventKind::IdleTimeout);
             }
         }
-        self.core
-            .bus
-            .emit("regend", "", "", 0, EventKind::ConnectionClosed { requests: conn.requests });
+        let (requests, writes) = (conn.requests, conn.writes);
+        self.core.bus.emit("regend", "", "", 0, EventKind::ConnectionClosed { requests, writes });
     }
 
     /// Reaps connections that stopped making progress. A connection
@@ -695,6 +732,11 @@ fn read_ready(
                     match conn.parser.next_request() {
                         Ok(Some(request)) => {
                             handle_request(core, dispatch, jobs_in_flight, conn_id, conn, request);
+                            if conn.close_after_flush {
+                                // RFC 9112 §9.6: nothing after a request
+                                // that closes the connection is processed.
+                                return;
+                            }
                         }
                         Ok(None) => break,
                         Err(HttpError::Malformed(m)) => {
@@ -703,10 +745,7 @@ fn read_ready(
                         }
                     }
                 }
-                if conn.stop_reading || conn.close_after_flush {
-                    return;
-                }
-                if n < buf.len() {
+                if n < buf.len() || !conn.reading() {
                     break;
                 }
             }
@@ -725,8 +764,7 @@ fn read_ready(
 fn reject_malformed(core: &Core, dispatch: &Dispatch, conn: &mut Conn, message: &str) {
     admit(core, dispatch.depth());
     let meta = new_slot_meta(conn, "error", String::new(), false, true);
-    conn.slots
-        .push_back(Slot::Ready(meta, Response::text(400, format!("regend: {message}\n"))));
+    conn.slots.push_back(Slot::ready(meta, Response::text(400, format!("regend: {message}\n"))));
     conn.stop_reading = true;
     conn.close_after_flush = true;
 }
@@ -759,16 +797,14 @@ fn handle_request(
     request: Request,
 ) {
     let arrived = Instant::now();
-    let depth = conn.slots.len() + usize::from(conn.writing.is_some()) + 1;
+    let depth = conn.slots.len() + 1;
     core.bus.emit("regend", &request.path, "", 0, EventKind::PipelineObserved { depth });
 
     if core.is_draining() {
         admit(core, dispatch.depth());
         let meta = new_slot_meta(conn, "error", request.path.clone(), false, true);
-        conn.slots.push_back(Slot::Ready(
-            meta,
-            Response::text(503, "regend: draining, connection closing\n"),
-        ));
+        let response = Response::text(503, "regend: draining, connection closing\n");
+        conn.slots.push_back(Slot::ready(meta, response));
         conn.close_after_flush = true;
         return;
     }
@@ -791,7 +827,7 @@ fn handle_request(
             } else {
                 response
             };
-            conn.slots.push_back(Slot::Ready(meta, response));
+            conn.slots.push_back(Slot::ready(meta, response));
             if !keep_alive {
                 conn.close_after_flush = true;
             }
@@ -800,7 +836,7 @@ fn handle_request(
             core.draining.store(true, Ordering::SeqCst);
             admit(core, dispatch.depth());
             let meta = new_slot_meta(conn, endpoint, request.path.clone(), false, true);
-            conn.slots.push_back(Slot::Ready(meta, response));
+            conn.slots.push_back(Slot::ready(meta, response));
             conn.close_after_flush = true;
         }
         Action::Slow(work) => {
@@ -809,11 +845,10 @@ fn handle_request(
                 core.bus.emit("regend", "", "", 0, EventKind::RequestRejected);
                 let meta =
                     new_slot_meta(conn, endpoint, request.path.clone(), keep_alive, false);
-                conn.slots.push_back(Slot::Ready(
-                    meta,
+                let response =
                     Response::text(429, "regend: admission queue full, retry shortly\n")
-                        .with_header("Retry-After", "1"),
-                ));
+                        .with_header("Retry-After", "1");
+                conn.slots.push_back(Slot::ready(meta, response));
                 if !keep_alive {
                     conn.close_after_flush = true;
                 }
@@ -829,7 +864,7 @@ fn handle_request(
                 arrived,
                 deadline,
             };
-            conn.slots.push_back(Slot::Waiting(meta));
+            conn.slots.push_back(Slot { meta, wire: None });
             *jobs_in_flight += 1;
             dispatch.push(job);
             if !keep_alive {
@@ -839,59 +874,47 @@ fn handle_request(
     }
 }
 
-/// Pushes response bytes: the front Ready slot's serialized head, then
-/// its shared body zero-copy, strictly in slot order. Stops at
+/// Pushes response bytes: the unsent bytes of every leading ready slot,
+/// strictly in slot order, in one vectored write per call (`writev(2)`,
+/// each head beside its shared body, zero-copy). A waiting slot ends the
+/// batch. Each slot's cursor advances by what the kernel accepted, and a
+/// response completes when its last byte is accepted. Stops at
 /// `WouldBlock` (EPOLLOUT takes over) or a dead peer.
 fn try_flush(core: &Core, conn: &mut Conn) -> FlushOutcome {
     loop {
-        if conn.writing.is_none() {
-            match conn.slots.front() {
-                Some(Slot::Ready(..)) => {
-                    let Some(Slot::Ready(meta, response)) = conn.slots.pop_front() else {
-                        unreachable!()
-                    };
-                    conn.writing = Some(start_writing(meta, response));
-                }
-                _ => return FlushOutcome::Progress,
-            }
+        let mut slices = [IoSlice::new(&[]); MAX_SLICES];
+        let mut n = 0;
+        let ready = conn.slots.iter().map_while(|s| s.wire.as_ref());
+        for part in ready.flat_map(Wire::unsent).filter(|p| !p.is_empty()).take(MAX_SLICES) {
+            slices[n] = IoSlice::new(part);
+            n += 1;
         }
-        let Some(w) = conn.writing.as_mut() else { return FlushOutcome::Progress };
-        while w.pos < w.head.len() {
-            match (&conn.stream).write(&w.head[w.pos..]) {
-                Ok(0) => return FlushOutcome::Dead,
-                Ok(n) => {
-                    w.pos += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return FlushOutcome::Progress
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return FlushOutcome::Dead,
-            }
-        }
-        if let Some(body) = &w.body {
-            while w.body_pos < body.len() {
-                match (&conn.stream).write(&body[w.body_pos..]) {
-                    Ok(0) => return FlushOutcome::Dead,
-                    Ok(n) => {
-                        w.body_pos += n;
-                        conn.last_activity = Instant::now();
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        return FlushOutcome::Progress
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return FlushOutcome::Dead,
-                }
-            }
-        }
-        let w = conn.writing.take().unwrap_or_else(|| unreachable!());
-        conn.requests += 1;
-        finish(core, &w.meta, w.status);
-        if !w.meta.keep_alive {
-            conn.close_after_flush = true;
+        if n == 0 {
             return FlushOutcome::Progress;
+        }
+        conn.writes += 1;
+        // `writev` has no `MSG_NOSIGNAL`, but a Rust binary ignores
+        // SIGPIPE from before `main`, so a reset peer reads as EPIPE.
+        let mut accepted = match (&conn.stream).write_vectored(&slices[..n]) {
+            Ok(0) => return FlushOutcome::Dead,
+            Ok(k) => k,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return FlushOutcome::Progress,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return FlushOutcome::Dead,
+        };
+        conn.last_activity = Instant::now();
+        while accepted > 0 {
+            let Some(Slot { meta, wire: Some(wire) }) = conn.slots.front_mut() else {
+                unreachable!("the kernel accepted only bytes of leading ready slots")
+            };
+            let taken = accepted.min(wire.remaining());
+            wire.sent += taken;
+            accepted -= taken;
+            if wire.remaining() == 0 {
+                conn.requests += 1;
+                finish(core, meta, wire.status);
+                conn.slots.pop_front();
+            }
         }
     }
 }

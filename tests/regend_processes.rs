@@ -10,6 +10,8 @@
 //! (`cargo test --release --test regend_processes`); the rest is
 //! tier-1.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -122,6 +124,84 @@ fn spawned_regend_rss_stays_flat_over_a_hundred_thousand_cached_reads() {
     assert_eq!(conn.sockets_opened(), 1, "one keep-alive socket carried every read");
     let (first, last) = (readings[0], readings[readings.len() - 1]);
     assert!(last <= first + 1024, "VmRSS grew by more than 1 MiB (kB): {readings:?}");
+    let (status, log) = regend.terminate();
+    assert!(status.success(), "{status}:\n{log}");
+}
+
+/// A client that pipelines without reading cannot grow `regend`: once
+/// a connection owes 256 responses the loop stops reading it, so the
+/// flood stalls in both directions and is reaped at `--idle-timeout-ms`.
+/// 200,000 pipelined `GET /healthz` (6.8 MB) on one socket that never
+/// reads move the daemon's peak resident memory (`VmHWM`) by less than
+/// 4 MiB, a fresh connection is answered during the flood, and the
+/// stall counts as an idle timeout.
+#[test]
+fn a_client_that_pipelines_without_reading_stalls_instead_of_growing_regend() {
+    let regend = Daemon::spawn(&["--quick", "--idle-timeout-ms", "500"]);
+    let status_path = format!("/proc/{}/status", regend.pid());
+    let peak_kb = || {
+        let status = std::fs::read_to_string(&status_path).expect("read /proc/<pid>/status");
+        let line = status.lines().find(|l| l.starts_with("VmHWM:")).expect("VmHWM line");
+        line.split_whitespace().nth(1).and_then(|kb| kb.parse::<u64>().ok()).expect("kB")
+    };
+    let before = peak_kb();
+
+    let mut flood = TcpStream::connect(regend.addr()).expect("connect");
+    flood.set_write_timeout(Some(Duration::from_secs(10))).expect("write timeout");
+    let flooder = std::thread::spawn(move || {
+        // Ends in an error once regend reaps the stalled connection, or
+        // at the write timeout; either way the socket is handed back
+        // open, so the reap, not a reset, closes it.
+        let _ = flood.write_all(&b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(200_000));
+        flood
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(get(&regend.base, "/healthz").status, 200, "answered during the flood");
+    let idle =
+        await_metric(&regend.base, "regend_idle_timeouts_total", 1.0, Duration::from_secs(30));
+    assert!(idle >= 1.0, "the stalled flood was never reaped");
+    let flood = flooder.join().expect("flooder");
+    let grown = peak_kb().saturating_sub(before);
+    assert!(grown < 4096, "VmHWM grew by {grown} kB");
+    drop(flood);
+    let (status, log) = regend.terminate();
+    assert!(status.success(), "{status}:\n{log}");
+}
+
+/// A client that half-closes after its request, as `nc -N` does, costs
+/// the event loop nothing while its slow request computes: the loop
+/// watches for the peer's EOF only while it reads. Registered after
+/// that, the raised `EPOLLRDHUP` woke every `epoll_wait`, and the loop
+/// thread spun for the whole computation.
+#[test]
+fn a_half_closed_client_owed_slow_work_does_not_spin_the_loop() {
+    use std::io::Read;
+
+    let regend = Daemon::spawn(&["--quick", "--workers", "1"]);
+    // The loop runs on regend's main thread, whose task id is its pid.
+    let stat = format!("/proc/{0}/task/{0}/stat", regend.pid());
+    let loop_ticks = || {
+        let stat = std::fs::read_to_string(&stat).expect("read the loop thread's stat");
+        let fields: Vec<&str> =
+            stat.rsplit(')').next().unwrap_or_default().split_whitespace().collect();
+        // utime and stime are fields 14 and 15; the slice starts at field 3.
+        let ticks = |i: usize| fields[i].parse::<u64>().expect("clock ticks");
+        ticks(11) + ticks(12)
+    };
+    let before = loop_ticks();
+    let start = std::time::Instant::now();
+    let mut client = TcpStream::connect(regend.addr()).expect("connect");
+    let request = b"GET /results HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+    client.write_all(request).expect("request");
+    client.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut reply = Vec::new();
+    client.read_to_end(&mut reply).expect("read to EOF");
+    let waited = start.elapsed();
+    let spent = loop_ticks() - before;
+    assert!(reply.starts_with(b"HTTP/1.1 200 OK\r\n"), "{}", String::from_utf8_lossy(&reply));
+    // Clock ticks are 10 ms: a quarter of the wait is a quarter of a core.
+    let quarter = waited.as_millis() as u64 / 40;
+    assert!(spent <= quarter + 2, "the loop spent {spent} tick(s) over a {waited:?} wait");
     let (status, log) = regend.terminate();
     assert!(status.success(), "{status}:\n{log}");
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bench::{Artifact, RegenOptions};
-use serve::client::{http_get, Connection};
+use serve::client::{http_get, parse_response, Connection, HttpResponse};
 use serve::ServerConfig;
 use spectrebench::{FaultKind, FaultPlan};
 
@@ -564,4 +564,193 @@ fn shutdown_drains_and_stops_accepting() {
         Duration::from_secs(2),
     );
     assert!(refused.is_err(), "post-drain connections are refused");
+}
+
+/// Reads `count` pipelined responses off `stream` 4 KiB at a time,
+/// splitting them by their `Content-Length`.
+fn read_responses(stream: &mut std::net::TcpStream, count: usize) -> Vec<HttpResponse> {
+    use std::io::Read;
+    let (mut raw, mut chunk, mut responses) = (Vec::new(), [0u8; 4096], Vec::new());
+    while responses.len() < count {
+        if let Ok(r) = parse_response(&raw) {
+            let head = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("a parsed head");
+            raw.drain(..head + 4 + r.body.len());
+            responses.push(r);
+            continue;
+        }
+        let n = stream.read(&mut chunk).expect("read a response chunk");
+        assert!(n > 0, "EOF after {} of {count} response(s)", responses.len());
+        raw.extend_from_slice(&chunk[..n]);
+    }
+    assert!(raw.is_empty(), "{} byte(s) past the last response", raw.len());
+    responses
+}
+
+/// Scrapes `/metrics` over `scraper`, a held-open keep-alive socket that
+/// closes no connection itself, until every other connection's close has
+/// been counted.
+fn settled_metrics(scraper: &mut Connection) -> String {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let text = scraper.get("/metrics").expect("scrape").text();
+        let open = metric(&text, "regend_keepalive_connections_total")
+            - metric(&text, "regend_keepalive_closed_total");
+        if open == 1.0 {
+            return text;
+        }
+        assert!(std::time::Instant::now() < deadline, "{open} connection(s) never closed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// One write call carries a whole pipelined batch: 40 cached reads sent
+/// in one write come back byte-identical, and the connection's close adds
+/// 40 to `regend_keepalive_requests_total` and at most 4 to
+/// `regend_keepalive_writes_total` (a write per head and per body would
+/// be 80).
+#[test]
+fn a_pipelined_batch_of_cache_hits_leaves_in_a_few_write_calls() {
+    let (base, handle, join) = boot(ServerConfig {
+        quick: true,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let expect = get(&base, "/artifact/table2");
+    assert_eq!(expect.status, 200, "warm the cache");
+    let mut scraper = Connection::to_url(&base, Duration::from_secs(30)).expect("url");
+    let before = settled_metrics(&mut scraper);
+
+    let mut conn = Connection::to_url(&base, Duration::from_secs(30)).expect("url");
+    let responses = conn.pipeline(&["/artifact/table2"; 40]).expect("pipelined burst");
+    assert_eq!(responses.len(), 40);
+    for r in &responses {
+        assert_eq!((r.status, &r.body), (200, &expect.body));
+    }
+    assert_eq!(conn.sockets_opened(), 1);
+    drop(conn);
+
+    let after = settled_metrics(&mut scraper);
+    let delta = |name: &str| metric(&after, name) - metric(&before, name);
+    assert_eq!(delta("regend_keepalive_requests_total"), 40.0);
+    let writes = delta("regend_keepalive_writes_total");
+    assert!((1.0..=4.0).contains(&writes), "{writes} write call(s) for 40 responses");
+
+    handle.drain();
+    join.join().expect("server thread");
+}
+
+/// RFC 9112 §9.6: no request after one that closes the connection is
+/// processed. A `Connection: close` GET, then a pipelined `POST
+/// /shutdown` and a GET, get exactly one response and EOF, and the
+/// server is not draining.
+#[test]
+fn nothing_pipelined_after_a_closing_request_is_processed() {
+    use std::io::{Read, Write};
+
+    let (base, handle, join) = boot(ServerConfig {
+        quick: true,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = base.strip_prefix("http://").expect("base url");
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    s.write_all(
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n\
+          POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n\
+          GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    )
+    .expect("pipelined requests");
+    let mut reply = Vec::new();
+    s.read_to_end(&mut reply).expect("read to EOF");
+    let reply = String::from_utf8(reply).expect("UTF-8");
+    assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "{reply}");
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+    assert!(reply.contains("\r\nConnection: close\r\n"), "{reply}");
+
+    assert!(!handle.is_draining(), "the pipelined POST /shutdown was processed");
+    let health = get(&base, "/healthz");
+    assert!(health.text().contains("\"status\":\"ok\""), "{}", health.text());
+
+    handle.drain();
+    join.join().expect("server thread");
+}
+
+/// The vectored flush under pressure. One connection pipelines 500 quick
+/// reads, mostly `/results` with cached artifacts between them (about
+/// 6 MB of responses, more than a loopback connection buffers under
+/// Linux's default `tcp_wmem` limit of 4 MiB, so flushes stop partway
+/// through a response), and one cold artifact's slow read in the
+/// middle, so a flush also stops at a waiting slot. It reads them back
+/// 4 KiB at a time after a pause: every response is a 200 with the
+/// serial sweep's bytes, in request order. A second connection pipelines
+/// 400 `/results`, reads part of the first response and drops with unread
+/// data, so the kernel resets it mid-flush: the loop counts one
+/// disconnect, answers each of the 400 exactly once, as a 200 if its
+/// last byte was written and as a 499 if not, and keeps serving.
+#[test]
+fn the_flush_survives_partial_writes_a_waiting_slot_and_a_reset() {
+    use std::io::{Read, Write};
+
+    let expect = serial_blocks(&Artifact::ALL, true, RegenOptions::default());
+    let results = expect.concat();
+    let cold = serial_blocks(&[Artifact::Table9], false, RegenOptions::default()).remove(0);
+    let (base, handle, join) = boot(ServerConfig {
+        quick: true,
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    assert_eq!(get(&base, "/results").text(), results, "warms every artifact");
+    let addr = base.strip_prefix("http://").expect("base url").to_string();
+
+    // Request i reads /results, unless i is a multiple of 10 (an
+    // artifact) or the middle (full-mode table9, computed on a worker).
+    let burst: Vec<(String, &str)> = (0..500)
+        .map(|i| match i {
+            250 => ("/artifact/table9?quick=0".to_string(), cold.as_str()),
+            i if i % 10 == 0 => {
+                let a = (i / 10) % Artifact::ALL.len();
+                (format!("/artifact/{}", Artifact::ALL[a].name()), expect[a].as_str())
+            }
+            _ => ("/results".to_string(), results.as_str()),
+        })
+        .collect();
+    let wire: String =
+        burst.iter().map(|(path, _)| format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n")).collect();
+    let mut one = std::net::TcpStream::connect(&addr).expect("connect");
+    one.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    one.write_all(wire.as_bytes()).expect("pipelined burst");
+    std::thread::sleep(Duration::from_millis(300));
+    let responses = read_responses(&mut one, burst.len());
+    let bytes: usize = responses.iter().map(|r| r.body.len()).sum();
+    assert!(bytes > 5_000_000, "only {bytes} byte(s) of bodies");
+    for (i, (r, (path, body))) in responses.iter().zip(&burst).enumerate() {
+        assert_eq!(r.status, 200, "response {i} ({path})");
+        assert!(r.body == body.as_bytes(), "response {i} ({path}) differs from the serial sweep");
+    }
+    drop(one);
+
+    let mut scraper = Connection::to_url(&base, Duration::from_secs(30)).expect("url");
+    let before = settled_metrics(&mut scraper);
+    {
+        let mut doomed = std::net::TcpStream::connect(&addr).expect("connect");
+        doomed.write_all(&b"GET /results HTTP/1.1\r\nHost: x\r\n\r\n".repeat(400)).expect("burst");
+        let mut part = [0u8; 1000];
+        doomed.read_exact(&mut part).expect("part of the first response");
+        assert!(part.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        // Drop with unread data: the kernel resets the connection.
+    }
+    let after = settled_metrics(&mut scraper);
+    let delta = |name: &str| metric(&after, name) - metric(&before, name);
+    let written = delta("regend_responses_total{endpoint=\"results\",status=\"200\"}");
+    let unwritten = delta("regend_responses_total{endpoint=\"results\",status=\"499\"}");
+    assert_eq!(delta("regend_disconnects_total"), 1.0);
+    assert_eq!(written + unwritten, 400.0, "{written} written, {unwritten} unwritten");
+    assert!(unwritten >= 1.0, "the reset came after every response was written");
+    assert_eq!(delta("regend_keepalive_requests_total"), written);
+
+    assert_eq!(get(&base, "/healthz").status, 200);
+    assert_eq!(get(&base, "/results").text(), results);
+    handle.drain();
+    join.join().expect("server thread");
 }
