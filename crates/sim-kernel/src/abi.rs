@@ -85,4 +85,6 @@ pub mod err {
     pub const EINVAL: u64 = u64::MAX - 21; // -22
     /// Out of memory / address space.
     pub const ENOMEM: u64 = u64::MAX - 11; // -12
+    /// File too large (past [`crate::resources::MAX_FILE_SIZE`]).
+    pub const EFBIG: u64 = u64::MAX - 26; // -27
 }

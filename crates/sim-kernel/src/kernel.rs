@@ -8,7 +8,7 @@
 //! at the CPU model's calibrated latencies — in `KernelState::switch_to`.
 
 use uarch::fault::{Fault, PageFaultKind, SimError};
-use uarch::isa::{msr_index, spec_ctrl, Reg, Width};
+use uarch::isa::{msr_index, spec_ctrl, Reg};
 use uarch::machine::{Env, Machine, Stop};
 use uarch::mem::{PAGE_SHIFT, PAGE_SIZE};
 use uarch::mmu::{make_cr3, PageTable, PageTableId, Pte};
@@ -133,12 +133,16 @@ impl Kernel {
             capture_body_r0: false,
         };
         // Allocate kernel data frames and plant recognizable contents
-        // (the "kernel secrets" attacks try to read).
+        // (the "kernel secrets" attacks try to read): word `i` of the area
+        // holds `0x4b44_0000_0000 + i`, written a frame at a time.
         state.kdata_frame = state.alloc_frames(layout::KERNEL_DATA_PAGES);
-        for i in 0..layout::KERNEL_DATA_PAGES * PAGE_SIZE / 8 {
-            machine
-                .mem
-                .write_u64((state.kdata_frame << PAGE_SHIFT) + i * 8, 0x4b44_0000_0000 + i);
+        let mut frame = [0u8; PAGE_SIZE as usize];
+        for page in 0..layout::KERNEL_DATA_PAGES {
+            for (j, word) in frame.chunks_exact_mut(8).enumerate() {
+                let i = page * PAGE_SIZE / 8 + j as u64;
+                word.copy_from_slice(&(0x4b44_0000_0000 + i).to_le_bytes());
+            }
+            machine.mem.write_frame(state.kdata_frame + page, &frame);
         }
         // If eIBRS is in use, it is enabled once at boot.
         if state.config.spectre_v2 == crate::mitigation::SpectreV2Mode::Eibrs {
@@ -521,57 +525,59 @@ impl KernelState {
     }
 
     /// Reads `len` bytes from the current address space, demand-mapping
-    /// lazily mmapped pages as needed. Returns fewer bytes on a bad range.
+    /// lazily mmapped pages as needed. Returns fewer bytes at the top of
+    /// the address space or at the first page it cannot map.
     fn copy_from_user(&mut self, m: &mut Machine, buf: u64, len: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len as usize);
-        let mut addr = buf;
-        let end = buf + len;
-        while addr < end {
-            let chunk = (end - addr).min(8 - (addr & 7));
-            let width = width_for(chunk);
-            match m.read_virt(addr, width) {
-                Ok(v) => {
-                    out.extend_from_slice(&v.to_le_bytes()[..width.bytes() as usize]);
-                    addr += width.bytes();
-                }
-                Err(Fault::Page { vaddr, kind: PageFaultKind::NotMapped, .. })
-                    if self.demand_map(m, vaddr) =>
-                {
-                    continue;
-                }
-                Err(_) => break,
+        let mut out = Vec::new();
+        while let Err(fault) =
+            m.read_virt_bytes(buf.wrapping_add(out.len() as u64), len - out.len() as u64, &mut out)
+        {
+            if !self.mapped_after(m, fault) {
+                break;
             }
         }
         self.bytes_copied += out.len() as u64;
         out
     }
 
-    /// Writes bytes into the current address space (demand-mapping).
+    /// Writes bytes into the current address space (demand-mapping);
+    /// returns how many it wrote, stopping where [`Self::copy_from_user`]
+    /// would.
     fn copy_to_user(&mut self, m: &mut Machine, buf: u64, data: &[u8]) -> u64 {
-        let mut addr = buf;
-        let mut i = 0usize;
-        while i < data.len() {
-            let chunk = (data.len() - i).min(8 - (addr & 7) as usize);
-            let width = width_for(chunk as u64);
-            let mut bytes = [0u8; 8];
-            bytes[..width.bytes() as usize]
-                .copy_from_slice(&data[i..i + width.bytes() as usize]);
-            let v = u64::from_le_bytes(bytes);
-            match m.write_virt(addr, v, width) {
-                Ok(()) => {
-                    addr += width.bytes();
-                    i += width.bytes() as usize;
-                }
-                Err(Fault::Page { vaddr, kind: PageFaultKind::NotMapped, .. })
-                    if self.demand_map(m, vaddr) =>
-                {
-                    continue;
-                }
-                Err(_) => break,
+        let mut done = 0;
+        loop {
+            let (n, result) = m.write_virt_bytes(buf.wrapping_add(done as u64), &data[done..]);
+            done += n;
+            match result {
+                Err(fault) if self.mapped_after(m, fault) => {}
+                _ => break,
             }
         }
-        self.bytes_copied += i as u64;
-        i as u64
+        self.bytes_copied += done as u64;
+        done as u64
+    }
+
+    /// Whether a user copy that stopped at `fault` may resume: the fault
+    /// is a page the current process has not touched yet in one of its
+    /// mmap regions, and [`Self::demand_map`] has now mapped it.
+    fn mapped_after(&mut self, m: &mut Machine, fault: Fault) -> bool {
+        match fault {
+            Fault::Page { vaddr, kind: PageFaultKind::NotMapped, .. } => self.demand_map(m, vaddr),
+            _ => false,
+        }
+    }
+
+    /// Reserves `len` bytes, rounded up to whole pages, at the current
+    /// process's mmap cursor; returns their address and rounded length,
+    /// or `None` when they do not fit in the mmap area.
+    fn reserve_mmap(&mut self, len: u64) -> Option<(u64, u64)> {
+        let len = page_round_up(len)?;
+        let p = &mut self.procs[self.current];
+        let addr = p.mmap_cursor;
+        addr.checked_add(len).filter(|&end| end <= layout::MMAP_BASE + layout::MMAP_SPAN)?;
+        p.mmap_cursor += len;
+        p.mmap_regions.push(MmapRegion { start: addr, len });
+        Some((addr, len))
     }
 
     /// Maps the page containing `vaddr` if it lies in one of the current
@@ -644,7 +650,7 @@ impl KernelState {
         );
 
         let mut ncalls: u64 = 2;
-        let mut ret: Option<u64> = Some(0);
+        let ret: Option<u64>;
 
         // Intrinsic kernel work every syscall performs before reaching its
         // handler: entry bookkeeping, security checks, audit. Comparable
@@ -692,64 +698,49 @@ impl KernelState {
                     }
                 }
             }
-            nr::MMAP => {
+            nr::MMAP | nr::MMAP_POPULATE => {
                 ncalls = 10;
                 m.charge(2600); // VMA allocation, rbtree insert, accounting
-                let len = (a1 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1);
-                let p = &mut self.procs[cur];
-                if p.mmap_cursor + len > layout::MMAP_BASE + layout::MMAP_SPAN {
-                    ret = Some(err::ENOMEM);
-                } else {
-                    let addr = p.mmap_cursor;
-                    p.mmap_cursor += len;
-                    p.mmap_regions.push(MmapRegion { start: addr, len });
-                    ret = Some(addr);
-                }
-            }
-            nr::MMAP_POPULATE => {
-                ncalls = 10;
-                m.charge(2600);
-                let len = (a1 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1);
-                let pages = len / PAGE_SIZE;
-                let addr = {
-                    let p = &mut self.procs[cur];
-                    if p.mmap_cursor + len > layout::MMAP_BASE + layout::MMAP_SPAN {
-                        ret = Some(err::ENOMEM);
-                        0
-                    } else {
-                        let a = p.mmap_cursor;
-                        p.mmap_cursor += len;
-                        p.mmap_regions.push(MmapRegion { start: a, len });
-                        a
+                ret = Some(match self.reserve_mmap(a1) {
+                    Some((addr, len)) => {
+                        if nr == nr::MMAP_POPULATE {
+                            for i in 0..len / PAGE_SIZE {
+                                self.demand_map(m, addr + i * PAGE_SIZE);
+                            }
+                        }
+                        addr
                     }
-                };
-                if addr != 0 {
-                    for i in 0..pages {
-                        self.demand_map(m, addr + i * PAGE_SIZE);
-                    }
-                    ret = Some(addr);
-                }
+                    None => err::ENOMEM,
+                });
             }
             nr::MUNMAP => {
                 ncalls = 8;
                 m.charge(1600); // VMA split/free, rbtree removal
                 let start = a1 & !(PAGE_SIZE - 1);
-                let len = (a2 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1);
-                let (full, user) = {
-                    let p = &mut self.procs[cur];
-                    p.mmap_regions.retain(|r| !(r.start == start && r.len == len));
-                    (p.full_table, p.user_table)
-                };
-                for i in 0..len / PAGE_SIZE {
-                    let page = start + i * PAGE_SIZE;
-                    unmap_in(m, full, page);
-                    if user != full {
-                        unmap_in(m, user, page);
+                // User addresses lie below kernel data, as Linux's lie below
+                // TASK_SIZE: a range that ends past there is EINVAL.
+                let end = page_round_up(a2).and_then(|len| start.checked_add(len));
+                match end.filter(|&end| end <= layout::KERNEL_DATA_VADDR) {
+                    Some(end) => {
+                        let len = end - start;
+                        let (full, user) = {
+                            let p = &mut self.procs[cur];
+                            p.mmap_regions.retain(|r| !(r.start == start && r.len == len));
+                            (p.full_table, p.user_table)
+                        };
+                        for i in 0..len / PAGE_SIZE {
+                            let page = start + i * PAGE_SIZE;
+                            unmap_in(m, full, page);
+                            if user != full {
+                                unmap_in(m, user, page);
+                            }
+                            m.mmu.flush_tlb_page(page);
+                            m.charge(120);
+                        }
+                        ret = Some(0);
                     }
-                    m.mmu.flush_tlb_page(page);
-                    m.charge(120);
+                    None => ret = Some(err::EINVAL),
                 }
-                ret = Some(0);
             }
             nr::PIPE => {
                 ncalls = 6;
@@ -855,8 +846,8 @@ impl KernelState {
                 let p = &self.procs[cur];
                 match p.fds.get(a1 as usize) {
                     Some(Fd::File { index, .. }) => {
-                        self.files[*index].data.resize(a2 as usize, 0);
-                        ret = Some(0);
+                        let resized = self.files[*index].set_len(a2);
+                        ret = Some(if resized.is_ok() { 0 } else { err::EFBIG });
                     }
                     _ => ret = Some(err::EBADF),
                 }
@@ -928,7 +919,9 @@ impl KernelState {
             Fd::File { index, offset } => {
                 let data = self.copy_from_user(m, buf, len);
                 let n = data.len() as u64;
-                self.files[index].write_at(offset, &data);
+                if self.files[index].write_at(offset, &data).is_err() {
+                    return err::EFBIG;
+                }
                 if let Some(Fd::File { offset, .. }) = self.procs[cur].fds.get_mut(fd as usize)
                 {
                     *offset += n;
@@ -1020,8 +1013,9 @@ impl KernelState {
                 })
                 .collect()
         };
-        // The page table is a HashMap whose order changes from boot to
-        // boot; copy in page order so the child's fresh frames do not.
+        // The page table is a hash map, which iterates in the order of its
+        // keys' hashes; copy in page order, so the child's fresh frames
+        // follow its pages.
         pairs.sort_unstable_by_key(|&(vpn, _, _)| vpn);
         for (vpn, parent_pfn, child_pfn) in pairs {
             let dst_pfn = match child_pfn {
@@ -1155,14 +1149,10 @@ impl KernelState {
     }
 }
 
-fn width_for(bytes_left: u64) -> Width {
-    match bytes_left {
-        0 => unreachable!("zero-length chunk"),
-        1 => Width::B1,
-        2..=3 => Width::B2,
-        4..=7 => Width::B4,
-        _ => Width::B8,
-    }
+/// `len` rounded up to whole pages; `None` past the top of the address
+/// space.
+fn page_round_up(len: u64) -> Option<u64> {
+    Some(len.checked_add(PAGE_SIZE - 1)? & !(PAGE_SIZE - 1))
 }
 
 fn map_in(m: &mut Machine, table: PageTableId, vaddr: u64, pte: Pte) {

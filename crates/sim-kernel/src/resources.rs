@@ -40,6 +40,16 @@ impl Pipe {
     }
 }
 
+/// The largest size a file may grow to. It sits far above the largest
+/// file any workload writes (768 KiB), and it bounds what a guest can make
+/// the host allocate. A `write` or `ftruncate` past it fails with
+/// `EFBIG`, as one past Linux's file-size limit does.
+pub const MAX_FILE_SIZE: u64 = 16 << 20;
+
+/// A write or resize that would take a file past [`MAX_FILE_SIZE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileTooLarge;
+
 /// An in-memory file.
 #[derive(Debug, Default)]
 pub struct File {
@@ -55,18 +65,30 @@ impl File {
 
     /// Reads up to `len` bytes from `offset`.
     pub fn read_at(&self, offset: u64, len: usize) -> &[u8] {
-        let start = (offset as usize).min(self.data.len());
-        let end = (start + len).min(self.data.len());
+        let start = offset.min(self.size()) as usize;
+        let end = start.saturating_add(len).min(self.data.len());
         &self.data[start..end]
     }
 
-    /// Writes `data` at `offset`, growing the file as needed.
-    pub fn write_at(&mut self, offset: u64, data: &[u8]) {
-        let end = offset as usize + data.len();
-        if self.data.len() < end {
-            self.data.resize(end, 0);
+    /// Writes `data` at `offset`, growing the file as needed, unless that
+    /// would take it past [`MAX_FILE_SIZE`].
+    pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), FileTooLarge> {
+        let end = offset.checked_add(data.len() as u64).ok_or(FileTooLarge)?;
+        if end > self.size() {
+            self.set_len(end)?;
         }
-        self.data[offset as usize..end].copy_from_slice(data);
+        self.data[offset as usize..end as usize].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Truncates or zero-extends the file to `len` bytes, unless that is
+    /// past [`MAX_FILE_SIZE`].
+    pub fn set_len(&mut self, len: u64) -> Result<(), FileTooLarge> {
+        if len > MAX_FILE_SIZE {
+            return Err(FileTooLarge);
+        }
+        self.data.resize(len as usize, 0);
+        Ok(())
     }
 
     /// Current size in bytes.
@@ -102,7 +124,7 @@ mod tests {
     #[test]
     fn file_sparse_write_grows() {
         let mut f = File::new();
-        f.write_at(10, b"abc");
+        f.write_at(10, b"abc").unwrap();
         assert_eq!(f.size(), 13);
         assert_eq!(f.read_at(0, 5), &[0, 0, 0, 0, 0]);
         assert_eq!(f.read_at(10, 3), b"abc");

@@ -3,8 +3,9 @@
 //! attack outcomes (PTI vs Meltdown, verw vs MDS, seccomp vs SSBD).
 
 use cpu_models::{broadwell, cascade_lake, zen2};
-use sim_kernel::abi::nr;
+use sim_kernel::abi::{err, nr};
 use sim_kernel::layout;
+use sim_kernel::resources::MAX_FILE_SIZE;
 use sim_kernel::userlib::{self, begin_loop, emit_exit, emit_syscall, end_loop};
 use sim_kernel::{BootParams, Kernel, ProcState, SpectreV2Mode};
 use uarch::isa::{Cond, Inst, Reg, Width};
@@ -513,9 +514,9 @@ fn fork_copies_what_the_parent_wrote_and_separates_the_copies() {
 #[test]
 fn fork_gives_the_child_frames_in_page_order() {
     // Populated mmap pages are the parent's pages the child lacks, so
-    // fork allocates a fresh frame for each. The page table is a
-    // HashMap, so a copy in its order would hand the child a different
-    // permutation of the same frames on every boot.
+    // fork allocates a fresh frame for each. The page table is a hash
+    // map, so a copy in its order would hand the child the same frames
+    // in the order of the pages' hashes.
     const PAGES: u64 = 8;
     let child_pfns = || {
         let mut k = Kernel::boot(broadwell(), &BootParams::default());
@@ -537,4 +538,105 @@ fn fork_gives_the_child_frames_in_page_order() {
     let first = child_pfns();
     assert!(first.windows(2).all(|w| w[0] < w[1]), "pfns ascend with the page: {first:?}");
     assert_eq!(child_pfns(), first, "a second boot gives the child the same frames");
+}
+
+// ---- Syscall arguments at the edges -----------------------------------
+
+/// Where [`syscalls`] keeps each call's return value: past anything the
+/// calls themselves copy, except a copy of the whole arena.
+const RESULTS: u64 = 0x8_0000;
+
+/// The descriptor of the file [`syscalls`] creates first.
+const FD: u64 = 0;
+
+/// Runs one process that creates a file (descriptor [`FD`]), makes
+/// `calls` (`(number, a1, a2, a3)`) and stores each return value.
+/// Asserts that the process runs on to `exit`, and returns the values.
+fn syscalls(calls: &[(u64, u64, u64, u64)]) -> Vec<u64> {
+    let mut k = Kernel::boot(broadwell(), &BootParams::default());
+    let program = calls.to_vec();
+    let pid = k.spawn(move |b| {
+        emit_syscall(b, nr::CREAT);
+        b.mov_imm(Reg::R7, userlib::data_base() + RESULTS);
+        for (i, (number, a1, a2, a3)) in program.into_iter().enumerate() {
+            b.mov_imm(Reg::R1, a1);
+            b.mov_imm(Reg::R2, a2);
+            b.mov_imm(Reg::R3, a3);
+            emit_syscall(b, number);
+            let offset = 8 * i as i64;
+            b.push(Inst::Store { src: Reg::R0, base: Reg::R7, offset, width: Width::B8 });
+        }
+        emit_exit(b);
+    });
+    k.start();
+    assert_eq!(k.run(BUDGET).unwrap(), Stop::Halted);
+    assert_eq!(k.process(pid).unwrap().state, ProcState::Exited, "the process ran on to exit");
+    let bytes = k.peek_user_data(pid, RESULTS, 8 * calls.len());
+    bytes.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect()
+}
+
+#[test]
+fn a_write_from_the_top_of_the_address_space_copies_nothing() {
+    // The buffer's end wraps past 2^64; the copy stops at the top, and
+    // the page there is not mapped.
+    assert_eq!(syscalls(&[(nr::WRITE, FD, u64::MAX - 7, 64)]), [0]);
+}
+
+#[test]
+fn a_write_of_u64_max_bytes_copies_up_to_the_end_of_the_arena() {
+    let arena = layout::USER_DATA_PAGES * 4096;
+    assert_eq!(syscalls(&[(nr::WRITE, FD, userlib::data_base(), u64::MAX)]), [arena]);
+}
+
+#[test]
+fn a_read_of_u64_max_bytes_at_end_of_file_reads_nothing() {
+    let data = userlib::data_base();
+    let results = syscalls(&[(nr::WRITE, FD, data, 64), (nr::READ, FD, data + 4096, u64::MAX)]);
+    assert_eq!(results, [64, 0]);
+}
+
+#[test]
+fn a_write_that_would_end_past_the_top_of_the_file_space_is_efbig() {
+    let offset = u64::MAX - 3;
+    let results = syscalls(&[(nr::LSEEK, FD, offset, 0), (nr::WRITE, FD, userlib::data_base(), 8)]);
+    assert_eq!(results, [offset, err::EFBIG]);
+}
+
+#[test]
+fn a_write_past_the_file_size_cap_is_efbig_and_one_up_to_it_is_not() {
+    let data = userlib::data_base();
+    let cap = MAX_FILE_SIZE;
+    let results = syscalls(&[
+        (nr::LSEEK, FD, 1 << 40, 0),
+        (nr::WRITE, FD, data, 8),
+        (nr::LSEEK, FD, cap - 8, 0),
+        (nr::WRITE, FD, data, 8),
+        (nr::WRITE, FD, data, 1),
+    ]);
+    assert_eq!(results, [1 << 40, err::EFBIG, cap - 8, 8, err::EFBIG]);
+}
+
+#[test]
+fn an_ftruncate_past_the_file_size_cap_is_efbig() {
+    let results = syscalls(&[
+        (nr::FTRUNCATE, FD, 1 << 40, 0),
+        (nr::FTRUNCATE, FD, MAX_FILE_SIZE + 1, 0),
+        (nr::FTRUNCATE, FD, 4096, 0),
+    ]);
+    assert_eq!(results, [err::EFBIG, err::EFBIG, 0]);
+}
+
+#[test]
+fn mmap_and_munmap_lengths_past_the_address_space_are_refused() {
+    let results = syscalls(&[
+        (nr::MMAP, u64::MAX, 0, 0),
+        (nr::MMAP_POPULATE, u64::MAX - 4095, 0, 0),
+        (nr::MMAP, layout::MMAP_SPAN + 1, 0, 0),
+        (nr::MUNMAP, layout::MMAP_BASE, u64::MAX, 0),
+        (nr::MUNMAP, layout::MMAP_BASE, 1 << 62, 0),
+        (nr::MMAP, 4096, 0, 0),
+        (nr::MUNMAP, layout::MMAP_BASE, 4096, 0),
+    ]);
+    let (enomem, einval) = (err::ENOMEM, err::EINVAL);
+    assert_eq!(results, [enomem, enomem, enomem, einval, einval, layout::MMAP_BASE, 0]);
 }

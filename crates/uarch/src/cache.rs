@@ -14,7 +14,7 @@
 use crate::mem::line_number;
 
 /// A set-associative cache of physical line numbers with LRU replacement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L1Cache {
     sets: Vec<Vec<LineEntry>>,
     ways: usize,
@@ -22,7 +22,7 @@ pub struct L1Cache {
     stamp: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineEntry {
     line: u64,
     stamp: u64,
@@ -76,9 +76,19 @@ impl L1Cache {
     /// in either case leaves the line resident (fills on miss).
     #[inline(always)]
     pub fn access(&mut self, paddr: u64) -> CacheOutcome {
+        self.access_n(paddr, 1)
+    }
+
+    /// [`L1Cache::access`] `n` times in a row (`n >= 1`) to the line
+    /// containing `paddr`, in one set scan, returning the first access's
+    /// outcome. The `n - 1` repeats are hits that only advance the LRU
+    /// stamp, and a fill's eviction looks only at the other lines, so
+    /// the line ends stamped as the last repeat leaves it.
+    #[inline(always)]
+    pub fn access_n(&mut self, paddr: u64, n: u64) -> CacheOutcome {
         let line = line_number(paddr);
         let idx = self.set_index(line);
-        self.stamp += 1;
+        self.stamp += n;
         let stamp = self.stamp;
         if let Some(e) = self.sets[idx].iter_mut().find(|e| e.line == line) {
             e.stamp = stamp;

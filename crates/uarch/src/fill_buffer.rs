@@ -17,7 +17,7 @@ pub const CAPACITY: usize = 12;
 
 /// The collapsed fill-buffer / load-port / store-buffer leak source: a
 /// fixed ring of the last [`CAPACITY`] values, oldest first from `head`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FillBuffers {
     ring: [u64; CAPACITY],
     /// Slot of the oldest live entry.

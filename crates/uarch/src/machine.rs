@@ -400,7 +400,7 @@ impl Machine {
     /// A committed load missed L1D: counts the miss and returns the
     /// latency of the level that holds the line.
     #[cold]
-    fn l1d_miss_cost(&mut self, paddr: u64) -> u64 {
+    pub(crate) fn l1d_miss_cost(&mut self, paddr: u64) -> u64 {
         self.pmc.incr(Pmc::L1dMiss);
         match self.l2.access(paddr) {
             CacheOutcome::Hit => self.model.lat.l2_hit,

@@ -6,6 +6,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::isa::Width;
 
@@ -40,11 +41,51 @@ pub fn line_number(addr: u64) -> u64 {
 /// (it would imply a physical address above 2^76).
 const NO_FRAME: u64 = u64::MAX;
 
+/// Frame-cache tag bit of a frame known to be absent. A frame number
+/// comes from a 64-bit physical address shifted right by
+/// [`PAGE_SHIFT`], so no real one has bit 63 set, and an absent tag never
+/// matches the hit test in [`PhysMemory::read`] and
+/// [`PhysMemory::write`].
+const ABSENT: u64 = 1 << 63;
+
 /// Entries in [`PhysMemory`]'s frame cache.
 const FRAME_CACHE: usize = 64;
 
 /// One 4 KiB frame.
-type Frame = [u8; PAGE_SIZE as usize];
+pub(crate) type Frame = [u8; PAGE_SIZE as usize];
+
+/// A `HashMap` keyed by an integer (a frame, page or table number),
+/// hashed with [`IntHasher`] instead of SipHash.
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A multiplicative hasher for the simulator's integer-keyed maps. Their
+/// keys come from the simulation, not from an adversary choosing
+/// collisions, so SipHash's DoS resistance buys nothing; one multiply
+/// per word does. The final rotation brings the well-mixed high bits of
+/// the product down to the low bits the table indexes by, so keys that
+/// differ only in high bits (frame numbers a power of two apart) do not
+/// share buckets.
+#[derive(Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Sparse byte-addressable physical memory.
 ///
@@ -52,16 +93,23 @@ type Frame = [u8; PAGE_SIZE as usize];
 /// Frames live in a stable slab (`slabs`) indexed by a `pfn -> slot` hash
 /// map. A 64-entry direct-mapped frame cache in front of the map keeps
 /// the simulator's hot loop off the hash: a program's working set is a
-/// handful of frames, and a cache line never spans two.
+/// handful of frames, and a cache line never spans two. The cache also
+/// remembers frames it found absent, so reading a never-written buffer
+/// (a kernel copy out of an untouched user arena) hashes once per frame,
+/// not once per word.
 #[derive(Debug)]
 pub struct PhysMemory {
     slabs: Vec<Box<Frame>>,
-    index: HashMap<u64, u32>,
+    index: IntMap<u64, u32>,
     /// `(pfn, slab slot)` pairs, each at index `pfn % FRAME_CACHE`;
-    /// `(NO_FRAME, _)` when empty. Frames are never freed and a frame
-    /// never moves to another slot, so an entry, once filled, stays true
-    /// and nothing ever invalidates the cache. `Cell`s so the read path
-    /// can fill it through `&self`.
+    /// `(NO_FRAME, _)` when empty, and `(pfn | ABSENT, _)` for a frame the
+    /// read path found absent. Frames are never freed and a frame never
+    /// moves to another slot, so a present entry, once filled, stays true.
+    /// An absent entry stays true until the frame materializes, which only
+    /// [`PhysMemory::frame_mut`] does, and it overwrites the entry. Only
+    /// the cold lookup ([`PhysMemory::frame`]) reads absent entries; the
+    /// inlined hit test sees them as misses. `Cell`s so the read path can
+    /// fill it through `&self`.
     recent: [Cell<(u64, u32)>; FRAME_CACHE],
 }
 
@@ -76,7 +124,7 @@ impl PhysMemory {
     pub fn new() -> PhysMemory {
         PhysMemory {
             slabs: Vec::new(),
-            index: HashMap::new(),
+            index: IntMap::default(),
             recent: [const { Cell::new((NO_FRAME, 0)) }; FRAME_CACHE],
         }
     }
@@ -86,17 +134,28 @@ impl PhysMemory {
         self.slabs.len()
     }
 
-    /// Resolves a frame for reading, filling the frame cache.
+    /// Resolves a frame for reading, filling the frame cache with the
+    /// frame or with the fact that it is absent.
     #[inline]
-    fn frame(&self, pfn: u64) -> Option<&Frame> {
+    pub(crate) fn frame(&self, pfn: u64) -> Option<&Frame> {
         let entry = &self.recent[pfn as usize % FRAME_CACHE];
         let (cached_pfn, slot) = entry.get();
         if cached_pfn == pfn {
             return Some(&self.slabs[slot as usize]);
         }
-        let slot = *self.index.get(&pfn)?;
-        entry.set((pfn, slot));
-        Some(&self.slabs[slot as usize])
+        if cached_pfn == pfn | ABSENT {
+            return None;
+        }
+        match self.index.get(&pfn) {
+            Some(&slot) => {
+                entry.set((pfn, slot));
+                Some(&self.slabs[slot as usize])
+            }
+            None => {
+                entry.set((pfn | ABSENT, 0));
+                None
+            }
+        }
     }
 
     /// Resolves a frame without the cache: one hash lookup per call, the
@@ -107,7 +166,9 @@ impl PhysMemory {
         Some(&self.slabs[slot as usize])
     }
 
-    fn frame_mut(&mut self, pfn: u64) -> &mut Frame {
+    /// Resolves a frame for writing, materializing it (zeroed) on first
+    /// touch; the frame cache then holds it, replacing any absent entry.
+    pub(crate) fn frame_mut(&mut self, pfn: u64) -> &mut Frame {
         let entry = &self.recent[pfn as usize % FRAME_CACHE];
         let (cached_pfn, slot) = entry.get();
         if cached_pfn == pfn {
@@ -144,6 +205,12 @@ impl PhysMemory {
                 }
             }
         }
+    }
+
+    /// Overwrites frame `pfn` (a frame number, not an address) with
+    /// `bytes`, materializing it if it was never written.
+    pub fn write_frame(&mut self, pfn: u64, bytes: &Frame) {
+        *self.frame_mut(pfn) = *bytes;
     }
 
     /// Reads one byte at a physical address.
@@ -301,7 +368,7 @@ impl PhysMemory {
 /// The `width` bytes at `off` of `f` as a little-endian word,
 /// zero-extended.
 #[inline(always)]
-fn load_width(f: &Frame, off: usize, width: Width) -> u64 {
+pub(crate) fn load_width(f: &Frame, off: usize, width: Width) -> u64 {
     match width {
         Width::B1 => f[off] as u64,
         Width::B2 => load::<2>(f, off),
@@ -312,7 +379,7 @@ fn load_width(f: &Frame, off: usize, width: Width) -> u64 {
 
 /// Stores the low `width` bytes of `v` at `off` of `f`, little-endian.
 #[inline(always)]
-fn store_width(f: &mut Frame, off: usize, v: u64, width: Width) {
+pub(crate) fn store_width(f: &mut Frame, off: usize, v: u64, width: Width) {
     match width {
         Width::B1 => f[off] = v as u8,
         Width::B2 => store::<2>(f, off, v),
@@ -506,6 +573,75 @@ mod tests {
                 assert_eq!(m.read(addr, w), w.truncate(!v), "{w:?} at {off:#x}");
             }
         }
+    }
+
+    /// `PhysMemory` against a plain map of frames, on frame numbers that
+    /// share frame-cache slots (`p`, `p + 64`, `p + 128`): random reads
+    /// of every width (some straddling into the next frame), writes,
+    /// whole-frame writes and `copy_frame`s. Reads of absent frames leave
+    /// absent entries in the cache, so one that answered for a frame
+    /// written or copied into since would fail a read here.
+    #[test]
+    fn memory_matches_a_plain_map_of_frames() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let pfns: Vec<u64> = [5, 40].into_iter().flat_map(|p| [p, p + 64, p + 128]).collect();
+        let mut m = PhysMemory::new();
+        let mut model: HashMap<u64, Frame> = HashMap::new();
+        let model_byte = |model: &HashMap<u64, Frame>, a: u64| {
+            model.get(&page_number(a)).map_or(0, |f| f[page_offset(a) as usize])
+        };
+        for step in 0..40_000 {
+            let pfn = pfns[next(pfns.len() as u64) as usize];
+            let off = if next(4) == 0 { PAGE_SIZE - 1 - next(8) } else { next(PAGE_SIZE) };
+            let paddr = (pfn << PAGE_SHIFT) + off;
+            let width = Width::ALL[next(4) as usize];
+            match next(8) {
+                0..=3 => {
+                    let want = (0..width.bytes())
+                        .map(|i| u64::from(model_byte(&model, paddr + i)) << (8 * i))
+                        .fold(0, |v, b| v | b);
+                    assert_eq!(m.read(paddr, width), want, "step {step}: {width:?} at {paddr:#x}");
+                }
+                4 | 5 => {
+                    let v = next(u64::MAX);
+                    m.write(paddr, v, width);
+                    for i in 0..width.bytes() {
+                        let a = paddr + i;
+                        let frame = model.entry(page_number(a)).or_insert([0; PAGE_SIZE as usize]);
+                        frame[page_offset(a) as usize] = (v >> (8 * i)) as u8;
+                    }
+                }
+                6 => {
+                    let mut bytes = [0; PAGE_SIZE as usize];
+                    bytes.fill(next(256) as u8);
+                    bytes[off as usize] = !bytes[0];
+                    m.write_frame(pfn, &bytes);
+                    model.insert(pfn, bytes);
+                }
+                _ => {
+                    let src = pfns[next(pfns.len() as u64) as usize];
+                    m.copy_frame(src, pfn);
+                    match model.get(&src).copied() {
+                        Some(frame) => {
+                            model.insert(pfn, frame);
+                        }
+                        None => {
+                            if let Some(frame) = model.get_mut(&pfn) {
+                                frame.fill(0);
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(m.resident_frames(), model.len(), "step {step}");
+        }
+        assert!(model.len() > pfns.len(), "some writes straddled into the next frame");
     }
 
     #[test]

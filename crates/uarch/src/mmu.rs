@@ -12,10 +12,8 @@
 //! entries tagged with other PCIDs — which is why PTI's TLB impact is
 //! marginal next to the direct `mov %cr3` cost (paper §5.1).
 
-use std::collections::HashMap;
-
 use crate::fault::{Fault, PageFaultKind};
-use crate::mem::{page_number, page_offset, PAGE_SHIFT};
+use crate::mem::{page_number, page_offset, IntMap, PAGE_SHIFT};
 
 /// A page table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,9 +117,9 @@ pub fn split_cr3(cr3: u64) -> (PageTableId, u16, bool) {
 }
 
 /// A single page table: virtual page number → PTE.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageTable {
-    entries: HashMap<u64, Pte>,
+    entries: IntMap<u64, Pte>,
 }
 
 impl PageTable {
@@ -175,7 +173,7 @@ impl PageTable {
 const TRANSLATION_CACHE: usize = 64;
 
 /// A TLB entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TlbEntry {
     pcid: u16,
     vpn: u64,
@@ -204,9 +202,9 @@ pub struct WalkResult {
 }
 
 /// The MMU: page-table registry, current CR3, and the TLB.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Mmu {
-    tables: HashMap<PageTableId, PageTable>,
+    tables: IntMap<PageTableId, PageTable>,
     next_table: u64,
     /// Current CR3 (table id + PCID bits, no-flush bit excluded).
     cr3: u64,
@@ -231,7 +229,7 @@ impl Mmu {
     /// Creates an MMU with the given TLB capacity.
     pub fn new(tlb_capacity: usize) -> Mmu {
         Mmu {
-            tables: HashMap::new(),
+            tables: IntMap::default(),
             next_table: 1,
             cr3: 0,
             tlb: Vec::with_capacity(tlb_capacity),

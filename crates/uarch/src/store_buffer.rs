@@ -28,7 +28,7 @@ pub const DRAIN_WINDOW: u64 = 60;
 pub const CAPACITY: usize = 48;
 
 /// A buffered store.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferedStore {
     /// Virtual address of the store.
     pub vaddr: u64,
@@ -133,7 +133,7 @@ pub enum ForwardOutcome {
 }
 
 /// The store buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct StoreBuffer {
     entries: VecDeque<BufferedStore>,
     /// Number of loads that used store-to-load forwarding (diagnostics and
@@ -203,8 +203,23 @@ impl StoreBuffer {
     /// superset (and therefore from every buffered store).
     #[inline(always)]
     fn disjoint(&self, vaddr: u64, width: Width) -> bool {
-        self.entries.is_empty()
-            || overlap(self.lo, self.hi, vaddr, last_byte(vaddr, width)) == Overlap::Disjoint
+        self.bytes_disjoint(vaddr, last_byte(vaddr, width))
+    }
+
+    /// Whether bytes `first..=last` are disjoint from the range superset.
+    #[inline(always)]
+    fn bytes_disjoint(&self, first: u64, last: u64) -> bool {
+        self.entries.is_empty() || overlap(self.lo, self.hi, first, last) == Overlap::Disjoint
+    }
+
+    /// Drains at `now`, then whether every load inside bytes
+    /// `first..=last` finds no conflict, at `now` or at any later cycle
+    /// with nothing pushed in between: the buffer is empty, or its range
+    /// superset misses those bytes. Later drains only pop, and the
+    /// superset does not shrink while entries remain.
+    pub(crate) fn drain_clear_of(&mut self, first: u64, last: u64, now: u64) -> bool {
+        self.drain(now);
+        self.bytes_disjoint(first, last)
     }
 
     /// Checks whether a load at `vaddr` of `width` at cycle `now` hits an

@@ -135,6 +135,8 @@ pub struct OpResult {
     pub op: LeBenchOp,
     /// Simulated cycles per operation.
     pub cycles_per_op: f64,
+    /// Simulated cycles the whole run took (all iterations).
+    pub cycles: u64,
     /// Host frames the run left resident in physical memory: the host
     /// work the run did, which no simulated counter sees.
     pub resident_frames: usize,
@@ -152,6 +154,7 @@ pub fn run_op(model: &CpuModel, params: &BootParams, op: LeBenchOp) -> OpResult 
     OpResult {
         op,
         cycles_per_op: total as f64 / iters as f64,
+        cycles: total,
         resident_frames: k.machine.mem.resident_frames(),
     }
 }

@@ -995,3 +995,69 @@ fn lebench_ops_leave_pinned_resident_frames() {
     let seen = pinned.map(|(op, _)| (op, workloads::run_op(&model, &params, op).resident_frames));
     assert_eq!(seen, pinned, "(op, resident frames) drifted from the pins");
 }
+
+/// Every LEBench op's total simulated cycles on Broadwell, under the
+/// default boot and under `spec_store_bypass_disable=on`, where SSBD is
+/// active for every process and each word a kernel copy moves passes the
+/// SSBD check. Figure 2 rounds to 0.1%, so a drift of a few cycles in the
+/// user-copy path would pass the golden file unseen; it fails here.
+#[test]
+fn lebench_ops_take_pinned_simulated_cycles() {
+    let pinned: [(&str, [(LeBenchOp, u64); 19]); 2] = [
+        (
+            "",
+            [
+                (LeBenchOp::GetPid, 460_287),
+                (LeBenchOp::SmallRead, 610_926),
+                (LeBenchOp::MedRead, 368_466),
+                (LeBenchOp::BigRead, 151_722),
+                (LeBenchOp::HugeRead, 413_040),
+                (LeBenchOp::SmallWrite, 609_398),
+                (LeBenchOp::MedWrite, 379_916),
+                (LeBenchOp::BigWrite, 202_724),
+                (LeBenchOp::HugeWrite, 1_337_002),
+                (LeBenchOp::Mmap, 368_987),
+                (LeBenchOp::Munmap, 1_196_667),
+                (LeBenchOp::BigMunmap, 2_363_907),
+                (LeBenchOp::PageFault, 188_749),
+                (LeBenchOp::ContextSwitch, 742_133),
+                (LeBenchOp::SendRecv, 493_323),
+                (LeBenchOp::Select, 311_355),
+                (LeBenchOp::Fork, 1_411_371),
+                (LeBenchOp::BigFork, 1_478_806),
+                (LeBenchOp::ThreadCreate, 129_340),
+            ],
+        ),
+        (
+            "spec_store_bypass_disable=on",
+            [
+                (LeBenchOp::GetPid, 461_487),
+                (LeBenchOp::SmallRead, 614_254),
+                (LeBenchOp::MedRead, 369_814),
+                (LeBenchOp::BigRead, 152_014),
+                (LeBenchOp::HugeRead, 413_134),
+                (LeBenchOp::SmallWrite, 612_714),
+                (LeBenchOp::MedWrite, 381_252),
+                (LeBenchOp::BigWrite, 203_004),
+                (LeBenchOp::HugeWrite, 1_337_084),
+                (LeBenchOp::Mmap, 370_587),
+                (LeBenchOp::Munmap, 1_199_547),
+                (LeBenchOp::BigMunmap, 2_364_627),
+                (LeBenchOp::PageFault, 188_769),
+                (LeBenchOp::ContextSwitch, 746_041),
+                (LeBenchOp::SendRecv, 496_535),
+                (LeBenchOp::Select, 312_843),
+                (LeBenchOp::Fork, 1_411_899),
+                (LeBenchOp::BigFork, 1_479_090),
+                (LeBenchOp::ThreadCreate, 129_916),
+            ],
+        ),
+    ];
+    let model = cpu_models::broadwell();
+    for (cmdline, pins) in pinned {
+        assert_eq!(pins.map(|(op, _)| op), LeBenchOp::ALL, "one pin per op, in suite order");
+        let params = BootParams::parse(cmdline);
+        let seen = pins.map(|(op, _)| (op, workloads::run_op(&model, &params, op).cycles));
+        assert_eq!(seen, pins, "boot {cmdline:?}: (op, simulated cycles) drifted from the pins");
+    }
+}
