@@ -46,10 +46,13 @@
 //! instead of growing the server, and it processes nothing pipelined
 //! after a request that closes the connection (RFC 9112 §9.6). A peer
 //! that vanishes mid-response is counted in `regend_disconnects_total`
-//! and its slots freed immediately. Drain (SIGTERM, `POST /shutdown`,
-//! [`ServerHandle::drain`]) closes the listener, finishes every
-//! admitted request, flushes, and returns from [`Server::run`] with the
-//! run's counters.
+//! and its slots freed immediately. When `accept` fails for want of a
+//! descriptor or of memory, the loop stops watching the listener, whose
+//! queued connection would otherwise wake every `epoll_wait`, until a
+//! connection closes or 50 ms have passed. Drain (SIGTERM,
+//! `POST /shutdown`, [`ServerHandle::drain`]) closes the listener,
+//! finishes every admitted request, flushes, and returns from
+//! [`Server::run`] with the run's counters.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
@@ -63,7 +66,13 @@ use spectrebench::obs::EventKind;
 
 use crate::core::{deadline_expired, lock, Action, Core, RunSummary, ServerConfig, SlowWork};
 use crate::http::{Body, HttpError, Request, RequestParser, Response};
-use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{
+    accept_starved, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
+
+/// How long a listener starved of descriptors stays out of the epoll
+/// set when no connection of its own closes.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// epoll token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -397,6 +406,7 @@ impl Server {
                 wake: &self.wake,
                 epoll,
                 listener: Some(&self.listener),
+                starved_at: None,
                 conns: HashMap::new(),
                 next_conn: TOKEN_CONN0,
                 jobs_in_flight: 0,
@@ -479,6 +489,9 @@ struct EventLoop<'a> {
     wake: &'a WakeFd,
     epoll: Epoll,
     listener: Option<&'a TcpListener>,
+    /// When the listener left the epoll set: `accept` last failed for
+    /// want of a descriptor or of memory.
+    starved_at: Option<Instant>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
     /// Jobs pushed but whose completions the loop has not consumed.
@@ -561,7 +574,27 @@ impl EventLoop<'_> {
                     self.core.bus.emit("regend", "", "", 0, EventKind::ConnectionOpened);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if accept_starved(&e) => {
+                    // Watched level-triggered, the queued connection
+                    // would wake every wait until a descriptor frees up.
+                    let _ = self.epoll.delete(listener.as_raw_fd());
+                    self.starved_at = Some(Instant::now());
+                    break;
+                }
                 Err(_) => break,
+            }
+        }
+    }
+
+    /// Puts a starved listener back in the epoll set, unless draining
+    /// has closed it.
+    fn watch_listener_again(&mut self) {
+        if self.starved_at.is_none() {
+            return;
+        }
+        if let Some(listener) = self.listener {
+            if self.epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER).is_ok() {
+                self.starved_at = None;
             }
         }
     }
@@ -662,14 +695,26 @@ impl EventLoop<'_> {
         }
         let (requests, writes) = (conn.requests, conn.writes);
         self.core.bus.emit("regend", "", "", 0, EventKind::ConnectionClosed { requests, writes });
+        // Closing the socket frees the descriptor a starved listener
+        // waits for.
+        drop(conn);
+        self.watch_listener_again();
     }
 
-    /// Reaps connections that stopped making progress. A connection
-    /// merely waiting on slow server-side work is exempt — the stall
-    /// deadline measures the *peer*, not the executor.
+    /// Reaps connections that stopped making progress, and watches a
+    /// starved listener again once [`ACCEPT_RETRY`] has passed. A
+    /// connection merely waiting on slow server-side work is exempt —
+    /// the stall deadline measures the *peer*, not the executor.
     fn sweep_idle(&mut self) {
         let timeout = self.core.cfg.idle_timeout;
         let now = Instant::now();
+        // A descriptor this loop does not own may have freed up (another
+        // server's socket in this process, a journal file); a loop with
+        // no connection left to close would otherwise never watch its
+        // listener again. Still starved, it fails one `accept` per retry.
+        if self.starved_at.is_some_and(|at| now.saturating_duration_since(at) >= ACCEPT_RETRY) {
+            self.watch_listener_again();
+        }
         let mut reap: Vec<(u64, CloseReason)> = Vec::new();
         for (id, conn) in &self.conns {
             if conn.has_waiting() {

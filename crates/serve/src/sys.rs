@@ -22,6 +22,17 @@ pub const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its writing half.
 pub const EPOLLRDHUP: u32 = 0x2000;
 
+/// Whether an `accept(2)` failed for want of a descriptor (`EMFILE`,
+/// `ENFILE`) or of kernel memory (`ENOBUFS`, `ENOMEM`): the connection
+/// stays queued, and the listener stays readable, until one frees up.
+pub fn accept_starved(e: &std::io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOBUFS: i32 = 105;
+    matches!(e.raw_os_error(), Some(EMFILE | ENFILE | ENOBUFS | ENOMEM))
+}
+
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;

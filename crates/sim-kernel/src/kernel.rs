@@ -952,8 +952,10 @@ impl KernelState {
         };
         match entry {
             Fd::File { index, offset } => {
-                let data = self.files[index].read_at(offset, len as usize).to_vec();
-                let n = self.copy_to_user(m, buf, &data);
+                // Out of the table for the copy, which may demand-map.
+                let file = std::mem::take(&mut self.files[index]);
+                let n = self.copy_to_user(m, buf, file.read_at(offset, len as usize));
+                self.files[index] = file;
                 if let Some(Fd::File { offset, .. }) = self.procs[cur].fds.get_mut(fd as usize)
                 {
                     *offset += n;

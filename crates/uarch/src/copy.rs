@@ -28,21 +28,71 @@
 //!   address hull misses the line's bytes: a drain only pops, and the
 //!   hull never shrinks while entries remain. The last word's drain runs
 //!   at the cycle before its own charge. Any other line runs word by word.
-//! - A store line always takes one step. Each word still reads its stale
-//!   value, pushes its store-buffer entry stamped with the cycle the loop
-//!   would record, and records its fill-buffer value, so both rings and
-//!   the hull end as the loop leaves them.
+//! - A store line always takes one step: its bytes land with one slice
+//!   copy, after the bytes they overwrite are saved.
+//!
+//! Neither ring is touched line by line. Of a copy's words, only the last
+//! [`store_buffer::CAPACITY`] store-buffer entries and the last
+//! [`fill_buffer::CAPACITY`] fill-buffer values can survive it, so the
+//! copy settles both once, building only those:
+//!
+//! - A write settles after its last line, or after the last line before
+//!   a fault. Its last [`TAIL_LINES`] lines hold every surviving store:
+//!   word `k` of a line is stamped with the line's first cycle plus `k +
+//!   1` L1D hits, and its stale value comes from the line's saved bytes.
+//!   Every dropped push only widened the store buffer's address hull, so
+//!   the hull covers the whole stored range, and it is reset only if the
+//!   buffer was empty before the copy.
+//! - A read owes the records of a run of one-step lines, whose values
+//!   are the bytes it appended, and settles them before a word-by-word
+//!   line (which records as it goes) and before it returns, fault or
+//!   not. Nothing between two one-step lines reads the fill buffers.
 //!
 //! Both stop at the top of the address space, where the loop's end
 //! address would wrap.
 
 use crate::cache::CacheOutcome;
 use crate::fault::Fault;
+use crate::fill_buffer::{self, FillBuffers};
 use crate::isa::Width;
 use crate::machine::Machine;
-use crate::mem::{load_width, page_number, page_offset, store_width, LINE_SIZE, PAGE_SIZE};
+use crate::mem::{page_number, page_offset, LINE_SIZE, PAGE_SIZE};
 use crate::mmu::Access;
 use crate::predictor::PrivMode;
+use crate::store_buffer::{self, BufferedStore};
+
+/// How many of a write's last lines keep what its surviving stores
+/// need. A write of more lines holds at least 57 words in its last
+/// eight (seven whole lines and one word), more than the store buffer
+/// keeps.
+const TAIL_LINES: usize = 8;
+
+const _: () = assert!((TAIL_LINES - 1) * 8 + 1 >= store_buffer::CAPACITY);
+
+/// A line a write stored, as its settle needs it.
+struct StoredLine {
+    /// The line's first stored byte.
+    addr: u64,
+    /// The cycle before the line's first store issued.
+    cycle: u64,
+    /// The bytes the line's stores overwrote, from `addr`.
+    old: [u8; LINE_SIZE as usize],
+}
+
+impl StoredLine {
+    const EMPTY: StoredLine = StoredLine { addr: 0, cycle: 0, old: [0; LINE_SIZE as usize] };
+}
+
+/// The first address of a read's run of one-step lines whose
+/// fill-buffer records are owed, and where its bytes start in `out`.
+type OwedRun = Option<(u64, usize)>;
+
+#[cfg(test)]
+thread_local! {
+    /// How many owed runs a word-by-word line has settled: the tests'
+    /// count of reads that take both kinds of line.
+    static RUNS_SETTLED_MID_READ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// How many of `len` bytes at `vaddr` lie below the top of the address
 /// space.
@@ -105,6 +155,31 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
+/// Records the value of every copy-loop word over `bytes` at `addr`, as
+/// one [`FillBuffers::record`] per word would, building only the last
+/// [`fill_buffer::CAPACITY`].
+fn record_words(fill: &mut FillBuffers, addr: u64, bytes: &[u8]) {
+    const KEEP: usize = fill_buffer::CAPACITY;
+    let len = bytes.len() as u64;
+    // The loop's words start afresh at every 8-byte boundary, and each
+    // 8-byte block holds at least one, so the last KEEP words lie at or
+    // past the boundary at least KEEP blocks before the end.
+    let from = match len.checked_sub(8 * KEEP as u64) {
+        Some(back) => back.saturating_sub(addr.wrapping_add(back) & 7),
+        None => 0,
+    };
+    let start = addr.wrapping_add(from);
+    let words = word_count(start, len - from);
+    let kept = words.min(KEEP as u64);
+    let mut last = [0; KEEP];
+    let tail = Words { addr: start, left: len - from }.skip((words - kept) as usize);
+    for (value, (a, width)) in last.iter_mut().zip(tail) {
+        let at = a.wrapping_sub(addr) as usize;
+        *value = le_word(&bytes[at..at + width.bytes() as usize]);
+    }
+    fill.record_batch(word_count(addr, len), &last[..kept as usize]);
+}
+
 impl Machine {
     /// Loads `len` bytes at `vaddr`, appending them to `out`, exactly as
     /// the kernel copy loop's committed loads do (see the module docs),
@@ -118,6 +193,21 @@ impl Machine {
         len: u64,
         out: &mut Vec<u8>,
     ) -> Result<(), Fault> {
+        let mut owed = None;
+        let result = self.read_lines(vaddr, len, out, &mut owed);
+        self.settle_loads(&mut owed, out);
+        result
+    }
+
+    /// [`Machine::read_virt_bytes`] line by line, leaving the records of
+    /// the last run of one-step lines owed.
+    fn read_lines(
+        &mut self,
+        vaddr: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+        owed: &mut OwedRun,
+    ) -> Result<(), Fault> {
         let mut addr = vaddr;
         let mut left = below_top(vaddr, len);
         while left > 0 {
@@ -128,11 +218,19 @@ impl Machine {
                 // exactly that much, never by bytes a fault may leave out.
                 out.reserve_exact(left.min(PAGE_SIZE - page_offset(addr)) as usize);
             }
-            self.read_line(addr, span, paddr, out)?;
+            self.read_line(addr, span, paddr, out, owed)?;
             addr = addr.wrapping_add(span);
             left -= span;
         }
         Ok(())
+    }
+
+    /// Records the fill-buffer values a run of one-step lines owes: the
+    /// bytes it appended to `out`, word by word.
+    fn settle_loads(&mut self, owed: &mut OwedRun, out: &[u8]) {
+        if let Some((addr, at)) = owed.take() {
+            record_words(&mut self.fill_buffers, addr, &out[at..]);
+        }
     }
 
     /// Translates the first word of a line at `addr` as the copy loop
@@ -147,13 +245,15 @@ impl Machine {
     }
 
     /// Loads the `span` bytes at `addr`, all in one cache line, whose
-    /// first word has translated to `paddr`.
+    /// first word has translated to `paddr`. A one-step line joins the
+    /// owed run; a word-by-word line settles it first.
     fn read_line(
         &mut self,
         addr: u64,
         span: u64,
         paddr: u64,
         out: &mut Vec<u8>,
+        owed: &mut OwedRun,
     ) -> Result<(), Fault> {
         let words = word_count(addr, span);
         let now = self.cycles;
@@ -168,25 +268,18 @@ impl Machine {
             let total = first + (words - 1) * hit;
             self.store_buffer.drain(now + total - hit);
             self.charge(total);
+            owed.get_or_insert((addr, out.len()));
             let off = page_offset(paddr) as usize;
             match self.mem.frame(page_number(paddr)) {
-                Some(frame) => {
-                    out.extend_from_slice(&frame[off..off + span as usize]);
-                    for (a, width) in (Words { addr, left: span }) {
-                        let value = load_width(frame, off + (a - addr) as usize, width);
-                        self.fill_buffers.record(value);
-                    }
-                }
-                None => {
-                    out.resize(out.len() + span as usize, 0);
-                    for _ in 0..words {
-                        self.fill_buffers.record(0);
-                    }
-                }
+                Some(frame) => out.extend_from_slice(&frame[off..off + span as usize]),
+                None => out.resize(out.len() + span as usize, 0),
             }
             self.last_load_cycle = self.cycles;
             return Ok(());
         }
+        #[cfg(test)]
+        RUNS_SETTLED_MID_READ.with(|n| n.set(n.get() + u64::from(owed.is_some())));
+        self.settle_loads(owed, out);
         // Word by word: the first word's translation (and drain) repeat
         // with no further effect.
         for (a, width) in (Words { addr, left: span }) {
@@ -203,41 +296,83 @@ impl Machine {
     /// address space.
     pub fn write_virt_bytes(&mut self, vaddr: u64, data: &[u8]) -> (usize, Result<(), Fault>) {
         let len = below_top(vaddr, data.len() as u64) as usize;
-        let mut done = 0;
+        let mut tail = [StoredLine::EMPTY; TAIL_LINES];
+        let (mut done, mut lines) = (0, 0);
+        let mut result = Ok(());
         while done < len {
             let addr = vaddr.wrapping_add(done as u64);
             let span = line_span(addr, (len - done) as u64) as usize;
-            if let Err(fault) = self.write_line(addr, &data[done..done + span]) {
-                return (done, Err(fault));
+            let saved = &mut tail[lines % TAIL_LINES];
+            if let Err(fault) = self.write_line(addr, &data[done..done + span], saved) {
+                result = Err(fault);
+                break;
             }
             done += span;
+            lines += 1;
         }
-        (done, Ok(()))
+        self.settle_stores(vaddr, &data[..done], &tail, lines);
+        (done, result)
     }
 
-    /// Stores `bytes` at `addr`, all in one cache line.
-    fn write_line(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Fault> {
+    /// Stores `bytes` at `addr`, all in one cache line, saving in `saved`
+    /// what the line's stores need at the settle.
+    fn write_line(
+        &mut self,
+        addr: u64,
+        bytes: &[u8],
+        saved: &mut StoredLine,
+    ) -> Result<(), Fault> {
         let paddr = self.translate_line(addr, Access::Write)?;
-        let span = bytes.len() as u64;
-        let words = word_count(addr, span);
+        let span = bytes.len();
+        let words = word_count(addr, span as u64);
         self.l1d.access_n(paddr, words);
         self.l2.access_n(paddr, words);
-        let hit = self.model.lat.l1_hit;
-        let mut now = self.cycles;
         let off = page_offset(paddr) as usize;
         let frame = self.mem.frame_mut(page_number(paddr));
-        for (a, width) in (Words { addr, left: span }) {
-            let at = (a - addr) as usize;
-            let value = le_word(&bytes[at..at + width.bytes() as usize]);
-            now += hit;
-            // The overwritten value is what a bypassing load would see.
-            let stale = load_width(frame, off + at, width);
-            self.store_buffer.push(a, width, value, stale, now);
-            store_width(frame, off + at, value, width);
-            self.fill_buffers.record(value);
-        }
-        self.charge(words * hit);
+        // The overwritten bytes are what a bypassing load would see.
+        saved.old[..span].copy_from_slice(&frame[off..off + span]);
+        frame[off..off + span].copy_from_slice(bytes);
+        (saved.addr, saved.cycle) = (addr, self.cycles);
+        self.charge(words * self.model.lat.l1_hit);
         Ok(())
+    }
+
+    /// Pushes the store-buffer entries and records the fill-buffer
+    /// values of the `stored` bytes a write moved from `vaddr`, over
+    /// `lines` lines whose last [`TAIL_LINES`] are in `tail` (line `i` in
+    /// slot `i % TAIL_LINES`), as the loop's per-word pushes and records
+    /// would: only the surviving words are built (see the module docs).
+    fn settle_stores(
+        &mut self,
+        vaddr: u64,
+        stored: &[u8],
+        tail: &[StoredLine; TAIL_LINES],
+        lines: usize,
+    ) {
+        let Some(last) = (stored.len() as u64).checked_sub(1) else { return };
+        let hit = self.model.lat.l1_hit;
+        let first_line = lines.saturating_sub(TAIL_LINES);
+        let from = tail[first_line % TAIL_LINES].addr;
+        let tail_words = word_count(from, stored.len() as u64 - from.wrapping_sub(vaddr));
+        let dropped = tail_words.saturating_sub(store_buffer::CAPACITY as u64);
+        let stores = (first_line..lines).flat_map(|i| {
+            let line = &tail[i % TAIL_LINES];
+            let off = line.addr.wrapping_sub(vaddr) as usize;
+            let span = line_span(line.addr, (stored.len() - off) as u64);
+            (Words { addr: line.addr, left: span }).zip(1..).map(move |((a, width), k)| {
+                let at = (a - line.addr) as usize;
+                let bytes = at..at + width.bytes() as usize;
+                BufferedStore {
+                    vaddr: a,
+                    width,
+                    value: le_word(&stored[off..][bytes.clone()]),
+                    stale: le_word(&line.old[bytes]),
+                    cycle: line.cycle + hit * k,
+                }
+            })
+        });
+        self.store_buffer.push_run(vaddr, vaddr + last, stores.skip(dropped as usize));
+        record_words(&mut self.fill_buffers, vaddr, stored);
     }
 }
 
@@ -363,7 +498,10 @@ mod tests {
     /// 1 to 300 and 256 KiB, page-straddling buffers and unmapped pages,
     /// fresh stores that overlap a copy fully, partly or not at all, SSBD
     /// on and off, cold and warm TLBs and L1D, and L1D and L2 sets
-    /// filled past their ways.
+    /// filled past their ways. The floors also cover what the settles
+    /// add: writes into an empty store buffer, reads that settle an owed
+    /// run before a word-by-word line, and faults past more words than
+    /// either ring keeps.
     #[test]
     fn copies_leave_the_state_the_per_word_loop_leaves() {
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
@@ -371,6 +509,8 @@ mod tests {
         let mut b = machine();
         let ends = BASE + PAGES * PAGE_SIZE;
         let (mut faults, mut straddles, mut ssbd_copies, mut huge) = (0, 0, 0, 0);
+        let (mut long_write_faults, mut into_empty, mut mixed_reads, mut long_read_faults) =
+            (0, 0, 0, 0);
         for step in 0..6000u64 {
             if rng.below(6) == 0 {
                 let ssbd = if rng.below(2) == 0 { spec_ctrl::SSBD } else { 0 };
@@ -429,16 +569,23 @@ mod tests {
             let what = format!("step {step}: {len} bytes at {start:#x}");
             if rng.below(2) == 0 {
                 let (mut got, mut want) = (Vec::new(), Vec::new());
+                let settled = RUNS_SETTLED_MID_READ.with(|n| n.get());
                 let fa = a.read_virt_bytes(start, len, &mut got);
                 let fb = read_words(&mut b, start, len, &mut want);
                 assert_eq!(fa, fb, "read fault, {what}");
                 assert!(got == want, "bytes read, {what}");
                 faults += usize::from(fa.is_err());
+                let words = word_count(start, got.len() as u64);
+                long_read_faults += usize::from(fa.is_err() && words > 12);
+                mixed_reads += usize::from(RUNS_SETTLED_MID_READ.with(|n| n.get()) > settled);
             } else {
                 let data: Vec<u8> = (0..len).map(|i| (i as u8) ^ (step as u8)).collect();
+                into_empty += usize::from(a.store_buffer.is_empty());
                 let fa = a.write_virt_bytes(start, &data);
                 assert_eq!(fa, write_words(&mut b, start, &data), "write result, {what}");
                 faults += usize::from(fa.1.is_err());
+                let words = word_count(start, fa.0 as u64);
+                long_write_faults += usize::from(fa.1.is_err() && words > 48);
             }
             assert_same(&a, &b, &what);
         }
@@ -447,6 +594,10 @@ mod tests {
             ("straddles", straddles, 600),
             ("copies under SSBD", ssbd_copies, 1500),
             ("huge copies", huge, 80),
+            ("writes of more than 48 words stopped by a fault", long_write_faults, 40),
+            ("writes into an empty store buffer", into_empty, 500),
+            ("reads of one-step and word-by-word lines", mixed_reads, 80),
+            ("reads of more than 12 words stopped by a fault", long_read_faults, 40),
         ];
         for (what, seen, floor) in coverage {
             assert!(seen > floor, "only {seen} {what}");

@@ -15,6 +15,17 @@
 /// Number of fill-buffer entries (real parts have 10–12 LFBs).
 pub const CAPACITY: usize = 12;
 
+/// `slot`, below `2 * capacity`, reduced into a ring of `capacity`
+/// slots by compare-and-reset rather than a division.
+#[inline(always)]
+pub(crate) fn wrap(slot: usize, capacity: usize) -> usize {
+    if slot >= capacity {
+        slot - capacity
+    } else {
+        slot
+    }
+}
+
 /// The collapsed fill-buffer / load-port / store-buffer leak source: a
 /// fixed ring of the last [`CAPACITY`] values, oldest first from `head`.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -42,11 +53,30 @@ impl FillBuffers {
     pub fn record(&mut self, value: u64) {
         if self.len == CAPACITY {
             self.ring[self.head] = value;
-            self.head = (self.head + 1) % CAPACITY;
+            self.head = wrap(self.head + 1, CAPACITY);
         } else {
-            self.ring[(self.head + self.len) % CAPACITY] = value;
+            self.ring[wrap(self.head + self.len, CAPACITY)] = value;
             self.len += 1;
         }
+    }
+
+    /// Records `count` values exactly as `count` calls of
+    /// [`FillBuffers::record`] would, given only the ones that survive:
+    /// `last` holds the final `min(count, CAPACITY)` values, oldest
+    /// first. Whether the ring is full or not, the `k`-th record lands in
+    /// slot `head + len + k` (modulo [`CAPACITY`]), and every record past
+    /// a full ring advances `head`.
+    pub(crate) fn record_batch(&mut self, count: u64, last: &[u64]) {
+        debug_assert_eq!(last.len() as u64, count.min(CAPACITY as u64));
+        let cap = CAPACITY as u64;
+        let skipped = count - last.len() as u64;
+        let first = (self.head + self.len) as u64 + skipped % cap;
+        for (k, &value) in (0..).zip(last) {
+            self.ring[((first + k) % cap) as usize] = value;
+        }
+        let total = self.len as u64 + count;
+        self.head = ((self.head as u64 + total.saturating_sub(cap) % cap) % cap) as usize;
+        self.len = total.min(cap) as usize;
     }
 
     /// Samples a stale value, as a transient faulting load does on an
@@ -121,13 +151,14 @@ mod tests {
     }
 
     /// The ring samples exactly what a queue of the last `CAPACITY`
-    /// values does, through wraps, clears and partial refills.
+    /// values does, through wraps, clears, partial refills and batch
+    /// records.
     #[test]
     fn ring_matches_a_bounded_queue() {
         let mut fb = FillBuffers::new();
         let mut queue = std::collections::VecDeque::new();
         let mut cursor = 0;
-        for i in 0..500u64 {
+        for i in 0..800u64 {
             match i % 37 {
                 0 => {
                     fb.clear();
@@ -140,6 +171,17 @@ mod tests {
                     });
                     assert_eq!(fb.sample_rotating(), expected, "step {i}");
                 }
+                n if n % 5 == 0 => {
+                    let values: Vec<u64> = (0..i % 41).map(|k| i << 8 | k).collect();
+                    for &value in &values {
+                        if queue.len() == CAPACITY {
+                            queue.pop_front();
+                        }
+                        queue.push_back(value);
+                    }
+                    let last = &values[values.len().saturating_sub(CAPACITY)..];
+                    fb.record_batch(values.len() as u64, last);
+                }
                 _ => {
                     if queue.len() == CAPACITY {
                         queue.pop_front();
@@ -149,6 +191,33 @@ mod tests {
                 }
             }
             assert_eq!(fb.len(), queue.len());
+        }
+    }
+
+    /// A batch record of 0 to 40 values, from every start state (head,
+    /// length and cursor, with every slot holding a distinct value),
+    /// leaves the struct field for field as one record per value does.
+    #[test]
+    fn a_batch_record_leaves_what_single_records_leave() {
+        for head in 0..CAPACITY {
+            for len in 0..=CAPACITY {
+                for count in 0..=40u64 {
+                    let start = || {
+                        let mut fb = FillBuffers::new();
+                        fb.ring = std::array::from_fn(|slot| 0xf000 + slot as u64);
+                        (fb.head, fb.len, fb.cursor) = (head, len, len / 2);
+                        fb
+                    };
+                    let values: Vec<u64> = (1..=count).collect();
+                    let mut single = start();
+                    for &value in &values {
+                        single.record(value);
+                    }
+                    let mut batch = start();
+                    batch.record_batch(count, &values[values.len().saturating_sub(CAPACITY)..]);
+                    assert_eq!(batch, single, "head {head}, len {len}, {count} values");
+                }
+            }
         }
     }
 }

@@ -134,8 +134,10 @@ impl PageTable {
     }
 
     /// Maps `pages` consecutive pages starting at `vaddr`, identity-offset
-    /// into consecutive frames starting at `pfn`.
+    /// into consecutive frames starting at `pfn`. The map is sized for
+    /// them first, so a large range rehashes it at most once.
     pub fn map_range(&mut self, vaddr: u64, pfn: u64, pages: u64, template: Pte) {
+        self.entries.reserve(pages as usize);
         for i in 0..pages {
             let mut pte = template;
             pte.pfn = pfn + i;

@@ -16,8 +16,11 @@
 //!   `ssbd_forward_stall` cycles per forwarding opportunity, which is what
 //!   makes store-heavy PARSEC kernels slow down (Figure 5).
 
-use std::collections::VecDeque;
+use std::fmt;
+use std::iter::Chain;
+use std::slice::Iter;
 
+use crate::fill_buffer::wrap;
 use crate::isa::Width;
 
 /// How many cycles a store remains "in flight" (address unresolved /
@@ -44,6 +47,10 @@ pub struct BufferedStore {
 }
 
 impl BufferedStore {
+    /// What a ring slot holds before any store reaches it.
+    const EMPTY: BufferedStore =
+        BufferedStore { vaddr: 0, width: Width::B1, value: 0, stale: 0, cycle: 0 };
+
     /// Where a load of `width` at `vaddr` sits against this store's bytes.
     #[inline]
     fn overlap(&self, vaddr: u64, width: Width) -> Overlap {
@@ -132,10 +139,16 @@ pub enum ForwardOutcome {
     PartialOverlap,
 }
 
-/// The store buffer.
-#[derive(Debug, Default, PartialEq, Eq)]
+/// The store buffer: a fixed ring of the last [`CAPACITY`] stores,
+/// oldest first from `head`. Two buffers are equal when their live
+/// entries, in order, and their other fields are; the ring offset and
+/// the dead slots do not count.
 pub struct StoreBuffer {
-    entries: VecDeque<BufferedStore>,
+    ring: [BufferedStore; CAPACITY],
+    /// Slot of the oldest live entry.
+    head: usize,
+    /// Number of live entries.
+    len: usize,
     /// Number of loads that used store-to-load forwarding (diagnostics and
     /// the SSBD cost model).
     pub forwards: u64,
@@ -151,29 +164,59 @@ pub struct StoreBuffer {
     hi: u64,
 }
 
+impl Default for StoreBuffer {
+    fn default() -> StoreBuffer {
+        StoreBuffer {
+            ring: [BufferedStore::EMPTY; CAPACITY],
+            head: 0,
+            len: 0,
+            forwards: 0,
+            lo: 0,
+            hi: 0,
+        }
+    }
+}
+
+impl PartialEq for StoreBuffer {
+    fn eq(&self, other: &StoreBuffer) -> bool {
+        (self.forwards, self.lo, self.hi) == (other.forwards, other.lo, other.hi)
+            && self.live().eq(other.live())
+    }
+}
+
+impl Eq for StoreBuffer {}
+
+impl fmt::Debug for StoreBuffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StoreBuffer")
+            .field("entries", &self.live().collect::<Vec<_>>())
+            .field("forwards", &self.forwards)
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .finish()
+    }
+}
+
 impl StoreBuffer {
     /// Creates an empty store buffer.
     pub fn new() -> StoreBuffer {
         StoreBuffer::default()
     }
 
+    /// The live entries, oldest first.
+    #[inline(always)]
+    fn live(&self) -> Chain<Iter<'_, BufferedStore>, Iter<'_, BufferedStore>> {
+        let (front, back) = self.ring.split_at(self.head);
+        let wrapped = (self.head + self.len).saturating_sub(CAPACITY);
+        back[..self.len - wrapped].iter().chain(&front[..wrapped])
+    }
+
     /// Records a committed store at the given cycle. `stale` is the memory
     /// value being overwritten (the SSB leak payload).
     #[inline]
     pub fn push(&mut self, vaddr: u64, width: Width, value: u64, stale: u64, cycle: u64) {
-        let last = last_byte(vaddr, width);
-        (self.lo, self.hi) = if self.entries.is_empty() {
-            (vaddr, last)
-        } else if last < vaddr || self.hi < self.lo {
-            // A range that wraps has no hull short of the whole space.
-            (0, u64::MAX)
-        } else {
-            (self.lo.min(vaddr), self.hi.max(last))
-        };
-        if self.entries.len() >= CAPACITY {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(BufferedStore {
+        self.widen(vaddr, last_byte(vaddr, width));
+        self.push_entry(BufferedStore {
             vaddr,
             width,
             value: width.truncate(value),
@@ -182,21 +225,64 @@ impl StoreBuffer {
         });
     }
 
+    /// Records the committed stores of one run of words over bytes
+    /// `first..=last`, none of which wraps past the top of the address
+    /// space, as one [`StoreBuffer::push`] per word would, given only
+    /// the stores that survive: `stores` are the run's last
+    /// `min(words, CAPACITY)`, oldest first, with their values and stale
+    /// values already truncated to their widths. Each dropped push only
+    /// widened the range superset, so it covers the whole run, and it is
+    /// reset only if the buffer was empty before the run's first push.
+    pub(crate) fn push_run(
+        &mut self,
+        first: u64,
+        last: u64,
+        stores: impl IntoIterator<Item = BufferedStore>,
+    ) {
+        self.widen(first, last);
+        for store in stores {
+            self.push_entry(store);
+        }
+    }
+
+    /// Widens the range superset to take in bytes `first..=last` of a
+    /// store about to be pushed; a push into an empty buffer resets it.
+    #[inline(always)]
+    fn widen(&mut self, first: u64, last: u64) {
+        (self.lo, self.hi) = if self.is_empty() {
+            (first, last)
+        } else if last < first || self.hi < self.lo {
+            // A range that wraps has no hull short of the whole space.
+            (0, u64::MAX)
+        } else {
+            (self.lo.min(first), self.hi.max(last))
+        };
+    }
+
+    /// Appends `store`; a full ring overwrites its oldest entry.
+    #[inline(always)]
+    fn push_entry(&mut self, store: BufferedStore) {
+        if self.len == CAPACITY {
+            self.ring[self.head] = store;
+            self.head = wrap(self.head + 1, CAPACITY);
+        } else {
+            self.ring[wrap(self.head + self.len, CAPACITY)] = store;
+            self.len += 1;
+        }
+    }
+
     /// Drops stores older than the drain window relative to `now`.
     #[inline]
     pub fn drain(&mut self, now: u64) {
-        while let Some(front) = self.entries.front() {
-            if now.saturating_sub(front.cycle) > DRAIN_WINDOW {
-                self.entries.pop_front();
-            } else {
-                break;
-            }
+        while self.len > 0 && now.saturating_sub(self.ring[self.head].cycle) > DRAIN_WINDOW {
+            self.head = wrap(self.head + 1, CAPACITY);
+            self.len -= 1;
         }
     }
 
     /// Empties the buffer (mfence/sfence, serializing events).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.len = 0;
     }
 
     /// Whether a load of `width` at `vaddr` is disjoint from the range
@@ -209,7 +295,7 @@ impl StoreBuffer {
     /// Whether bytes `first..=last` are disjoint from the range superset.
     #[inline(always)]
     fn bytes_disjoint(&self, first: u64, last: u64) -> bool {
-        self.entries.is_empty() || overlap(self.lo, self.hi, first, last) == Overlap::Disjoint
+        self.is_empty() || overlap(self.lo, self.hi, first, last) == Overlap::Disjoint
     }
 
     /// Drains at `now`, then whether every load inside bytes
@@ -245,26 +331,25 @@ impl StoreBuffer {
     /// so the range-filter exit stays small.
     #[inline(never)]
     fn scan_load(&mut self, vaddr: u64, width: Width) -> (ForwardOutcome, Option<Youngest>) {
-        for st in self.entries.iter().rev() {
-            match st.overlap(vaddr, width) {
-                Overlap::Disjoint => continue,
-                Overlap::Covered { offset } => {
-                    let shift = offset * 8;
-                    self.forwards += 1;
-                    let youngest = Youngest {
-                        cycle: st.cycle,
-                        stale: Some(width.truncate(st.stale >> shift)),
-                    };
-                    let value = width.truncate(st.value >> shift);
-                    return (ForwardOutcome::Forwarded { value }, Some(youngest));
-                }
-                Overlap::Partial => {
-                    let youngest = Youngest { cycle: st.cycle, stale: None };
-                    return (ForwardOutcome::PartialOverlap, Some(youngest));
-                }
+        let found = self.live().rev().find_map(|st| match st.overlap(vaddr, width) {
+            Overlap::Disjoint => None,
+            overlap => Some((overlap, *st)),
+        });
+        match found {
+            None => (ForwardOutcome::NoConflict, None),
+            Some((Overlap::Covered { offset }, st)) => {
+                let shift = offset * 8;
+                self.forwards += 1;
+                let youngest =
+                    Youngest { cycle: st.cycle, stale: Some(width.truncate(st.stale >> shift)) };
+                let value = width.truncate(st.value >> shift);
+                (ForwardOutcome::Forwarded { value }, Some(youngest))
+            }
+            Some((_, st)) => {
+                let youngest = Youngest { cycle: st.cycle, stale: None };
+                (ForwardOutcome::PartialOverlap, Some(youngest))
             }
         }
-        (ForwardOutcome::NoConflict, None)
     }
 
     /// The Speculative Store Bypass lever: the stale value a bypassing
@@ -277,7 +362,7 @@ impl StoreBuffer {
         if self.disjoint(vaddr, width) {
             return None;
         }
-        for st in self.entries.iter().rev() {
+        for st in self.live().rev() {
             if now.saturating_sub(st.cycle) > DRAIN_WINDOW {
                 continue;
             }
@@ -315,31 +400,29 @@ impl StoreBuffer {
         }
     }
 
-    /// The seed's [`StoreBuffer::check_load`], kept verbatim (the
-    /// reverse scan runs on every load, no range-superset filter) so the
-    /// reference interpreter's timing reflects the pre-refactor
-    /// implementation. Observable-identical to `check_load`.
+    /// The seed's [`StoreBuffer::check_load`], its logic kept as it was
+    /// (the reverse scan runs on every load, no range-superset filter) so
+    /// the reference interpreter's timing reflects the pre-refactor
+    /// implementation; only the walk over the ring is new.
+    /// Observable-identical to `check_load`.
     pub(crate) fn check_load_reference(&mut self, vaddr: u64, width: Width, now: u64) -> ForwardOutcome {
         self.drain(now);
-        for st in self.entries.iter().rev() {
-            if !st.overlaps(vaddr, width) {
-                continue;
-            }
-            if let Overlap::Covered { offset } = st.overlap(vaddr, width) {
-                let shift = offset * 8;
-                let value = width.truncate(st.value >> shift);
-                self.forwards += 1;
-                return ForwardOutcome::Forwarded { value };
-            }
-            return ForwardOutcome::PartialOverlap;
+        let Some(st) = self.live().rev().find(|st| st.overlaps(vaddr, width)) else {
+            return ForwardOutcome::NoConflict;
+        };
+        if let Overlap::Covered { offset } = st.overlap(vaddr, width) {
+            let shift = offset * 8;
+            let value = width.truncate(st.value >> shift);
+            self.forwards += 1;
+            return ForwardOutcome::Forwarded { value };
         }
-        ForwardOutcome::NoConflict
+        ForwardOutcome::PartialOverlap
     }
 
     /// The seed's [`StoreBuffer::bypass_value`], without the
     /// range-superset filter; see `check_load_reference`.
     pub(crate) fn bypass_value_reference(&self, vaddr: u64, width: Width, now: u64) -> Option<u64> {
-        for st in self.entries.iter().rev() {
+        for st in self.live().rev() {
             if now.saturating_sub(st.cycle) > DRAIN_WINDOW || !st.overlaps(vaddr, width) {
                 continue;
             }
@@ -357,21 +440,17 @@ impl StoreBuffer {
     /// this window must wait instead of speculatively assuming no alias —
     /// that wait is the whole cost of the mitigation.
     pub fn has_unresolved_store(&self, now: u64, window: u64) -> bool {
-        self.entries
-            .iter()
-            .rev()
-            .take(4)
-            .any(|st| now.saturating_sub(st.cycle) <= window)
+        self.live().rev().take(4).any(|st| now.saturating_sub(st.cycle) <= window)
     }
 
     /// Number of in-flight stores.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -443,6 +522,167 @@ mod tests {
             sb.push(i * 8, Width::B8, i, 0, i);
         }
         assert!(sb.len() <= CAPACITY);
+    }
+
+    /// The queue the ring replaced: the live stores in a `VecDeque`,
+    /// scanned in full on every load, with no range superset.
+    #[derive(Default)]
+    struct Queue {
+        entries: std::collections::VecDeque<BufferedStore>,
+        forwards: u64,
+    }
+
+    impl Queue {
+        fn push(&mut self, store: BufferedStore) {
+            if self.entries.len() == CAPACITY {
+                self.entries.pop_front();
+            }
+            self.entries.push_back(store);
+        }
+
+        fn drain(&mut self, now: u64) {
+            while self.entries.front().is_some_and(|st| now.saturating_sub(st.cycle) > DRAIN_WINDOW)
+            {
+                self.entries.pop_front();
+            }
+        }
+
+        fn check_load(
+            &mut self,
+            vaddr: u64,
+            width: Width,
+            now: u64,
+        ) -> (ForwardOutcome, Option<Youngest>) {
+            self.drain(now);
+            for st in self.entries.iter().rev() {
+                match st.overlap(vaddr, width) {
+                    Overlap::Disjoint => continue,
+                    Overlap::Covered { offset } => {
+                        self.forwards += 1;
+                        let stale = Some(width.truncate(st.stale >> (offset * 8)));
+                        let value = width.truncate(st.value >> (offset * 8));
+                        let youngest = Youngest { cycle: st.cycle, stale };
+                        return (ForwardOutcome::Forwarded { value }, Some(youngest));
+                    }
+                    Overlap::Partial => {
+                        let youngest = Youngest { cycle: st.cycle, stale: None };
+                        return (ForwardOutcome::PartialOverlap, Some(youngest));
+                    }
+                }
+            }
+            (ForwardOutcome::NoConflict, None)
+        }
+
+        fn bypass_value(&self, vaddr: u64, width: Width, now: u64) -> Option<u64> {
+            let live = |st: &&BufferedStore| now.saturating_sub(st.cycle) <= DRAIN_WINDOW;
+            let st = self.entries.iter().rev().filter(live).find(|st| st.overlaps(vaddr, width))?;
+            match st.overlap(vaddr, width) {
+                Overlap::Covered { offset } => Some(width.truncate(st.stale >> (offset * 8))),
+                _ => None,
+            }
+        }
+
+        fn has_unresolved_store(&self, now: u64, window: u64) -> bool {
+            self.entries.iter().rev().take(4).any(|st| now.saturating_sub(st.cycle) <= window)
+        }
+    }
+
+    /// A seeded run of pushes (well past `CAPACITY`, with the clock
+    /// sometimes stepping back as `Machine::refund` can move it), drains,
+    /// flushes, load checks, bypass scans and unresolved-store checks,
+    /// over stores packed into a few lines and some that wrap the top of
+    /// the address space: after every operation the ring answers, and
+    /// holds, what the queue it replaced does.
+    #[test]
+    fn ring_matches_the_queue_it_replaced() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let (mut ring, mut queue) = (StoreBuffer::new(), Queue::default());
+        let mut now = 1_000;
+        let mut outcomes = [0; 3];
+        for step in 0..20_000 {
+            let vaddr = match below(16) {
+                0 => u64::MAX - below(12),
+                _ => 0x1000 + below(192),
+            };
+            let width = Width::ALL[below(4) as usize];
+            now = match below(8) {
+                0 => now - below(20),
+                _ => now + below(12),
+            };
+            match below(16) {
+                0..=7 => {
+                    let (value, stale) = (below(u64::MAX), below(u64::MAX));
+                    ring.push(vaddr, width, value, stale, now);
+                    let (value, stale) = (width.truncate(value), width.truncate(stale));
+                    queue.push(BufferedStore { vaddr, width, value, stale, cycle: now });
+                }
+                8 => {
+                    ring.drain(now);
+                    queue.drain(now);
+                }
+                9 if below(8) == 0 => {
+                    ring.flush();
+                    queue.entries.clear();
+                }
+                10..=12 => {
+                    let seen = ring.check_load(vaddr, width, now);
+                    assert_eq!(seen, queue.check_load(vaddr, width, now), "step {step}");
+                    outcomes[match seen.0 {
+                        ForwardOutcome::NoConflict => 0,
+                        ForwardOutcome::Forwarded { .. } => 1,
+                        ForwardOutcome::PartialOverlap => 2,
+                    }] += 1;
+                }
+                13 | 14 => {
+                    let seen = ring.bypass_value(vaddr, width, now);
+                    assert_eq!(seen, queue.bypass_value(vaddr, width, now), "step {step}");
+                }
+                _ => {
+                    let window = below(10);
+                    let seen = ring.has_unresolved_store(now, window);
+                    assert_eq!(seen, queue.has_unresolved_store(now, window), "step {step}");
+                }
+            }
+            assert_eq!(ring.len(), queue.entries.len(), "step {step}");
+            assert!(ring.live().eq(queue.entries.iter()), "step {step}");
+            assert_eq!(ring.forwards, queue.forwards, "step {step}");
+        }
+        assert!(outcomes.iter().all(|&n| n > 100), "load outcomes {outcomes:?}");
+    }
+
+    /// Equality compares the live entries in order, wherever the ring
+    /// holds them: a buffer that wrapped past `CAPACITY` equals one that
+    /// drained its way to another offset before taking the same stores.
+    #[test]
+    fn equal_entries_at_different_ring_offsets_compare_equal() {
+        // Stores 48..53 land on the addresses of 0..5, so the hull of
+        // the last 48 is the hull of all 53.
+        let store = |i: u64| (0x100 + 8 * (i % CAPACITY as u64), i);
+        let mut wrapped = StoreBuffer::new();
+        for i in 0..CAPACITY as u64 + 5 {
+            let (vaddr, cycle) = store(i);
+            wrapped.push(vaddr, Width::B8, i, !i, 1_000 + cycle);
+        }
+        let mut drained = StoreBuffer::new();
+        for i in 0..7 {
+            drained.push(0x900, Width::B4, i, 0, 0);
+        }
+        drained.drain(1_000);
+        for i in 5..CAPACITY as u64 + 5 {
+            let (vaddr, cycle) = store(i);
+            drained.push(vaddr, Width::B8, i, !i, 1_000 + cycle);
+        }
+        assert_ne!(wrapped.head, drained.head);
+        assert_eq!(wrapped, drained);
+        drained.push(0x100, Width::B8, 1, 1, 2_000);
+        wrapped.push(0x100, Width::B8, 2, 1, 2_000);
+        assert_ne!(wrapped, drained);
     }
 
     #[test]

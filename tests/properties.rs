@@ -12,7 +12,9 @@
 //! * statistics invariants: geomean bounds, accumulator mean, noise
 //!   reproducibility, no panic/NaN on empty/single/zero/infinite input,
 //!   and a 95% CI that shrinks monotonically with sample count;
-//! * host work: the frames each LEBench op leaves resident are pinned.
+//! * host work: the frames each LEBench op leaves resident are pinned,
+//!   and so is one digest of every op's cycles and frames per paper CPU
+//!   and boot line.
 
 use js_engine::{Engine, FunctionBuilder, JsMitigations, Op};
 use sim_kernel::BootParams;
@@ -1060,4 +1062,132 @@ fn lebench_ops_take_pinned_simulated_cycles() {
         let seen = pins.map(|(op, _)| (op, workloads::run_op(&model, &params, op).cycles));
         assert_eq!(seen, pins, "boot {cmdline:?}: (op, simulated cycles) drifted from the pins");
     }
+}
+
+/// Every LEBench op's simulated work on all eight paper CPUs, under the
+/// default boot and the five boot lines that change a kernel path the
+/// ops take: one digest per (CPU, boot line), FNV-1a over each op's
+/// total cycles and resident frames in suite order. Only Broadwell's
+/// cycles are pinned op by op above; a drift in the user-copy, entry or
+/// fork path on another part, or under another boot line, fails here
+/// and names the pair.
+#[test]
+fn lebench_ops_take_pinned_work_on_every_paper_cpu() {
+    const BOOT_LINES: [&str; 6] = [
+        "",
+        "mitigations=off",
+        "spec_store_bypass_disable=on",
+        "nopti",
+        "mds=off",
+        "eagerfpu=off",
+    ];
+    let pinned: [(&str, [u64; 6]); 8] = [
+        (
+            "Broadwell",
+            [
+                0xafcd_63c3_0991_d693,
+                0xe649_3967_1e11_5a90,
+                0x78b4_4a0d_6074_17b6,
+                0x2253_a36b_c121_5163,
+                0x5362_9983_362f_d5d3,
+                0xb204_dc29_eca5_ce1c,
+            ],
+        ),
+        (
+            "Skylake Client",
+            [
+                0x0189_0286_d410_3b2c,
+                0x7928_5002_29e0_e8c9,
+                0xaa90_6b4d_b7fb_d76d,
+                0x895a_8c2b_6d47_3cdc,
+                0x852e_5a3e_ba3c_fbf6,
+                0x9e16_4faa_5618_fd31,
+            ],
+        ),
+        (
+            "Cascade Lake",
+            [
+                0xf1b7_0d5b_e1fd_d749,
+                0xf499_6399_0b40_e1ad,
+                0xe5ee_2174_db72_97d8,
+                0xf1b7_0d5b_e1fd_d749,
+                0x4a61_3d19_0b59_a2a3,
+                0xa19f_97d0_fc68_d47f,
+            ],
+        ),
+        (
+            "Ice Lake Client",
+            [
+                0x0772_3fb0_7914_3281,
+                0xbede_5330_1410_a7b4,
+                0xbe22_889f_eee5_f6ea,
+                0x0772_3fb0_7914_3281,
+                0x0772_3fb0_7914_3281,
+                0xaf62_37dd_11dc_4c11,
+            ],
+        ),
+        (
+            "Ice Lake Server",
+            [
+                0x4b57_425a_4d73_06f6,
+                0x9c8a_320b_710c_1b57,
+                0xe442_2f4a_d0da_4411,
+                0x4b57_425a_4d73_06f6,
+                0x4b57_425a_4d73_06f6,
+                0x4a0f_bd05_8273_0395,
+            ],
+        ),
+        (
+            "Zen",
+            [
+                0x0420_7402_6c6e_2c0b,
+                0x59a2_ea3f_2709_dd71,
+                0x36d0_5505_c0ab_7ca0,
+                0x0420_7402_6c6e_2c0b,
+                0x0420_7402_6c6e_2c0b,
+                0x28f2_7d6b_d359_e508,
+            ],
+        ),
+        (
+            "Zen 2",
+            [
+                0xade2_bdcf_977c_5f82,
+                0x7712_dee6_005d_70fb,
+                0x7436_c076_0852_7486,
+                0xade2_bdcf_977c_5f82,
+                0xade2_bdcf_977c_5f82,
+                0xe0fe_947d_6568_7508,
+            ],
+        ),
+        (
+            "Zen 3",
+            [
+                0xde77_3c38_972b_7613,
+                0x8772_bdf3_2613_f989,
+                0x6576_916c_f1bd_98e8,
+                0xde77_3c38_972b_7613,
+                0xde77_3c38_972b_7613,
+                0x6758_78e9_71ed_a2d4,
+            ],
+        ),
+    ];
+    let models = cpu_models::all_models();
+    assert_eq!(models.len(), pinned.len(), "one row of pins per paper CPU");
+    let mut drifted = Vec::new();
+    for (model, (microarch, digests)) in models.iter().zip(pinned) {
+        assert_eq!(model.microarch, microarch, "pins in Table 2 order");
+        for (cmdline, want) in BOOT_LINES.into_iter().zip(digests) {
+            let params = BootParams::parse(cmdline);
+            let work = LeBenchOp::ALL.iter().flat_map(|&op| {
+                let r = workloads::run_op(model, &params, op);
+                let frames = r.resident_frames as u64;
+                r.cycles.to_le_bytes().into_iter().chain(frames.to_le_bytes())
+            });
+            let seen = spectrebench::fnv1a(work);
+            if seen != want {
+                drifted.push(format!("{microarch} {cmdline:?}: {seen:#018x}"));
+            }
+        }
+    }
+    assert!(drifted.is_empty(), "(CPU, boot line) digests drifted:\n{}", drifted.join("\n"));
 }

@@ -3,14 +3,15 @@
 //! (`serve_determinism`, `cluster_determinism`) pin the bytes, the
 //! overload and the failover logic; this file pins what only a process
 //! shows — the `listening on` handshake, the fetch client, a SIGTERM
-//! drain and its summary, resident memory over a long run, a SIGKILLed
-//! shard, and the `regend campaign` baseline check.
+//! drain and its summary, resident memory over a long run, the event
+//! loop's CPU under a connection flood past the descriptor limit, a
+//! SIGKILLed shard, and the `regend campaign` baseline check.
 //!
 //! The cluster soak and the campaign run only in release builds
 //! (`cargo test --release --test regend_processes`); the rest is
 //! tier-1.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -178,17 +179,7 @@ fn a_half_closed_client_owed_slow_work_does_not_spin_the_loop() {
     use std::io::Read;
 
     let regend = Daemon::spawn(&["--quick", "--workers", "1"]);
-    // The loop runs on regend's main thread, whose task id is its pid.
-    let stat = format!("/proc/{0}/task/{0}/stat", regend.pid());
-    let loop_ticks = || {
-        let stat = std::fs::read_to_string(&stat).expect("read the loop thread's stat");
-        let fields: Vec<&str> =
-            stat.rsplit(')').next().unwrap_or_default().split_whitespace().collect();
-        // utime and stime are fields 14 and 15; the slice starts at field 3.
-        let ticks = |i: usize| fields[i].parse::<u64>().expect("clock ticks");
-        ticks(11) + ticks(12)
-    };
-    let before = loop_ticks();
+    let before = loop_ticks(&regend);
     let start = std::time::Instant::now();
     let mut client = TcpStream::connect(regend.addr()).expect("connect");
     let request = b"GET /results HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
@@ -197,13 +188,80 @@ fn a_half_closed_client_owed_slow_work_does_not_spin_the_loop() {
     let mut reply = Vec::new();
     client.read_to_end(&mut reply).expect("read to EOF");
     let waited = start.elapsed();
-    let spent = loop_ticks() - before;
+    let spent = loop_ticks(&regend) - before;
     assert!(reply.starts_with(b"HTTP/1.1 200 OK\r\n"), "{}", String::from_utf8_lossy(&reply));
+    assert_under_a_quarter_core(spent, waited);
+    let (status, log) = regend.terminate();
+    assert!(status.success(), "{status}:\n{log}");
+}
+
+/// A flood of connections past `regend`'s descriptor limit costs the
+/// event loop nothing while it is held: once `accept` fails for want of
+/// a descriptor, the loop stops watching the listener until a
+/// connection closes, retrying one `accept` every 50 ms. Watched
+/// throughout, the listener's queued
+/// connections woke every `epoll_wait`, and with 100 idle connections
+/// held against a limit of 64 the loop thread spun a whole core. After
+/// they drop, a new connection is answered and SIGTERM drains cleanly.
+#[test]
+fn a_connection_flood_past_the_descriptor_limit_does_not_spin_the_loop() {
+    let regend = Daemon::spawn_with_nofile(&["--quick"], 64);
+    let before = loop_ticks(&regend);
+    let start = std::time::Instant::now();
+    let held: Vec<TcpStream> =
+        (0..100).map(|_| TcpStream::connect(regend.addr()).expect("connect")).collect();
+    std::thread::sleep(Duration::from_secs(2));
+    let waited = start.elapsed();
+    let spent = loop_ticks(&regend) - before;
+    assert_under_a_quarter_core(spent, waited);
+    drop(held);
+    let health = get(&regend.base, "/healthz");
+    assert_eq!(health.status, 200, "{}", health.text());
+    let (status, log) = regend.terminate();
+    assert!(status.success(), "{status}:\n{log}");
+}
+
+/// A listener starved by the descriptor limit comes back by itself when
+/// descriptors free up outside its own connections: with the flood held
+/// and none of its connections closed, raising the daemon's soft limit
+/// lets the loop's 50 ms retry accept a connection still queued behind
+/// the listener, and that connection is answered.
+#[test]
+fn a_starved_listener_accepts_again_when_descriptors_free_up_elsewhere() {
+    let regend = Daemon::spawn_with_nofile(&["--quick"], 64);
+    let mut held: Vec<TcpStream> =
+        (0..100).map(|_| TcpStream::connect(regend.addr()).expect("connect")).collect();
+    // Time for the loop to accept what the limit allows and starve.
+    std::thread::sleep(Duration::from_millis(500));
+    regend.raise_nofile(1024);
+    let queued = held.last_mut().expect("a held connection");
+    queued.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    queued.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let mut head = [0u8; 12];
+    queued.read_exact(&mut head).expect("the queued connection is answered");
+    assert_eq!(&head, b"HTTP/1.1 200");
+    drop(held);
+    let (status, log) = regend.terminate();
+    assert!(status.success(), "{status}:\n{log}");
+}
+
+/// Clock ticks the event loop has spent, user and system. The loop runs
+/// on `regend`'s main thread, whose task id is its pid.
+fn loop_ticks(regend: &Daemon) -> u64 {
+    let stat = format!("/proc/{0}/task/{0}/stat", regend.pid());
+    let stat = std::fs::read_to_string(stat).expect("read the loop thread's stat");
+    let fields: Vec<&str> =
+        stat.rsplit(')').next().unwrap_or_default().split_whitespace().collect();
+    // utime and stime are fields 14 and 15; the slice starts at field 3.
+    let ticks = |i: usize| fields[i].parse::<u64>().expect("clock ticks");
+    ticks(11) + ticks(12)
+}
+
+/// `spent` clock ticks over `waited` are at most a quarter of a core.
+fn assert_under_a_quarter_core(spent: u64, waited: Duration) {
     // Clock ticks are 10 ms: a quarter of the wait is a quarter of a core.
     let quarter = waited.as_millis() as u64 / 40;
     assert!(spent <= quarter + 2, "the loop spent {spent} tick(s) over a {waited:?} wait");
-    let (status, log) = regend.terminate();
-    assert!(status.success(), "{status}:\n{log}");
 }
 
 /// Four shard processes behind a proxy process: `/results` equals what

@@ -214,7 +214,32 @@ impl Daemon {
     /// bound from its `listening on` line, and waits until `/healthz`
     /// answers 200 with `"status":"ok"`.
     pub fn spawn(args: &[&str]) -> Daemon {
-        let mut child = Command::new(binary("regend"))
+        Daemon::start(Command::new(binary("regend")), args)
+    }
+
+    /// [`Daemon::spawn`] with its soft descriptor limit
+    /// (`RLIMIT_NOFILE`) lowered to `nofile` before `regend` starts; the
+    /// hard limit stays, so [`Daemon::raise_nofile`] can lift it again.
+    pub fn spawn_with_nofile(args: &[&str], nofile: u64) -> Daemon {
+        use std::os::unix::process::CommandExt;
+        let limit = RLimit { cur: nofile, max: nofile_limit(0).max };
+        let mut command = Command::new(binary("regend"));
+        let hook = move || {
+            // SAFETY: setrlimit(2) reads one struct that outlives the
+            // call, and it is async-signal-safe, as a hook that runs
+            // between fork and exec must be.
+            match unsafe { setrlimit(RLIMIT_NOFILE, &limit) } {
+                0 => Ok(()),
+                _ => Err(std::io::Error::last_os_error()),
+            }
+        };
+        // SAFETY: the hook allocates nothing and takes no lock.
+        unsafe { command.pre_exec(hook) };
+        Daemon::start(command, args)
+    }
+
+    fn start(mut command: Command, args: &[&str]) -> Daemon {
+        let mut child = command
             .args(["--addr", "127.0.0.1:0"])
             .args(args)
             .stdout(Stdio::null())
@@ -243,6 +268,17 @@ impl Daemon {
         assert_eq!(health.status, 200, "{}", health.text());
         assert!(health.text().contains("\"status\":\"ok\""), "{}", health.text());
         daemon
+    }
+
+    /// Raises the running daemon's soft descriptor limit to `nofile`:
+    /// descriptors free up without any of its connections closing.
+    pub fn raise_nofile(&self, nofile: u64) {
+        let pid = i32::try_from(self.child.id()).expect("pid fits in pid_t");
+        let limit = RLimit { cur: nofile, max: nofile_limit(pid).max };
+        // SAFETY: prlimit(2) reads one live struct and, given a null
+        // `old`, writes nothing; the pid is our unreaped child.
+        let r = unsafe { prlimit(pid, RLIMIT_NOFILE, &limit, std::ptr::null_mut()) };
+        assert_eq!(r, 0, "prlimit: {}", std::io::Error::last_os_error());
     }
 
     /// `host:port` of the listener.
@@ -281,6 +317,31 @@ impl Daemon {
         self.log.extend(rest);
         (status, self.log.join("\n"))
     }
+}
+
+/// `struct rlimit`, for the resource-limit calls below, declared the way
+/// [`Daemon::terminate`] declares kill(2).
+#[repr(C)]
+struct RLimit {
+    cur: u64,
+    max: u64,
+}
+
+const RLIMIT_NOFILE: i32 = 7;
+
+extern "C" {
+    fn setrlimit(resource: i32, limit: *const RLimit) -> i32;
+    fn prlimit(pid: i32, resource: i32, new: *const RLimit, old: *mut RLimit) -> i32;
+}
+
+/// The descriptor limit of process `pid` (0: this one).
+fn nofile_limit(pid: i32) -> RLimit {
+    let mut limit = RLimit { cur: 0, max: 0 };
+    // SAFETY: prlimit(2) with a null `new` only writes `limit`, which
+    // is live and exclusively borrowed.
+    let r = unsafe { prlimit(pid, RLIMIT_NOFILE, std::ptr::null(), &mut limit) };
+    assert_eq!(r, 0, "prlimit: {}", std::io::Error::last_os_error());
+    limit
 }
 
 impl Drop for Daemon {
