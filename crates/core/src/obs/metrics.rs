@@ -283,6 +283,8 @@ impl Metrics {
             // runs at boot, outside any experiment that emits events);
             // the event only marks the trace.
             EventKind::SpecTaintAnalyzed { .. } => {}
+            // Only the next four kinds use `ts`: `EventBus::emit` reads
+            // the clock for them alone on a bus that keeps no events.
             EventKind::CellQueued => {
                 self.queued.entry(cell.to_owned()).or_default().push_back(ts);
             }

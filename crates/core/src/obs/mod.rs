@@ -389,6 +389,12 @@ impl EventBus {
     /// Folds one event into the counters (and records it on a recording
     /// bus). The worker lane is taken from the calling thread's tag (see
     /// [`set_current_worker`]).
+    ///
+    /// The clock is read only where its reading is used: on a recording
+    /// bus, whose events keep it, and for the four kinds whose fold
+    /// measures an interval (queue wait, plan wall). Any other event
+    /// folds with a zero timestamp, so a served request's events read no
+    /// clock at all.
     pub fn emit(
         &self,
         experiment: &str,
@@ -397,7 +403,14 @@ impl EventBus {
         attempt: u32,
         kind: EventKind,
     ) {
-        let ts = self.clock.now();
+        let timed = matches!(
+            kind,
+            EventKind::CellQueued
+                | EventKind::CellStarted
+                | EventKind::PlanStarted { .. }
+                | EventKind::PlanFinished
+        );
+        let ts = if self.recording || timed { self.clock.now() } else { Duration::ZERO };
         let event = self.recording.then(|| Event {
             ts,
             experiment: experiment.to_string(),
@@ -411,6 +424,11 @@ impl EventBus {
         state.metrics.observe(ts, experiment, cell, &kind);
         state.emitted += 1;
         state.events.extend(event);
+    }
+
+    /// Whether this bus keeps its events (see [`EventBus::recording`]).
+    pub fn is_recording(&self) -> bool {
+        self.recording
     }
 
     /// Reads the counters under the bus lock, e.g.

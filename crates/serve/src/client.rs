@@ -23,7 +23,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::http::parse_header_lines;
+use crate::http::{find_header, parse_header_lines};
 
 /// One parsed response.
 #[derive(Debug, Clone)]
@@ -39,8 +39,7 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First value of header `name` (case-insensitive), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// The body as UTF-8 (lossy).
@@ -145,7 +144,8 @@ fn parse_head(head: &[u8]) -> Result<(HttpResponse, Option<usize>), String> {
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| format!("bad status line: {status_line:?}"))?;
-    let (headers, len) = parse_header_lines(lines)?;
+    let mut headers = Vec::new();
+    let len = parse_header_lines(lines, &mut headers)?;
     let len = len.map(usize::try_from).transpose().map_err(|_| "content-length overflows")?;
     Ok((HttpResponse { status, headers, body: Vec::new() }, len))
 }

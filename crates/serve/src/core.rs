@@ -11,13 +11,17 @@
 //! Routing is split by cost. [`Core::route`] answers everything that
 //! is O(1) — health, metrics, index pages, validation errors, *cache
 //! hits* — and classifies the rest as [`SlowWork`]. The event loop
-//! runs `route` inline on the loop thread (a cache hit costs one
-//! `HashMap` probe and then writes pre-rendered bytes zero-copy) and
-//! ships `SlowWork` to the dispatch pool.
+//! runs `route` inline on the loop thread and ships `SlowWork` to the
+//! dispatch pool. The router slices its endpoint and arguments out of
+//! the decoded path, and every hit, an artifact, a cell or `/results`,
+//! answers from a kept [`Rendered`] response whose body and heads the
+//! connection writes as they are: a hit costs one `HashMap` probe and
+//! formats, hashes and allocates nothing.
 
 // regend serves results; a request must never take down the process.
 #![allow(clippy::result_large_err)]
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -29,7 +33,7 @@ use spectrebench::{
     FlightOutcome, Harness, HarnessStats, Journal, NetFaultPlan, RetryPolicy, SingleFlight,
 };
 
-use crate::http::{percent_encode_path, Request, Response};
+use crate::http::{percent_encode_path, Rendered, Request, Response};
 use crate::shard::Cluster;
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -102,29 +106,22 @@ impl Default for ServerConfig {
     }
 }
 
-/// A rendered artifact held in the serving cache: the exact block the
-/// CLI prints (`== caption ==\n<text>\n`) as shared bytes the
-/// connections write zero-copy, its marker flags, and its wire checksum,
-/// computed once when the rendering is made.
-#[derive(Debug, Clone)]
-pub struct Rendered {
-    /// The response body (shared, immutable).
-    pub body: Arc<[u8]>,
-    /// Whether any attribution slice had to be bridged.
-    pub degraded: bool,
-    /// Whether this is the quick variant's rendering.
-    pub quick: bool,
-    /// [`marked_crc32`] of the body and the two flags: the
-    /// `X-Regend-Crc32` every response for this rendering carries.
-    pub crc32: u32,
-}
-
-impl Rendered {
-    /// A rendering of `body` with its markers, checksummed.
-    pub(crate) fn new(body: Arc<[u8]>, degraded: bool, quick: bool) -> Rendered {
-        let crc32 = marked_crc32(&body, degraded, quick);
-        Rendered { body, degraded, quick, crc32 }
+/// Renders an artifact for the serving cache: the exact block the CLI
+/// prints (`== caption ==\n<text>\n`) as a 200 with its marker headers
+/// (`degraded`: an attribution slice had to be bridged; `quick`: the
+/// quick variant) and its wire checksum over both, so the cluster proxy
+/// can detect damage on the proxy↔shard hop without a hit re-hashing
+/// the body.
+pub(crate) fn render_artifact(body: Arc<[u8]>, degraded: bool, quick: bool) -> Rendered {
+    let checksum = format!("{:08x}", marked_crc32(&body, degraded, quick));
+    let mut resp = Response::shared(200, body).with_header("X-Regend-Crc32", checksum);
+    if degraded {
+        resp = resp.with_header("X-Regend-Degraded", "true");
     }
+    if quick {
+        resp = resp.with_header("X-Regend-Quick", "true");
+    }
+    Rendered::new(resp)
 }
 
 /// The checksum an artifact response declares in `X-Regend-Crc32`: the
@@ -225,13 +222,18 @@ pub struct Core {
     pub cluster: Option<Cluster>,
     flights: SingleFlight<ArtifactEntry>,
     pub(crate) rendered: Mutex<HashMap<(&'static str, bool), Rendered>>,
+    /// Renderings of the cells read so far, by seed and then content
+    /// key (so a lookup borrows the key): made the first time a cell is
+    /// answered from the executor's cell cache, or on a proxy from the
+    /// verified bytes its owner sent.
+    pub(crate) cells: Mutex<HashMap<u64, HashMap<String, Rendered>>>,
     /// `(artifact, quick)` pairs whose sweep ran on *this* executor, so
     /// its cell cache holds their values. A proxy's rendered cache can
     /// be filled from shard bytes instead, which satisfy `/artifact`
     /// and `/results` but carry no cell values — `/cell` failover must
     /// consult this, not the rendered cache.
     swept: Mutex<HashSet<(&'static str, bool)>>,
-    results: Mutex<HashMap<bool, Arc<[u8]>>>,
+    results: Mutex<HashMap<bool, Rendered>>,
     /// Drain flag (SIGTERM, `POST /shutdown`, or a handle).
     pub draining: AtomicBool,
 }
@@ -271,6 +273,7 @@ impl Core {
             cluster,
             flights: SingleFlight::new(),
             rendered: Mutex::new(HashMap::new()),
+            cells: Mutex::new(HashMap::new()),
             swept: Mutex::new(HashSet::new()),
             results: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
@@ -316,25 +319,31 @@ impl Core {
     /// work. `queue_depth` is the server's current dispatch depth,
     /// reported by `/healthz`.
     pub fn route(&self, request: &Request, queue_depth: usize) -> (&'static str, Action) {
-        let segments: Vec<&str> =
-            request.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => ("healthz", Action::Done(self.healthz(queue_depth))),
-            ("GET", ["metrics"]) => ("metrics", Action::Done(self.metrics())),
-            ("GET", ["artifacts"]) => ("artifacts", Action::Done(artifact_index())),
-            ("GET", ["results"]) => ("results", self.route_results(request)),
-            ("GET", ["artifact", name]) => ("artifact", self.route_artifact(request, name)),
-            ("GET", ["cell", experiment, rest @ ..]) if !rest.is_empty() => {
-                ("cell", self.route_cell(request, experiment, &rest.join("/")))
+        let path = segments(&request.path);
+        let mut parts = path.splitn(3, '/');
+        match (request.method.as_str(), parts.next(), parts.next(), parts.next()) {
+            ("GET", Some("healthz"), None, None) => {
+                ("healthz", Action::Done(self.healthz(queue_depth)))
             }
-            ("POST", ["shutdown"]) => {
+            ("GET", Some("metrics"), None, None) => ("metrics", Action::Done(self.metrics())),
+            ("GET", Some("artifacts"), None, None) => {
+                ("artifacts", Action::Done(artifact_index()))
+            }
+            ("GET", Some("results"), None, None) => ("results", self.route_results(request)),
+            ("GET", Some("artifact"), Some(name), None) => {
+                ("artifact", self.route_artifact(request, name))
+            }
+            ("GET", Some("cell"), Some(experiment), Some(key)) => {
+                ("cell", self.route_cell(request, experiment, key))
+            }
+            ("POST", Some("shutdown"), None, None) => {
                 ("shutdown", Action::StartDrain(Response::text(200, "draining\n")))
             }
-            ("GET", ["shutdown"]) => (
+            ("GET", Some("shutdown"), None, None) => (
                 "shutdown",
                 Action::Done(Response::text(405, "regend: shutdown requires POST\n")),
             ),
-            ("GET", _) => ("error", Action::Done(Response::text(404, endpoint_index()))),
+            ("GET", ..) => ("error", Action::Done(Response::text(404, endpoint_index()))),
             _ => ("error", Action::Done(Response::text(405, "regend: method not allowed\n"))),
         }
     }
@@ -353,7 +362,7 @@ impl Core {
     pub(crate) fn execute_local(&self, work: &SlowWork, path: &str) -> Response {
         match work {
             SlowWork::Artifact { artifact, quick } => match self.obtain(*artifact, *quick, path) {
-                Ok(r) => artifact_response(&r),
+                Ok(r) => Response::rendered(r),
                 Err(e) => {
                     Response::text(500, format!("regend: {} failed: {e}\n", artifact.name()))
                 }
@@ -426,7 +435,7 @@ impl Core {
         };
         if let Some(r) = lock(&self.rendered).get(&(artifact.name(), quick)).cloned() {
             self.bus.emit(artifact.name(), &request.path, "", 0, EventKind::ArtifactCacheHit);
-            return Action::Done(artifact_response(&r));
+            return Action::Done(Response::rendered(r));
         }
         Action::Slow(SlowWork::Artifact { artifact, quick })
     }
@@ -440,11 +449,11 @@ impl Core {
             Ok(q) => q,
             Err(resp) => return Action::Done(resp),
         };
-        if let Some(body) = lock(&self.results).get(&quick).cloned() {
+        if let Some(r) = lock(&self.results).get(&quick).cloned() {
             for artifact in Artifact::ALL {
                 self.bus.emit(artifact.name(), &request.path, "", 0, EventKind::ArtifactCacheHit);
             }
-            return Action::Done(Response::shared(200, body));
+            return Action::Done(Response::rendered(r));
         }
         Action::Slow(SlowWork::Results { quick })
     }
@@ -470,15 +479,13 @@ impl Core {
                 }
             }
         }
-        let body: Arc<[u8]> = body.into();
-        if failures == 0 {
-            lock(&self.results).insert(quick, Arc::clone(&body));
-        }
-        let mut resp = Response::shared(200, body);
+        let resp = Response::shared(200, body.into());
         if failures > 0 {
-            resp = resp.with_header("X-Regend-Failures", failures.to_string());
+            return resp.with_header("X-Regend-Failures", failures.to_string());
         }
-        resp
+        let rendered = Rendered::new(resp);
+        lock(&self.results).insert(quick, rendered.clone());
+        Response::rendered(rendered)
     }
 
     /// `GET /cell/<experiment>/<content-key>[?seed=N]`: one lattice
@@ -501,12 +508,9 @@ impl Core {
             Ok(q) => q,
             Err(resp) => return Action::Done(resp),
         };
-        if let Some(v) = self.exec.cache_lookup(content_key, seed) {
+        if let Some(r) = self.cell_rendering(content_key, seed) {
             self.bus.emit(artifact.name(), &request.path, content_key, 0, EventKind::CellCacheHit);
-            return Action::Done(checksummed_json(format!(
-                "{}\n",
-                cell_value_json(content_key, seed, &v)
-            )));
+            return Action::Done(Response::rendered(r));
         }
         Action::Slow(SlowWork::Cell {
             artifact,
@@ -535,10 +539,8 @@ impl Core {
                 );
             }
         }
-        match self.exec.cache_lookup(content_key, seed) {
-            Some(v) => {
-                checksummed_json(format!("{}\n", cell_value_json(content_key, seed, &v)))
-            }
+        match self.cell_rendering(content_key, seed) {
+            Some(r) => Response::rendered(r),
             None => Response::text(
                 404,
                 format!(
@@ -550,6 +552,25 @@ impl Core {
                 ),
             ),
         }
+    }
+
+    /// The rendering of cell `(content_key, seed)`: the kept one, else
+    /// one made from the executor's cell cache and kept. `None` while the
+    /// executor does not hold the cell.
+    fn cell_rendering(&self, content_key: &str, seed: u64) -> Option<Rendered> {
+        if let Some(r) = lock(&self.cells).get(&seed).and_then(|by_key| by_key.get(content_key)) {
+            return Some(r.clone());
+        }
+        let value = self.exec.cache_lookup(content_key, seed)?;
+        let body = format!("{}\n", cell_value_json(content_key, seed, &value));
+        let rendered = Rendered::new(checksummed_json(body));
+        self.keep_cell(content_key, seed, rendered.clone());
+        Some(rendered)
+    }
+
+    /// Keeps the rendering of cell `(content_key, seed)` for later hits.
+    pub(crate) fn keep_cell(&self, content_key: &str, seed: u64, rendered: Rendered) {
+        lock(&self.cells).entry(seed).or_default().insert(content_key.to_string(), rendered);
     }
 
     /// Resolves the effective quick flag: the server default, overridden
@@ -604,7 +625,7 @@ impl Core {
             match artifact.regenerate(quick, &self.exec) {
                 Ok(out) => {
                     let block = artifact.block(Some(&out.text));
-                    let rendered = Rendered::new(block.into_bytes().into(), out.degraded, quick);
+                    let rendered = render_artifact(block.into_bytes().into(), out.degraded, quick);
                     lock(&self.rendered).insert((artifact.name(), quick), rendered.clone());
                     lock(&self.swept).insert((artifact.name(), quick));
                     Ok(rendered)
@@ -619,28 +640,24 @@ impl Core {
     }
 }
 
-/// Builds the 200 response for a rendered artifact (zero-copy body,
-/// degraded/quick marker headers, and the rendering's stored checksum
-/// over both, so the cluster proxy can detect damage on the proxy↔shard
-/// hop without a cache hit re-hashing the body).
-pub(crate) fn artifact_response(r: &Rendered) -> Response {
-    let mut resp = Response::shared(200, Arc::clone(&r.body))
-        .with_header("X-Regend-Crc32", format!("{:08x}", r.crc32));
-    if r.degraded {
-        resp = resp.with_header("X-Regend-Degraded", "true");
-    }
-    if r.quick {
-        resp = resp.with_header("X-Regend-Quick", "true");
-    }
-    resp
-}
-
 /// Builds a 200 JSON response checksummed like artifact bodies: the
 /// proxy verifies every shard hop, cell fills and `/healthz` probes
 /// alike.
 pub(crate) fn checksummed_json(body: String) -> Response {
     let checksum = format!("{:08x}", crc32(body.as_bytes()));
     Response::json(200, body).with_header("X-Regend-Crc32", checksum)
+}
+
+/// `path`'s non-empty `/`-separated segments joined by `/`, which the
+/// router slices its endpoint and arguments out of: `//cell/t//k/`
+/// routes as `cell/t/k`. Borrowed, unless the path has an empty segment
+/// past its leading `/`.
+fn segments(path: &str) -> Cow<'_, str> {
+    let path = path.strip_prefix('/').unwrap_or(path);
+    if path.is_empty() || path.split('/').all(|s| !s.is_empty()) {
+        return Cow::Borrowed(path);
+    }
+    Cow::Owned(path.split('/').filter(|s| !s.is_empty()).collect::<Vec<_>>().join("/"))
 }
 
 /// True once `arrived + deadline` has passed.
@@ -680,6 +697,143 @@ fn endpoint_index() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::RequestParser;
+
+    /// The artifacts that render in under a second, whose cells
+    /// `perfbench/cells.tsv` lists.
+    const CHEAP_ARTIFACTS: [&str; 15] = [
+        "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
+        "figure5", "table9", "table10", "vm", "eibrs-bimodal", "ebpf", "targeted",
+    ];
+
+    /// The segment rule the slicing router replaced, kept as its oracle:
+    /// split the decoded path on `/`, drop empty segments, match, and
+    /// re-join a cell key's segments.
+    fn oracle_route(core: &Core, request: &Request) -> (&'static str, Action) {
+        let segments: Vec<&str> =
+            request.path.split('/').filter(|s| !s.is_empty()).collect();
+        match (request.method.as_str(), segments.as_slice()) {
+            ("GET", ["healthz"]) => ("healthz", Action::Done(core.healthz(0))),
+            ("GET", ["metrics"]) => ("metrics", Action::Done(core.metrics())),
+            ("GET", ["artifacts"]) => ("artifacts", Action::Done(artifact_index())),
+            ("GET", ["results"]) => ("results", core.route_results(request)),
+            ("GET", ["artifact", name]) => ("artifact", core.route_artifact(request, name)),
+            ("GET", ["cell", experiment, rest @ ..]) if !rest.is_empty() => {
+                ("cell", core.route_cell(request, experiment, &rest.join("/")))
+            }
+            ("POST", ["shutdown"]) => {
+                ("shutdown", Action::StartDrain(Response::text(200, "draining\n")))
+            }
+            ("GET", ["shutdown"]) => (
+                "shutdown",
+                Action::Done(Response::text(405, "regend: shutdown requires POST\n")),
+            ),
+            ("GET", _) => ("error", Action::Done(Response::text(404, endpoint_index()))),
+            _ => ("error", Action::Done(Response::text(405, "regend: method not allowed\n"))),
+        }
+    }
+
+    /// What a routing decision puts on the wire: a response's bytes, or
+    /// the slow work it hands the pool.
+    fn shown((endpoint, action): (&'static str, Action)) -> (&'static str, String) {
+        let wire = |r: Response| {
+            let mut bytes = r.render_head(true);
+            bytes.extend_from_slice(r.body.as_bytes());
+            String::from_utf8_lossy(&bytes).into_owned()
+        };
+        let shown = match action {
+            // The exposition reads process-wide counters that tests
+            // running beside this one move.
+            Action::Done(r) if endpoint == "metrics" => format!("{} exposition", r.status),
+            Action::Done(r) => wire(r),
+            Action::StartDrain(r) => format!("drain, then {}", wire(r)),
+            Action::Slow(work) => format!("{work:?}"),
+        };
+        (endpoint, shown)
+    }
+
+    fn parse(method: &str, target: &str) -> Request {
+        let mut parser = RequestParser::new();
+        parser.push(format!("{method} {target} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes());
+        parser.next_request().expect("a well-formed head").expect("a complete head")
+    }
+
+    /// The router slices what the segment rule collected and re-joined:
+    /// the same endpoint and the same bytes, or the same slow work, for
+    /// every warm cell perfbench reads, the 15 cheap artifacts, those
+    /// paths with empty segments, doubled `%2F`s and trailing slashes
+    /// worked in, and a list of odd paths (empty keys, non-ASCII and
+    /// invalid UTF-8, `+` in a key, other methods).
+    #[test]
+    fn the_slicing_router_routes_as_the_segment_rule_did() {
+        let core = Core::new(ServerConfig { jobs: Some(2), ..ServerConfig::default() })
+            .expect("a core without a journal");
+        let mut targets = Vec::new();
+        for name in CHEAP_ARTIFACTS {
+            let target = format!("/artifact/{name}");
+            let Action::Slow(work) = core.route(&parse("GET", &target), 0).1 else {
+                panic!("{target} starts cold")
+            };
+            assert_eq!(core.execute(&work, &target).status, 200, "{target}");
+            targets.push(target);
+        }
+        let cells = include_str!("../../../perfbench/cells.tsv")
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(|l| l.split_once('\t').expect("experiment<TAB>content key"));
+        let mut warm = 0;
+        for (experiment, key) in cells {
+            let segment = percent_encode_path(key).replace('/', "%2F");
+            let target = format!("/cell/{experiment}/{segment}");
+            match core.route(&parse("GET", &target), 0) {
+                ("cell", Action::Done(r)) if r.status == 200 => warm += 1,
+                (endpoint, _) => panic!("{target} is not a warm cell ({endpoint})"),
+            }
+            targets.push(format!("/cell/{experiment}/{}", percent_encode_path(key)));
+            targets.push(format!("//cell//{experiment}//{segment}//"));
+            targets.push(format!("/cell/{experiment}/%2F{}", segment.replace("%2F", "%2F%2F")));
+            targets.push(format!("{target}/?seed=0"));
+            targets.push(target);
+        }
+        assert_eq!(warm, 239, "perfbench reads 239 cells");
+        let odd = [
+            "", "/", "//", "///", "?seed=0", "/healthz", "healthz", "/healthz/", "//healthz//",
+            "/healthz/x", "/metrics", "/metrics/", "/artifacts", "/results", "//results/",
+            "/results/x", "/artifact", "/artifact/", "/artifact//table1", "/artifact/table1/",
+            "/artifact/table1//", "/artifact/table1/x", "/artifact/table1%2Fx",
+            "/artifact/t%C3%A5ble1", "/artifact/tåble1", "/artifact/%FF", "/artifact/figre2",
+            "/artifact/table1?seed=7", "/artifact/table1?quick=x", "/cell", "/cell/", "/cell//",
+            "/cell/table1", "/cell/table1/", "/cell/table1//", "/cell/table1/%2F",
+            "/cell/table1/%2F%2F", "/cell/%2Ftable1%2F/Broadwell", "/cell/tabel1/Broadwell",
+            "/cell/table1/Broadwell", "/cell/table1/Broadwell/mitigations?seed=1",
+            "/cell/table1/Broadwell/mitigations?seed=x",
+            "/cell/table1/Br%C3%B6adwell%2Fmitigations", "/cell/table1/Bröadwell/mitigations",
+            "/cell/table1/%FF%FE/mitigations", "/cell/ablations/x/y", "/cell/smt/x",
+            "/cell/figure3/Broadwell%2Fcrypto%2F%5Bmitigations%3Doff%20js%3Dim+og%5D",
+            "/cell/figure3/Broadwell%2Fcrypto%2F%5Bmitigations%3Doff%20js%3Dim%2Bog%5D",
+            "/shutdown", "/shutdown/", "//shutdown", "/shutdown/now", "/nope", "/%2F",
+        ];
+        targets.extend(odd.iter().map(|t| t.to_string()));
+        for target in &targets {
+            for method in ["GET", "POST", "HEAD"] {
+                let request = parse(method, target);
+                let got = shown(core.route(&request, 0));
+                let want = shown(oracle_route(&core, &request));
+                assert_eq!(got, want, "{method} {target}");
+            }
+        }
+
+        // figure3's `js=im+og` cell: a `+` in a path is a plus, however
+        // it is spelled.
+        let plus = odd.iter().filter(|t| t.starts_with("/cell/figure3/")).map(|t| {
+            match core.route(&parse("GET", t), 0).1 {
+                Action::Slow(SlowWork::Cell { content_key, .. }) => content_key,
+                _ => panic!("{t} is a cold cell"),
+            }
+        });
+        let keys: Vec<String> = plus.collect();
+        assert_eq!(keys, ["Broadwell/crypto/[mitigations=off js=im+og]"; 2]);
+    }
 
     #[test]
     fn unknown_artifact_suggests_the_closest_name() {

@@ -12,12 +12,20 @@
 //! ones; `crates/serve/tests/http_parser.rs` pins that equivalence
 //! property.
 //!
+//! A head is parsed where it lies in the parser's buffer, into the
+//! strings of a request the caller handed back with
+//! [`RequestParser::recycle`], so a connection's steady stream of
+//! requests allocates nothing once its first few have sized the
+//! strings. A cache keeps a [`Rendered`] response: its body and both of
+//! its heads, formatted once, which every hit then writes as they are.
+//!
 //! No chunked encoding (a `Transfer-Encoding` head is refused), no
 //! TLS — the repo's dependency policy
 //! (hand-rolled JSON/CRC32/RNG, no external crates) extends to the
 //! wire. Limits are enforced *while buffering*, so a malformed or
 //! hostile peer costs a bounded amount of memory, never the process.
 
+use std::io::Write;
 use std::sync::Arc;
 
 /// Upper bound on one header line (request line included).
@@ -44,13 +52,15 @@ impl std::fmt::Display for HttpError {
 
 /// One parsed request. The target is split into a percent-decoded path
 /// and its query parameters; header names are lowercased.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Request {
     /// `GET`, `POST`, ... (uppercase as sent).
     pub method: String,
-    /// Percent-decoded path, without the query string.
+    /// Percent-decoded path, without the query string. A `+` stays a
+    /// `+` (RFC 3986 gives it no meaning in a path).
     pub path: String,
-    /// Decoded `(key, value)` pairs from the query string, in order.
+    /// Decoded `(key, value)` pairs from the query string, in order
+    /// (`+` decodes as a space here).
     pub query: Vec<(String, String)>,
     /// `(lowercased-name, value)` pairs, in order.
     pub headers: Vec<(String, String)>,
@@ -68,9 +78,14 @@ impl Request {
 
     /// First value of header `name` (case-insensitive), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
+}
+
+/// First value of header `name` among `headers`, whose names are stored
+/// lowercased: compared without regard to case, without copying `name`.
+pub(crate) fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
 }
 
 /// Incremental HTTP/1.1 request parser: feed bytes with
@@ -96,6 +111,11 @@ pub struct RequestParser {
     pending_body: Option<(Request, u64)>,
     /// Sticky malformed-head error.
     error: Option<String>,
+    /// The request [`RequestParser::recycle`] handed back: the next head
+    /// is parsed into its strings.
+    spare: Option<Request>,
+    /// Scratch bytes for percent-decoding.
+    decoded: Vec<u8>,
 }
 
 impl RequestParser {
@@ -112,6 +132,12 @@ impl RequestParser {
     /// Bytes buffered but not yet consumed (partial request data).
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.start
+    }
+
+    /// Takes back a request the caller is done with, so the next head is
+    /// parsed into its strings instead of new ones.
+    pub fn recycle(&mut self, request: Request) {
+        self.spare = Some(request);
     }
 
     fn fail(&mut self, msg: String) -> HttpError {
@@ -160,67 +186,75 @@ impl RequestParser {
             return Ok(Some(request));
         }
         while self.scanned < self.buf.len() {
-            if self.buf[self.scanned] == b'\n' {
-                let mut line_end = self.scanned;
-                if line_end > self.line_start && self.buf[line_end - 1] == b'\r' {
-                    line_end -= 1;
-                }
-                let empty = line_end == self.line_start;
-                self.lines += 1;
-                // An empty line terminates the head. (An empty *first*
-                // line parses as an empty request line and is rejected
-                // below.)
-                if empty {
-                    let head_end = self.scanned + 1;
-                    let head = self.buf[self.start..head_end].to_vec();
-                    self.start = head_end;
-                    self.scanned = head_end;
-                    self.line_start = head_end;
-                    self.lines = 0;
-                    let (request, body_len) =
-                        parse_head(&head).map_err(|m| self.fail(m))?;
-                    if body_len > MAX_BODY {
-                        return Err(self.fail("request body too large".to_string()));
-                    }
-                    if body_len > 0 {
-                        self.pending_body = Some((request, body_len));
-                        return self.next_request();
-                    }
-                    self.compact();
-                    return Ok(Some(request));
-                }
-                // Reject a 65th header even before the head completes,
-                // so an endless header stream cannot buffer unboundedly.
-                if self.lines >= MAX_HEADERS + 2 {
-                    return Err(self.fail("too many headers".to_string()));
-                }
-                self.scanned += 1;
-                self.line_start = self.scanned;
-                continue;
-            }
-            self.scanned += 1;
+            // Jump to the current line's newline, or to the end of what
+            // has arrived: either way the line so far must fit.
+            let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            self.scanned = newline.map_or(self.buf.len(), |at| self.scanned + at);
             if self.scanned - self.line_start > MAX_LINE {
                 return Err(self.fail("header line too long".to_string()));
             }
+            if newline.is_none() {
+                break;
+            }
+            let mut line_end = self.scanned;
+            if line_end > self.line_start && self.buf[line_end - 1] == b'\r' {
+                line_end -= 1;
+            }
+            let empty = line_end == self.line_start;
+            self.lines += 1;
+            // An empty line terminates the head. (An empty *first*
+            // line parses as an empty request line and is rejected
+            // below.)
+            if empty {
+                let head = self.start..self.scanned + 1;
+                self.start = head.end;
+                self.scanned = head.end;
+                self.line_start = head.end;
+                self.lines = 0;
+                // Parsed where it lies in the buffer, into the
+                // recycled request's strings.
+                let mut request = self.spare.take().unwrap_or_default();
+                let body_len =
+                    match parse_head(&self.buf[head], &mut request, &mut self.decoded) {
+                        Ok(len) => len,
+                        Err(m) => return Err(self.fail(m)),
+                    };
+                if body_len > MAX_BODY {
+                    return Err(self.fail("request body too large".to_string()));
+                }
+                if body_len > 0 {
+                    self.pending_body = Some((request, body_len));
+                    return self.next_request();
+                }
+                self.compact();
+                return Ok(Some(request));
+            }
+            // Reject a 65th header even before the head completes,
+            // so an endless header stream cannot buffer unboundedly.
+            if self.lines >= MAX_HEADERS + 2 {
+                return Err(self.fail("too many headers".to_string()));
+            }
+            self.scanned += 1;
+            self.line_start = self.scanned;
         }
         Ok(None)
     }
 }
 
 /// Parses one complete head (`request line .. blank line`, newline
-/// included). Returns the request plus its declared body length. Error
-/// strings depend only on the head's bytes, so rejection is
-/// byte-identical no matter how the head was fragmented.
-fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
+/// included) into `request`, overwriting every field and reusing its
+/// strings, with `decoded` as percent-decoding scratch. Returns the
+/// declared body length. Error strings depend only on the head's bytes,
+/// so rejection is byte-identical no matter how the head was
+/// fragmented.
+fn parse_head(head: &[u8], request: &mut Request, decoded: &mut Vec<u8>) -> Result<u64, String> {
     let text =
         std::str::from_utf8(head).map_err(|_| "non-UTF-8 header".to_string())?;
     let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let line = lines.next().unwrap_or("");
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if parts.next().is_none() && !m.is_empty() => {
-            (m.to_string(), t.to_string(), v)
-        }
+        (Some(m), Some(t), Some(v)) if parts.next().is_none() && !m.is_empty() => (m, t, v),
         _ => return Err(format!("bad request line: {line:?}")),
     };
     if !version.starts_with("HTTP/1.") {
@@ -230,32 +264,23 @@ fn parse_head(head: &[u8]) -> Result<(Request, u64), String> {
     // valid two-digit escape. (A lenient decode here would make two
     // differently-fragmented copies of a hostile target decode to the
     // same path only by accident.)
-    if !percent_escapes_valid(&target) {
+    if !percent_escapes_valid(target) {
         return Err(format!("bad percent-encoding in target: {target:?}"));
     }
-    let (headers, body_len) = parse_header_lines(lines)?;
-    let (raw_path, raw_query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target.as_str(), ""),
-    };
-    let connection = headers
-        .iter()
-        .find(|(k, _)| k == "connection")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("");
-    let keep_alive = if version == "HTTP/1.0" {
+    let body_len = parse_header_lines(lines, &mut request.headers)?;
+    let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
+    let connection = request.header("connection").unwrap_or("");
+    request.keep_alive = if version == "HTTP/1.0" {
         connection.eq_ignore_ascii_case("keep-alive")
     } else {
         !connection.eq_ignore_ascii_case("close")
     };
-    let request = Request {
-        method,
-        path: percent_decode(raw_path),
-        query: parse_query(raw_query),
-        headers,
-        keep_alive,
-    };
-    Ok((request, body_len.unwrap_or(0)))
+    request.method.clear();
+    request.method.push_str(method);
+    request.path.clear();
+    decode_into(raw_path, false, &mut request.path, decoded);
+    parse_query(raw_query, &mut request.query, decoded);
+    Ok(body_len.unwrap_or(0))
 }
 
 /// `(lowercased-name, value)` pairs, in order.
@@ -264,7 +289,8 @@ pub(crate) type Headers = Vec<(String, String)>;
 /// Parses the header lines of a head, up to its blank line, by the one
 /// grammar requests and responses share: every line is `name: value`
 /// (the name lowercased, both sides trimmed), at most [`MAX_HEADERS`]
-/// of them. Returns the headers and the declared body length.
+/// of them. Fills `headers` with them, reusing the strings it holds,
+/// and returns the declared body length.
 ///
 /// Body framing is `Content-Length` alone. Anything that could make
 /// two parsers disagree on where a body ends (and so run body bytes as
@@ -272,22 +298,28 @@ pub(crate) type Headers = Vec<(String, String)>;
 /// length that is not plain decimal, or two lengths that differ.
 pub(crate) fn parse_header_lines<'a>(
     lines: impl Iterator<Item = &'a str>,
-) -> Result<(Headers, Option<u64>), String> {
-    let mut headers = Vec::new();
+    headers: &mut Headers,
+) -> Result<Option<u64>, String> {
+    let mut count = 0;
     for line in lines {
         if line.is_empty() {
             break;
         }
-        if headers.len() >= MAX_HEADERS {
+        if count >= MAX_HEADERS {
             return Err("too many headers".to_string());
         }
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| format!("bad header line: {line:?}"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        let (n, v) = refill(headers, count);
+        n.push_str(name.trim());
+        n.make_ascii_lowercase();
+        v.push_str(value.trim());
+        count += 1;
     }
+    headers.truncate(count);
     let mut body_len = None;
-    for (name, value) in &headers {
+    for (name, value) in headers.iter() {
         match name.as_str() {
             "transfer-encoding" => {
                 return Err(format!("unsupported transfer-encoding: {value:?}"));
@@ -307,7 +339,19 @@ pub(crate) fn parse_header_lines<'a>(
             _ => {}
         }
     }
-    Ok((headers, body_len))
+    Ok(body_len)
+}
+
+/// Pair `i` of `pairs`, emptied for refilling: a recycled request's
+/// strings are reused, and a pair is added only past the end.
+fn refill(pairs: &mut Vec<(String, String)>, i: usize) -> (&mut String, &mut String) {
+    if i == pairs.len() {
+        pairs.push(Default::default());
+    }
+    let (k, v) = &mut pairs[i];
+    k.clear();
+    v.clear();
+    (k, v)
 }
 
 /// True when every `%` in `s` is followed by two hex digits.
@@ -330,40 +374,54 @@ fn percent_escapes_valid(s: &str) -> bool {
     true
 }
 
-/// Decodes `%XX` escapes (and `+` as space); malformed escapes pass
-/// through literally (request targets are pre-validated, but this is
-/// also used on journal-shaped keys that may contain literal `%`).
+/// Decodes `%XX` escapes in a path or path segment; a `+` stays a plus,
+/// as RFC 3986 gives it no meaning there. Malformed escapes pass through
+/// literally (request targets are pre-validated, but this is also used
+/// on journal-shaped keys that may contain literal `%`).
 pub fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
+    let mut out = String::new();
+    decode_into(s, false, &mut out, &mut Vec::new());
+    out
+}
+
+/// Appends `s` to `out` with its `%XX` escapes decoded, and with `+` as
+/// a space when `plus_is_space` (a query string). Malformed escapes
+/// pass through literally, and invalid UTF-8 is replaced. `bytes` is
+/// scratch, untouched when `s` has nothing to decode.
+fn decode_into(s: &str, plus_is_space: bool, out: &mut String, bytes: &mut Vec<u8>) {
+    if !s.bytes().any(|b| b == b'%' || (plus_is_space && b == b'+')) {
+        out.push_str(s);
+        return;
+    }
+    let raw = s.as_bytes();
+    bytes.clear();
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
+    while i < raw.len() {
+        match raw[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
-                {
+                let hex = raw.get(i + 1..i + 3);
+                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
                     Some(b) => {
-                        out.push(b);
+                        bytes.push(b);
                         i += 3;
                     }
                     None => {
-                        out.push(b'%');
+                        bytes.push(b'%');
                         i += 1;
                     }
                 }
             }
-            b'+' => {
-                out.push(b' ');
+            b'+' if plus_is_space => {
+                bytes.push(b' ');
                 i += 1;
             }
             b => {
-                out.push(b);
+                bytes.push(b);
                 i += 1;
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    out.push_str(&String::from_utf8_lossy(bytes));
 }
 
 /// Percent-encodes a path segment (everything but unreserved chars and
@@ -382,48 +440,54 @@ pub fn percent_encode_path(s: &str) -> String {
     out
 }
 
-fn parse_query(q: &str) -> Vec<(String, String)> {
-    q.split('&')
-        .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(kv), String::new()),
-        })
-        .collect()
+/// Fills `query` with the decoded pairs of query string `q`, reusing
+/// the strings it holds.
+fn parse_query(q: &str, query: &mut Vec<(String, String)>, decoded: &mut Vec<u8>) {
+    let mut count = 0;
+    for kv in q.split('&').filter(|kv| !kv.is_empty()) {
+        let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
+        let (key, value) = refill(query, count);
+        decode_into(k, true, key, decoded);
+        decode_into(v, true, value, decoded);
+        count += 1;
+    }
+    query.truncate(count);
 }
 
-/// One response. Bodies are either owned strings (small, built per
-/// request) or shared pre-rendered bytes served zero-copy out of the
-/// artifact cache.
+/// One response. Bodies are owned strings (small, built per request),
+/// shared pre-rendered bytes served zero-copy, or a kept [`Rendered`]
+/// response, whose heads are written as they are too.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// `Content-Type` value.
     pub content_type: &'static str,
-    /// Extra headers, e.g. `Retry-After`.
+    /// Extra headers, e.g. `Retry-After`; on a [`Body::Rendered`]
+    /// response, those added after the rendering's own.
     pub extra_headers: Vec<(String, String)>,
     /// The body.
     pub body: Body,
 }
 
-/// A response body: owned text, or a shared pre-rendered buffer.
+/// A response body: owned text, a shared pre-rendered buffer, or a kept
+/// rendering.
 #[derive(Debug, Clone)]
 pub enum Body {
     /// Owned text, serialized into the head buffer.
     Text(String),
-    /// Shared bytes (the rendered-artifact cache); the connection
-    /// writes straight from this buffer without copying it.
+    /// Shared bytes; the connection writes straight from this buffer
+    /// without copying it.
     Shared(Arc<[u8]>),
+    /// A kept rendering: its body and its heads, both written as they
+    /// are, with no head formatted.
+    Rendered(Rendered),
 }
 
 impl Body {
     /// Body length in bytes.
     pub fn len(&self) -> usize {
-        match self {
-            Body::Text(s) => s.len(),
-            Body::Shared(b) => b.len(),
-        }
+        self.as_bytes().len()
     }
 
     /// True when the body has no bytes.
@@ -436,6 +500,7 @@ impl Body {
         match self {
             Body::Text(s) => s.as_bytes(),
             Body::Shared(b) => b,
+            Body::Rendered(r) => &r.body,
         }
     }
 }
@@ -471,6 +536,17 @@ impl Response {
         }
     }
 
+    /// The response a kept rendering answers with. Building it formats,
+    /// hashes and allocates nothing.
+    pub fn rendered(r: Rendered) -> Response {
+        Response {
+            status: r.status,
+            content_type: r.content_type,
+            extra_headers: Vec::new(),
+            body: Body::Rendered(r),
+        }
+    }
+
     /// Adds a header.
     pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
         self.extra_headers.push((name.to_string(), value.into()));
@@ -479,21 +555,67 @@ impl Response {
 
     /// Serializes the status line and headers with the requested
     /// connection framing. The body is *not* included — callers either
-    /// append it (owned) or write it zero-copy from its shared buffer.
+    /// append it (owned) or write it zero-copy from its shared buffer. A
+    /// rendered body's head is the rendering's own, followed by this
+    /// response's extra headers.
     pub fn render_head(&self, keep_alive: bool) -> Vec<u8> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-            self.status,
-            status_reason(self.status),
-            self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        );
+        let mut head = match &self.body {
+            Body::Rendered(r) => {
+                // Up to the rendering's closing blank line.
+                let kept = r.head(keep_alive);
+                kept[..kept.len() - 2].to_vec()
+            }
+            _ => format!(
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+                self.status,
+                status_reason(self.status),
+                self.content_type,
+                self.body.len(),
+                if keep_alive { "keep-alive" } else { "close" },
+            )
+            .into_bytes(),
+        };
         for (name, value) in &self.extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            let _ = write!(head, "{name}: {value}\r\n");
         }
-        head.push_str("\r\n");
-        head.into_bytes()
+        head.extend_from_slice(b"\r\n");
+        head
+    }
+}
+
+/// A response rendered once and kept by a cache: its body and both of
+/// its heads (`Connection: close` and `keep-alive`), each made by
+/// [`Response::render_head`], all shared. A hit answers with
+/// [`Response::rendered`], whose connection writes these very bytes, so
+/// it clones three `Arc`s and formats, hashes and allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Rendered {
+    /// The response body (shared, immutable), whose length the heads
+    /// declare.
+    pub(crate) body: Arc<[u8]>,
+    status: u16,
+    content_type: &'static str,
+    /// The `Connection: close` head, then the keep-alive one, each with
+    /// its closing blank line.
+    heads: [Arc<[u8]>; 2],
+}
+
+impl Rendered {
+    /// Renders `response` for keeping: both of its heads, and its body
+    /// as shared bytes.
+    pub fn new(response: Response) -> Rendered {
+        let heads = [false, true].map(|keep_alive| Arc::from(response.render_head(keep_alive)));
+        let body = match response.body {
+            Body::Text(s) => s.into_bytes().into(),
+            Body::Shared(b) => b,
+            Body::Rendered(r) => r.body,
+        };
+        Rendered { body, status: response.status, content_type: response.content_type, heads }
+    }
+
+    /// The head for the given framing, blank line included.
+    pub(crate) fn head(&self, keep_alive: bool) -> &Arc<[u8]> {
+        &self.heads[usize::from(keep_alive)]
     }
 }
 
@@ -554,6 +676,64 @@ mod tests {
         assert_eq!(percent_decode(&encoded), key);
         let r = parse_str(&format!("GET /cell/figure2/{encoded} HTTP/1.1\r\n\r\n")).unwrap();
         assert_eq!(r.path, format!("/cell/figure2/{key}"));
+    }
+
+    /// figure3's `js=im+og` configuration, its `+` written as is and as
+    /// `%2B`: both spell the same key, and only a query string reads `+`
+    /// as a space.
+    #[test]
+    fn a_plus_is_literal_in_the_path_and_a_space_in_the_query() {
+        let key = "Broadwell/crypto/[mitigations=off js=im+og]";
+        for spelling in [
+            "Broadwell%2Fcrypto%2F%5Bmitigations%3Doff%20js%3Dim+og%5D",
+            "Broadwell%2Fcrypto%2F%5Bmitigations%3Doff%20js%3Dim%2Bog%5D",
+        ] {
+            let wire = format!("GET /cell/figure3/{spelling}?a=b+c&d=e%2Bf HTTP/1.1\r\n\r\n");
+            let r = parse_str(&wire).unwrap();
+            assert_eq!(r.path, format!("/cell/figure3/{key}"), "{spelling}");
+            assert_eq!(r.query_param("a"), Some("b c"));
+            assert_eq!(r.query_param("d"), Some("e+f"));
+        }
+        assert_eq!(percent_decode(&percent_encode_path(key)), key);
+        assert_eq!(percent_decode("im+og"), "im+og");
+    }
+
+    /// A request handed back to the parser is overwritten field by
+    /// field: the next parse equals a fresh parser's, whatever shape the
+    /// recycled one had.
+    #[test]
+    fn a_recycled_request_parses_like_a_fresh_one() {
+        let heads = [
+            "GET /a%20b?x=1&y=2 HTTP/1.1\r\nHost: h\r\nX-One: 1\r\nConnection: close\r\n\r\n",
+            "POST /c+d HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
+            "GET /%C3%A9?q HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\nD: 4\r\n\r\n",
+            "GET / HTTP/1.1\r\n\r\n",
+        ];
+        let mut p = RequestParser::new();
+        for head in heads.iter().chain(heads.iter().rev()) {
+            p.push(head.as_bytes());
+            let reused = p.next_request().unwrap().expect("a complete request");
+            assert_eq!(format!("{reused:?}"), format!("{:?}", parse_str(head).unwrap()));
+            p.recycle(reused);
+        }
+    }
+
+    /// A kept rendering writes exactly the heads `render_head` makes for
+    /// the response it was made from, and a header added to a hit lands
+    /// where `render_head` puts extra headers.
+    #[test]
+    fn a_rendered_response_carries_the_heads_render_head_makes() {
+        let plain = Response::json(200, "{}\n").with_header("X-Regend-Crc32", "0000abcd");
+        let hit = Response::rendered(Rendered::new(plain.clone()));
+        assert_eq!((hit.status, hit.content_type), (200, "application/json"));
+        assert_eq!(hit.body.as_bytes(), b"{}\n");
+        for keep_alive in [false, true] {
+            assert_eq!(hit.render_head(keep_alive), plain.render_head(keep_alive));
+            let Body::Rendered(r) = &hit.body else { panic!("a rendered body") };
+            assert_eq!(&r.head(keep_alive)[..], &plain.render_head(keep_alive)[..]);
+            let marked = |r: Response| r.with_header("Retry-After", "1").render_head(keep_alive);
+            assert_eq!(marked(hit.clone()), marked(plain.clone()));
+        }
     }
 
     #[test]

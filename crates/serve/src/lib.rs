@@ -55,7 +55,9 @@ pub mod sys;
 
 pub use cluster::{boot_shards, proxy_config, shard_config, ShardInstance};
 pub use cluster_campaign::{run_cluster_campaign, ClusterCampaignConfig};
-pub use core::{Rendered, RunSummary, ServerConfig, SlowWork};
-pub use http::{percent_decode, percent_encode_path, Body, Request, RequestParser, Response};
+pub use core::{RunSummary, ServerConfig, SlowWork};
+pub use http::{
+    percent_decode, percent_encode_path, Body, Rendered, Request, RequestParser, Response,
+};
 pub use server::{install_sigterm_hook, Server, ServerHandle};
 pub use shard::{Cluster, HashRing, ShardHealth, ShardStatus};

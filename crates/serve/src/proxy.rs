@@ -9,12 +9,14 @@
 //! hash by name, cells by content key, and `/results` fans out one
 //! fetch per artifact in paper order and reassembles the document.
 //! What the proxy fetches it keeps: renderings in its rendered cache,
-//! and cells in its executor's cell cache ([`Executor::cache_fill`]),
-//! so a cross-shard cache miss is filled from the shard that already
-//! journalled the work instead of being recomputed, and a cell read
-//! once is answered on the event loop after that, with no hop. A cell
-//! is a pure function of its content key and seed, so a kept cell
-//! never goes stale, and it survives the loss of its owner.
+//! and cells in its executor's cell cache ([`Executor::cache_fill`])
+//! and, rendered from the very bytes the owner signed, in its kept cell
+//! renderings. So a cross-shard cache miss is filled from the shard that
+//! already journalled the work instead of being recomputed, and a cell
+//! read once is answered on the event loop after that, with no hop and
+//! nothing re-rendered. A cell is a pure function of its content key
+//! and seed, so a kept cell never goes stale, and it survives the loss
+//! of its owner.
 //!
 //! [`Executor::cache_fill`]: spectrebench::Executor::cache_fill
 //!
@@ -40,8 +42,8 @@ use spectrebench::obs::{EventKind, ShardState};
 use spectrebench::{cell_value_json, parse_cell_json, Artifact};
 
 use crate::client::HttpResponse;
-use crate::core::{artifact_response, lock, ArtifactEntry, Core, Rendered, SlowWork};
-use crate::http::{percent_encode_path, Response};
+use crate::core::{lock, render_artifact, ArtifactEntry, Core, SlowWork};
+use crate::http::{percent_encode_path, Rendered, Response};
 use crate::shard::Cluster;
 
 /// Runs one piece of slow work through the cluster.
@@ -50,7 +52,7 @@ pub(crate) fn execute(core: &Core, cluster: &Cluster, work: &SlowWork, path: &st
         SlowWork::Artifact { artifact, quick } => {
             let (entry, failover) = fill_artifact(core, cluster, *artifact, *quick, path);
             let resp = match entry {
-                Ok(r) => artifact_response(&r),
+                Ok(r) => Response::rendered(r),
                 Err(e) => {
                     Response::text(500, format!("regend: {} failed: {e}\n", artifact.name()))
                 }
@@ -96,7 +98,7 @@ fn fill_artifact(
         Ok(resp) if resp.status == 200 => {
             // The hop's checksum covered this marker (see `marked_crc32`).
             let degraded = resp.header("x-regend-degraded").is_some();
-            let rendered = Rendered::new(resp.body.into(), degraded, quick);
+            let rendered = render_artifact(resp.body.into(), degraded, quick);
             lock(&core.rendered).insert((artifact.name(), quick), rendered.clone());
             (Ok(rendered), None)
         }
@@ -150,11 +152,12 @@ fn cell(
 }
 
 /// Keeps a verified shard `/cell` 200 in the proxy's executor cache and
-/// answers it as the shard signed it. `None` unless the reply is the
-/// cell asked for: unmarked (a shard never marks a cell), strict UTF-8,
+/// as a rendering of the bytes and checksum the shard signed, and
+/// answers with that rendering. `None` unless the reply is the cell
+/// asked for: unmarked (a shard never marks a cell), strict UTF-8,
 /// decoded by the journal's own parser to `content_key` at `seed`, and
 /// rendered back to the same bytes, which every later event-loop hit
-/// then serves.
+/// then serves as they are.
 fn fill_cell(core: &Core, content_key: &str, seed: u64, resp: HttpResponse) -> Option<Response> {
     if resp.header("x-regend-degraded").is_some() || resp.header("x-regend-quick").is_some() {
         return None;
@@ -169,7 +172,10 @@ fn fill_cell(core: &Core, content_key: &str, seed: u64, resp: HttpResponse) -> O
         return None;
     }
     core.exec.cache_fill(content_key, seed, value);
-    Some(Response::json(200, body).with_header("X-Regend-Crc32", signature))
+    let signed = Response::json(200, body).with_header("X-Regend-Crc32", signature);
+    let rendered = Rendered::new(signed);
+    core.keep_cell(content_key, seed, rendered.clone());
+    Some(Response::rendered(rendered))
 }
 
 /// Stamps degraded-mode accounting onto a response that needed
@@ -194,6 +200,13 @@ mod tests {
     use super::*;
     use crate::core::ServerConfig;
     use spectrebench::{crc32, CellValue};
+
+    /// A parsed `GET` for `path`.
+    fn get(path: &str) -> crate::http::Request {
+        let mut parser = crate::http::RequestParser::new();
+        parser.push(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
+        parser.next_request().expect("well formed").expect("complete")
+    }
 
     /// A signed shard 200 carrying `body` and `markers` (header names).
     fn reply(body: &str, markers: &[&str]) -> HttpResponse {
@@ -224,11 +237,19 @@ mod tests {
             assert!(fill_cell(&core, key, seed, resp).is_none(), "{key} {seed}");
         }
         assert_eq!(core.exec.cache_len(), 0, "nothing was kept");
+        assert!(lock(&core.cells).is_empty(), "nothing was rendered");
 
         let kept = fill_cell(&core, "a/b", 0, reply(&body, &[])).expect("the cell asked for");
         assert_eq!(kept.body.as_bytes(), body.as_bytes());
-        let signed = ("X-Regend-Crc32".to_string(), format!("{:08x}", crc32(body.as_bytes())));
-        assert!(kept.extra_headers.contains(&signed), "{:?}", kept.extra_headers);
+        let signed = format!("\r\nX-Regend-Crc32: {:08x}\r\n", crc32(body.as_bytes()));
+        let head = String::from_utf8(kept.render_head(true)).expect("UTF-8");
+        assert!(head.contains(&signed), "{head}");
         assert_eq!(core.exec.cache_lookup("a/b", 0), Some(CellValue::Num(1.5)));
+        let hit = match core.route(&get("/cell/table1/a%2Fb"), 0).1 {
+            crate::core::Action::Done(hit) => hit,
+            _ => panic!("a kept cell is answered inline"),
+        };
+        assert_eq!(hit.render_head(true), kept.render_head(true));
+        assert_eq!(hit.body.as_bytes(), body.as_bytes());
     }
 }

@@ -30,13 +30,20 @@
 //! queue plus an `eventfd` wakeup and fill their waiting slot in place.
 //!
 //! A ready slot holds its serialized head, its body (a shared
-//! `Arc<[u8]>` from the cache, never copied) and a byte cursor. A
-//! flush hands the unsent bytes of every leading ready slot to one
+//! `Arc<[u8]>` from the cache, never copied) and a byte cursor; a cache
+//! hit's head is the kept rendering's own, shared like its body, so the
+//! hit formats nothing. A flush hands the unsent bytes of every leading
+//! ready slot to one
 //! vectored write (`writev(2)`) of up to `MAX_SLICES` (128) slices and
 //! advances the cursors by what the kernel accepted: a pipelined batch
 //! of cache hits costs one kernel crossing, not two per response.
 //! Slots flush strictly in request order, and a waiting slot ends the
 //! batch, so pipelined clients see HTTP/1.1 ordering.
+//!
+//! A warm read allocates nothing: the parser reads each head where it
+//! lies and into the strings of the request the loop hands back after
+//! routing it, and the request reads the clock once, when its bytes
+//! arrive. `tests/warm_allocations.rs` counts the allocations.
 //!
 //! Hygiene: a connection that stops making progress — half a request
 //! then silence, or a reader that never drains its responses — is
@@ -168,7 +175,10 @@ struct Completion {
 struct SlotMeta {
     id: u64,
     endpoint: &'static str,
+    /// The request path, for a recording bus's completion event; empty
+    /// on a bus that keeps no events.
     path: String,
+    /// When the request's bytes arrived.
     arrived: Instant,
     keep_alive: bool,
     /// Admitted requests carry completion accounting (`served`,
@@ -199,22 +209,51 @@ impl Slot {
 /// buffer. `sent` counts the bytes of both the kernel has accepted.
 struct Wire {
     status: u16,
-    head: Vec<u8>,
+    head: Head,
     body: Option<Arc<[u8]>>,
     sent: usize,
 }
 
+/// A response head: formatted for this response, or a kept rendering's,
+/// shared.
+enum Head {
+    Owned(Vec<u8>),
+    Shared(Arc<[u8]>),
+}
+
+impl std::ops::Deref for Head {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Head::Owned(head) => head,
+            Head::Shared(head) => head,
+        }
+    }
+}
+
 impl Wire {
     fn new(response: Response, keep_alive: bool) -> Wire {
-        let mut head = response.render_head(keep_alive);
-        let body = match response.body {
-            Body::Text(s) => {
-                head.extend_from_slice(s.as_bytes());
-                None
+        let status = response.status;
+        let (head, body) = match response.body {
+            // A cache hit: the kept head and body, nothing formatted.
+            Body::Rendered(r) if response.extra_headers.is_empty() => {
+                (Head::Shared(Arc::clone(r.head(keep_alive))), Some(r.body))
             }
-            Body::Shared(b) => Some(b),
+            _ => {
+                let mut head = response.render_head(keep_alive);
+                let body = match response.body {
+                    Body::Text(s) => {
+                        head.extend_from_slice(s.as_bytes());
+                        None
+                    }
+                    Body::Shared(b) => Some(b),
+                    Body::Rendered(r) => Some(r.body),
+                };
+                (Head::Owned(head), body)
+            }
         };
-        Wire { status: response.status, head, body, sent: 0 }
+        Wire { status, head, body, sent: 0 }
     }
 
     /// The bytes the kernel has not accepted yet, in wire order.
@@ -501,6 +540,7 @@ struct EventLoop<'a> {
 impl EventLoop<'_> {
     fn run(&mut self) {
         let mut events = [EpollEvent::default(); 64];
+        let mut touched: Vec<u64> = Vec::with_capacity(events.len());
         loop {
             if SIGTERM.load(Ordering::SeqCst) {
                 self.core.draining.store(true, Ordering::SeqCst);
@@ -520,7 +560,6 @@ impl EventLoop<'_> {
                     0
                 }
             };
-            let mut touched: Vec<u64> = Vec::with_capacity(n);
             for ev in events.iter().take(n) {
                 let (bits, token) = (ev.events, ev.data);
                 match token {
@@ -533,7 +572,7 @@ impl EventLoop<'_> {
                 }
             }
             let delivered = self.deliver_completions();
-            for id in touched.into_iter().chain(delivered) {
+            for id in touched.drain(..).chain(delivered) {
                 self.settle(id);
             }
             self.sweep_idle();
@@ -681,8 +720,9 @@ impl EventLoop<'_> {
     fn close_conn(&mut self, id: u64, reason: CloseReason) {
         let Some(conn) = self.conns.remove(&id) else { return };
         let _ = self.epoll.delete(conn.fd);
+        let now = Instant::now();
         for slot in &conn.slots {
-            finish(self.core, &slot.meta, 499);
+            finish(self.core, &slot.meta, 499, now);
         }
         match reason {
             CloseReason::Normal => {}
@@ -741,13 +781,13 @@ fn mark_dead(conn: &mut Conn) {
     conn.registered = u32::MAX;
 }
 
-/// Records a finished admitted request: the completion event carrying
-/// the measured end-to-end latency.
-fn finish(core: &Core, meta: &SlotMeta, status: u16) {
+/// Records a finished admitted request, done at `now`: the completion
+/// event carrying the measured end-to-end latency.
+fn finish(core: &Core, meta: &SlotMeta, status: u16, now: Instant) {
     if !meta.counted {
         return;
     }
-    let micros = meta.arrived.elapsed().as_micros() as u64;
+    let micros = now.saturating_duration_since(meta.arrived).as_micros() as u64;
     core.bus.emit(meta.endpoint, &meta.path, "", 0, EventKind::RequestCompleted {
         status,
         micros,
@@ -771,12 +811,23 @@ fn read_ready(
                 break;
             }
             Ok(n) => {
-                conn.last_activity = Instant::now();
+                // The one clock reading of every request in these bytes.
+                let arrived = Instant::now();
+                conn.last_activity = arrived;
                 conn.parser.push(&buf[..n]);
                 loop {
                     match conn.parser.next_request() {
                         Ok(Some(request)) => {
-                            handle_request(core, dispatch, jobs_in_flight, conn_id, conn, request);
+                            handle_request(
+                                core,
+                                dispatch,
+                                jobs_in_flight,
+                                conn_id,
+                                conn,
+                                &request,
+                                arrived,
+                            );
+                            conn.parser.recycle(request);
                             if conn.close_after_flush {
                                 // RFC 9112 §9.6: nothing after a request
                                 // that closes the connection is processed.
@@ -808,7 +859,7 @@ fn read_ready(
 /// admitted request, as PR 5 did), stop reading, close after flush.
 fn reject_malformed(core: &Core, dispatch: &Dispatch, conn: &mut Conn, message: &str) {
     admit(core, dispatch.depth());
-    let meta = new_slot_meta(conn, "error", String::new(), false, true);
+    let meta = new_slot_meta(core, conn, "error", "", Instant::now(), false, true);
     conn.slots.push_back(Slot::ready(meta, Response::text(400, format!("regend: {message}\n"))));
     conn.stop_reading = true;
     conn.close_after_flush = true;
@@ -819,19 +870,23 @@ fn admit(core: &Core, queue_depth: usize) {
 }
 
 fn new_slot_meta(
+    core: &Core,
     conn: &mut Conn,
     endpoint: &'static str,
-    path: String,
+    path: &str,
+    arrived: Instant,
     keep_alive: bool,
     counted: bool,
 ) -> SlotMeta {
     let id = conn.next_slot;
     conn.next_slot += 1;
-    SlotMeta { id, endpoint, path, arrived: Instant::now(), keep_alive, counted }
+    let path = if core.bus.is_recording() { path.to_string() } else { String::new() };
+    SlotMeta { id, endpoint, path, arrived, keep_alive, counted }
 }
 
-/// Routes one parsed request: fast-path answers become Ready slots on
-/// the spot; slow work is admission-checked and dispatched; `POST
+/// Routes one parsed request, whose bytes arrived at `arrived` on
+/// connection `conn_id`: fast-path answers become Ready slots on the
+/// spot; slow work is admission-checked and dispatched; `POST
 /// /shutdown` flips the drain flag.
 fn handle_request(
     core: &Core,
@@ -839,15 +894,16 @@ fn handle_request(
     jobs_in_flight: &mut u64,
     conn_id: u64,
     conn: &mut Conn,
-    request: Request,
+    request: &Request,
+    arrived: Instant,
 ) {
-    let arrived = Instant::now();
     let depth = conn.slots.len() + 1;
     core.bus.emit("regend", &request.path, "", 0, EventKind::PipelineObserved { depth });
+    let path = request.path.as_str();
 
     if core.is_draining() {
         admit(core, dispatch.depth());
-        let meta = new_slot_meta(conn, "error", request.path.clone(), false, true);
+        let meta = new_slot_meta(core, conn, "error", path, arrived, false, true);
         let response = Response::text(503, "regend: draining, connection closing\n");
         conn.slots.push_back(Slot::ready(meta, response));
         conn.close_after_flush = true;
@@ -855,19 +911,20 @@ fn handle_request(
     }
 
     let keep_alive = request.keep_alive;
-    let (endpoint, action, deadline) = match core.request_deadline(&request) {
+    let queue_depth = dispatch.depth();
+    let (endpoint, action, deadline) = match core.request_deadline(request) {
         Ok(deadline) => {
-            let (endpoint, action) = core.route(&request, dispatch.depth());
+            let (endpoint, action) = core.route(request, queue_depth);
             (endpoint, action, deadline)
         }
         Err(response) => ("error", Action::Done(response), None),
     };
     match action {
         Action::Done(response) => {
-            admit(core, dispatch.depth());
-            let meta = new_slot_meta(conn, endpoint, request.path.clone(), keep_alive, true);
+            admit(core, queue_depth);
+            let meta = new_slot_meta(core, conn, endpoint, path, arrived, keep_alive, true);
             let response = if deadline_expired(deadline, arrived) {
-                core.bus.emit("regend", &request.path, "", 0, EventKind::DeadlineExpired);
+                core.bus.emit("regend", path, "", 0, EventKind::DeadlineExpired);
                 Response::text(504, "regend: deadline expired in queue\n")
             } else {
                 response
@@ -880,7 +937,7 @@ fn handle_request(
         Action::StartDrain(response) => {
             core.draining.store(true, Ordering::SeqCst);
             admit(core, dispatch.depth());
-            let meta = new_slot_meta(conn, endpoint, request.path.clone(), false, true);
+            let meta = new_slot_meta(core, conn, endpoint, path, arrived, false, true);
             conn.slots.push_back(Slot::ready(meta, response));
             conn.close_after_flush = true;
         }
@@ -888,8 +945,7 @@ fn handle_request(
             let queue_depth = dispatch.depth();
             if queue_depth >= core.cfg.queue_capacity.max(1) {
                 core.bus.emit("regend", "", "", 0, EventKind::RequestRejected);
-                let meta =
-                    new_slot_meta(conn, endpoint, request.path.clone(), keep_alive, false);
+                let meta = new_slot_meta(core, conn, endpoint, path, arrived, keep_alive, false);
                 let response =
                     Response::text(429, "regend: admission queue full, retry shortly\n")
                         .with_header("Retry-After", "1");
@@ -900,12 +956,12 @@ fn handle_request(
                 return;
             }
             admit(core, queue_depth + 1);
-            let meta = new_slot_meta(conn, endpoint, request.path.clone(), keep_alive, true);
+            let meta = new_slot_meta(core, conn, endpoint, path, arrived, keep_alive, true);
             let job = Job {
                 conn: conn_id,
                 slot: meta.id,
                 work,
-                path: request.path.clone(),
+                path: path.to_string(),
                 arrived,
                 deadline,
             };
@@ -947,7 +1003,8 @@ fn try_flush(core: &Core, conn: &mut Conn) -> FlushOutcome {
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return FlushOutcome::Dead,
         };
-        conn.last_activity = Instant::now();
+        let now = Instant::now();
+        conn.last_activity = now;
         while accepted > 0 {
             let Some(Slot { meta, wire: Some(wire) }) = conn.slots.front_mut() else {
                 unreachable!("the kernel accepted only bytes of leading ready slots")
@@ -957,7 +1014,7 @@ fn try_flush(core: &Core, conn: &mut Conn) -> FlushOutcome {
             accepted -= taken;
             if wire.remaining() == 0 {
                 conn.requests += 1;
-                finish(core, meta, wire.status);
+                finish(core, meta, wire.status, now);
                 conn.slots.pop_front();
             }
         }
